@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,6 +142,24 @@ class RuleBase:
                 raise ValueError(f"rule {i + 1}: duplicate antecedent {rule.antecedent}")
             seen.add(rule.antecedent)
 
+    # The rule table as read-only arrays, built on first use.  Cached
+    # properties sit outside the dataclass fields: equality and hash ignore them.
+    @cached_property
+    def antecedent_index(self) -> np.ndarray:
+        """Term index of every rule on every input, shape ``(R, n)``."""
+        index = np.array([r.antecedent for r in self.rules], dtype=np.intp)
+        index = index.reshape(len(self.rules), len(self.inputs))
+        index.setflags(write=False)
+        return index
+
+    @cached_property
+    def consequent_mask(self) -> np.ndarray:
+        """``mask[k, j]`` is true when rule ``j`` concludes term ``k``; shape ``(5, R)``."""
+        consequents = np.array([r.consequent for r in self.rules], dtype=np.intp)
+        mask = consequents == np.arange(TERM_COUNT)[:, None]
+        mask.setflags(write=False)
+        return mask
+
 
 def mean_consequent(antecedent: Sequence[int]) -> int:
     """Round-half-up of the arithmetic mean of the antecedent indices."""
@@ -149,19 +167,13 @@ def mean_consequent(antecedent: Sequence[int]) -> int:
     return (2 * sum(antecedent) + n) // (2 * n)
 
 
-def generate_rulebase(
-    inputs: Sequence[LinguisticVariable],
-    output: LinguisticVariable,
-    policy: str = MEAN_POLICY,
-) -> RuleBase:
+def generate_rulebase(inputs: Sequence[LinguisticVariable], output: LinguisticVariable) -> RuleBase:
     """Emit all ``5**n`` antecedent combinations over the inputs.
 
-    Under the default ``mean`` policy the consequent is the rounded mean of
-    the antecedent indices, which is symmetric in the inputs and monotone:
-    raising any antecedent index never lowers the consequent.
+    The consequent is the rounded mean of the antecedent indices, which is
+    symmetric in the inputs and monotone: raising any antecedent index
+    never lowers the consequent.
     """
-    if policy != MEAN_POLICY:
-        raise ValueError(f"unknown generation policy {policy!r}")
     rules = tuple(
         Rule(ante, mean_consequent(ante))
         for ante in itertools.product(range(TERM_COUNT), repeat=len(inputs))
@@ -187,6 +199,14 @@ def _output_grids(output: LinguisticVariable, samples: int) -> tuple[np.ndarray,
     return grid, curves
 
 
+def _centroid(xs: np.ndarray, mu: np.ndarray) -> float:
+    """Discretized centroid of the sampled membership ``mu`` over ``xs``."""
+    total = float(mu.sum())
+    if total <= 0.0:
+        raise EmptyAggregate("membership has no mass on the domain")
+    return float((xs * mu).sum() / total)
+
+
 def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> FuzzyResult:
     """Run Mamdani inference for one input vector.
 
@@ -197,27 +217,16 @@ def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> FuzzyResult:
         raise ValueError(f"tnorm must be one of {TNORMS}, got {tnorm!r}")
     if len(xs) != len(rb.inputs):
         raise ArityMismatch(f"expected {len(rb.inputs)} inputs, got {len(xs)}")
-    degrees = [fuzzify(v, x) for v, x in zip(rb.inputs, xs)]
-
-    firings = []
-    for rule in rb.rules:
-        per_input = [degrees[i][k] for i, k in enumerate(rule.antecedent)]
-        firings.append(min(per_input) if tnorm == "min" else math.prod(per_input))
+    degrees = np.array([fuzzify(v, x) for v, x in zip(rb.inputs, xs)])
+    per_input = degrees[np.arange(len(xs)), rb.antecedent_index]
+    firings = per_input.min(axis=1) if tnorm == "min" else per_input.prod(axis=1)
 
     # max of min(firing, curve) over rules sharing a consequent equals
     # min(max firing, curve), so one strength per output term suffices
-    strengths = [0.0] * TERM_COUNT
-    for rule, fire in zip(rb.rules, firings):
-        if fire > strengths[rule.consequent]:
-            strengths[rule.consequent] = fire
-
+    strengths = np.where(rb.consequent_mask, firings, 0.0).max(axis=1, initial=0.0)
     grid, curves = _output_grids(rb.output, CENTROID_SAMPLES)
-    agg = np.minimum(np.asarray(strengths)[:, None], curves).max(axis=0)
-    total = float(agg.sum())
-    if total <= 0.0:
-        raise EmptyAggregate("aggregated membership has no mass")
-    crisp = float((grid * agg).sum() / total)
-    return FuzzyResult(rb.output.clamp(crisp), tuple(firings))
+    agg = np.minimum(strengths[:, None], curves).max(axis=0)
+    return FuzzyResult(rb.output.clamp(_centroid(grid, agg)), tuple(firings.tolist()))
 
 
 def defuzzify_centroid(
@@ -235,10 +244,7 @@ def defuzzify_centroid(
     vals = np.array([mu(float(x)) for x in xs], dtype=float)
     if (vals < 0).any():
         raise ValueError("membership values must be non-negative")
-    total = float(vals.sum())
-    if total <= 0.0:
-        raise EmptyAggregate("membership has no mass on the domain")
-    return float((xs * vals).sum() / total)
+    return _centroid(xs, vals)
 
 
 @dataclass(frozen=True)

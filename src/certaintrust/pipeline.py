@@ -19,8 +19,6 @@ from .fuzzy import RuleBase, generate_rulebase, infer, make_variable
 from .opinion import (
     BehavioralProbability,
     EvidenceCount,
-    NOT_MODES,
-    PRESERVE_CERTAINTY,
     TrustParams,
     average_rating,
     behavioral_probability,
@@ -61,7 +59,6 @@ class PipelineConfig:
     aggregation: str = AVERAGE
     modules: tuple[ModuleSpec, ...] = field(default_factory=default_modules)
     class_bounds: tuple[float, float, float, float] = DEFAULT_CLASS_BOUNDS
-    not_mode: str = PRESERVE_CERTAINTY
 
     def __post_init__(self) -> None:
         if self.aggregation not in AGGREGATIONS:
@@ -74,8 +71,6 @@ class PipelineConfig:
             raise ValueError(f"class bounds must be strictly ascending: {self.class_bounds}")
         if not (0.0 < self.class_bounds[0] and self.class_bounds[-1] < 100.0):
             raise ValueError("class bounds must lie inside (0, 100)")
-        if self.not_mode not in NOT_MODES:
-            raise ValueError(f"not_mode must be one of {NOT_MODES}")
 
     def variable_names(self) -> tuple[str, ...]:
         return tuple(name for spec in self.modules for name in spec.variables)
@@ -92,7 +87,6 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
         "f": cfg.params.f,
         "aggregation": cfg.aggregation,
         "class_bounds": list(cfg.class_bounds),
-        "not_mode": cfg.not_mode,
         "modules": [{"name": m.name, "variables": list(m.variables)} for m in cfg.modules],
     }
 
@@ -114,7 +108,6 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
         aggregation=data.get("aggregation", base.aggregation),
         modules=modules,
         class_bounds=tuple(data.get("class_bounds", base.class_bounds)),
-        not_mode=data.get("not_mode", base.not_mode),
     )
 
 
@@ -204,13 +197,23 @@ def module_trust_fuzzy(trusts: Sequence[float], rb: RuleBase) -> float:
     return infer(rb, list(trusts)).crisp
 
 
+def _aggregate(
+    trusts: Sequence[float], cfg: PipelineConfig, input_names: tuple[str, ...], output_name: str
+) -> float:
+    """Average or infer over ``trusts``, as ``cfg.aggregation`` says.
+
+    The rulebase over ``input_names`` is only built on the fuzzy route.
+    """
+    if cfg.aggregation == AVERAGE:
+        return module_trust_average(trusts)
+    return module_trust_fuzzy(trusts, _percent_rulebase(input_names, output_name))
+
+
 def merchant_trust(module_trusts: Sequence[float], cfg: PipelineConfig) -> float:
     """Combine the four module trusts into the final merchant trust."""
     if len(module_trusts) != len(cfg.modules):
         raise ValueError(f"expected {len(cfg.modules)} module trusts, got {len(module_trusts)}")
-    if cfg.aggregation == AVERAGE:
-        return sum(module_trusts) / len(module_trusts)
-    return infer(merchant_rulebase(cfg), list(module_trusts)).crisp
+    return _aggregate(module_trusts, cfg, cfg.module_names(), MERCHANT_MODULE)
 
 
 def classify_trust(trust: float, cfg: PipelineConfig | None = None) -> str:
@@ -284,10 +287,7 @@ def evaluate_merchant(
         if spec.name in overrides:
             module_trusts[spec.name] = overrides[spec.name]
         elif len(member_trusts) == len(spec.variables):
-            if cfg.aggregation == AVERAGE:
-                module_trusts[spec.name] = module_trust_average(member_trusts)
-            else:
-                module_trusts[spec.name] = module_trust_fuzzy(member_trusts, module_rulebase(spec))
+            module_trusts[spec.name] = _aggregate(member_trusts, cfg, spec.variables, spec.name)
     if missing:
         raise MissingVariable(f"unresolved variables for {merchant}: {', '.join(missing)}")
 

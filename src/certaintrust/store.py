@@ -189,15 +189,7 @@ class EvidenceStore:
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
         """Exact (r, s) tally from the log; (0, 0) for never-seen pairs."""
         variable = self.normalize(variable)
-        r = s = 0
-        for record in self.records():
-            if isinstance(record, EvidenceRecord) and record.merchant == merchant:
-                if record.variable == variable:
-                    if record.outcome == POSITIVE:
-                        r += 1
-                    else:
-                        s += 1
-        return EvidenceCount(r, s)
+        return self.load_profile(merchant).counts.get(variable, EvidenceCount(0, 0))
 
     def load_profile(self, merchant: str) -> MerchantProfile:
         """Counts for every configured variable plus latest assessments.

@@ -43,8 +43,3 @@ def normalize_name(name: str, known: tuple[str, ...], permissive: bool = False) 
     raise UnknownVariable(
         f"{name!r} is not a configured variable (expected one of: {', '.join(known)})"
     )
-
-
-def normalize_variable(name: str, permissive: bool = False) -> str:
-    """Normalize against the default 12 pipeline variables."""
-    return normalize_name(name, CANONICAL_VARIABLES, permissive)

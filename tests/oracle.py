@@ -67,16 +67,22 @@ def bruteforce_infer(
     hi: float = 1.0,
     samples: int = 1001,
     tnorm: str = "min",
+    table: dict[tuple[int, ...], int] | None = None,
 ) -> float:
     """Naive Mamdani over the standard five-term layout: per-rule loop,
-    clip, pointwise max, discretized centroid."""
+    clip, pointwise max, discretized centroid.
+
+    ``table`` maps antecedents to consequents; by default it is the full
+    rounded-mean table over ``len(xs)`` inputs."""
     n = len(xs)
     sigma = STANDARD_SIGMA * (hi - lo)
     centers = standard_centers(lo, hi)
     xs = [min(max(x, lo), hi) for x in xs]
     grid = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
     agg = [0.0] * samples
-    for ante, cons in mean_rule_table(n).items():
+    if table is None:
+        table = mean_rule_table(n)
+    for ante, cons in table.items():
         degrees = [gauss(xs[i], centers[ante[i]], sigma) for i in range(n)]
         fire = min(degrees) if tnorm == "min" else math.prod(degrees)
         for k, g in enumerate(grid):

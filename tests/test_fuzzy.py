@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certaintrust import (
     ArityMismatch,
@@ -239,6 +240,61 @@ class TestInfer:
         rb = RuleBase(tuple(unit_inputs(1)), make_variable("y", 0.0, 1.0), ())
         with pytest.raises(EmptyAggregate):
             infer(rb, [0.5])
+
+
+#: hypothesis examples per arity; the oracle needs ~0.5 s per full 625-rule table
+KERNEL_EXAMPLES = {1: 25, 2: 20, 3: 8, 4: 3}
+
+
+@st.composite
+def kernel_cases(draw, n):
+    """A domain, a rule table over ``n`` inputs, a t-norm and an input vector.
+
+    Tables are either the full rounded-mean table or a random partial one
+    in which at least one output term concludes no rule.
+    """
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.0, 100.0)]))
+    terms = range(len(TERM_LABELS))
+    antecedents = list(itertools.product(terms, repeat=n))
+    missing = draw(st.sampled_from(terms))
+    partial = st.dictionaries(
+        st.sampled_from(antecedents),
+        st.sampled_from([k for k in terms if k != missing]),
+        min_size=1,
+        max_size=min(len(antecedents), 40),
+    )
+    table = draw(st.one_of(st.just(oracle.mean_rule_table(n)), partial))
+    tnorm = draw(st.sampled_from(["min", "product"]))
+    margin = 0.2 * (hi - lo)
+    xs = draw(st.lists(st.floats(lo - margin, hi + margin), min_size=n, max_size=n))
+    return lo, hi, table, tnorm, xs
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize("n", sorted(KERNEL_EXAMPLES))
+    def test_infer_matches_oracle(self, n):
+        @settings(max_examples=KERNEL_EXAMPLES[n], deadline=None)
+        @given(kernel_cases(n))
+        def check(case):
+            lo, hi, table, tnorm, xs = case
+            rb = RuleBase(
+                tuple(make_variable(f"x{i}", lo, hi) for i in range(n)),
+                make_variable("y", lo, hi),
+                tuple(Rule(ante, cons) for ante, cons in table.items()),
+            )
+            got = infer(rb, xs, tnorm=tnorm)
+            assert len(got.firing_strengths) == len(table)
+            ref = oracle.bruteforce_infer(xs, lo, hi, tnorm=tnorm, table=table)
+            assert got.crisp == pytest.approx(ref, abs=1e-9)
+
+        check()
+
+    def test_cached_rule_arrays_leave_equality_and_hash_alone(self):
+        a, b = unit_rulebase(3), unit_rulebase(3)
+        infer(a, [0.2, 0.5, 0.9])
+        assert "antecedent_index" in vars(a) and "antecedent_index" not in vars(b)
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestCentroid:
