@@ -182,7 +182,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 text = fh.read()
         except OSError as exc:
             raise StorageFailure(f"cannot read {args.from_file}: {exc}") from exc
-        for i, line in enumerate(text.splitlines(), start=1):
+        for i, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             try:

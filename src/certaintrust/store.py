@@ -135,6 +135,11 @@ class EvidenceStore:
         self.path = Path(path)
         self.variables = variables
         self.permissive = permissive
+        # the last validated newline-terminated prefix of the file: its
+        # bytes, its records and its number of lines
+        self._prefix = b""
+        self._prefix_records: tuple[Record, ...] = ()
+        self._prefix_lines = 0
 
     def normalize(self, variable: str) -> str:
         return normalize_name(variable, self.variables, self.permissive)
@@ -154,36 +159,74 @@ class EvidenceStore:
         return record
 
     def records(self) -> list[Record]:
-        """All records in file order.
+        """All records in file order, as a new list.
 
-        A final line that fails to parse is treated as a torn write and
-        skipped with a warning; any earlier damage raises
-        :class:`StorageFailure`.
+        Lines end with ``"\\n"`` only.  A final non-blank line that fails to
+        decode or parse is treated as a torn write and skipped with a
+        warning; any earlier damage raises :class:`StorageFailure` naming
+        the physical line.
+
+        The store keeps the newline-terminated prefix it last validated,
+        with that prefix's records: when the file still starts with exactly
+        those bytes, only the bytes after them are parsed.  A torn or
+        unterminated final line is never kept, so it is checked again on
+        every read.
         """
         if not self.path.exists():
             return []
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        out: list[Record] = []
+        if not data.startswith(self._prefix):
+            self._prefix, self._prefix_records, self._prefix_lines = b"", (), 0
+        tail = data[len(self._prefix):]
+        try:
+            lines: list[str | None] = tail.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = []
+            for raw in tail.split(b"\n"):
+                try:
+                    lines.append(raw.decode("utf-8"))
+                except UnicodeDecodeError:
+                    lines.append(None)
+        final = len(lines) - 1  # the last non-blank line, the only one that may be torn
+        while final >= 0 and lines[final] is not None and not lines[final].strip():
+            final -= 1
+        out = list(self._prefix_records)
+        keep = len(lines) - 1  # lines[:keep] end with "\n" and join the kept prefix
         for i, line in enumerate(lines):
+            if i == keep:
+                kept_records = len(out)
+            if line is not None and not line.strip():
+                continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if i == len(lines) - 1:
+                if line is None:
+                    raise ValueError("not valid UTF-8")
+                fields = json.loads(line)
+            except ValueError as exc:
+                if i == final:
                     warnings.warn(
                         f"{self.path}: skipping torn final line ({exc})",
                         RuntimeWarning,
                         stacklevel=2,
                     )
-                    continue
-                raise StorageFailure(f"{self.path}: corrupt record on line {i + 1}") from exc
+                    keep, kept_records = i, len(out)
+                    break
+                number = self._prefix_lines + i + 1
+                raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
             try:
-                out.append(record_from_dict(data))
+                out.append(record_from_dict(fields))
             except ValueError as exc:
-                raise StorageFailure(f"{self.path}: invalid record on line {i + 1}: {exc}") from exc
+                number = self._prefix_lines + i + 1
+                raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
+        # the kept prefix ends where line ``keep`` of the tail starts
+        end = len(tail)
+        for _ in range(len(lines) - keep):
+            end = tail.rfind(b"\n", 0, end)
+        self._prefix = data[: len(self._prefix) + end + 1]
+        self._prefix_records = tuple(out[:kept_records])
+        self._prefix_lines += keep
         return out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:

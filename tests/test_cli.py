@@ -1,6 +1,7 @@
 """Command-line tests, driven through cli.main with captured output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,26 @@ class TestIngest:
         code = main(["ingest", "--store", store_path, "--from-file", str(src)])
         assert code == 0
         assert "Appended 2 record(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["Z\u0085", "Z\u2028", "Z\u2029"])
+    def test_unicode_line_separator_in_merchant(self, seeded, tmp_path, capsys, name):
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text("".join(
+            json.dumps({"kind": "assessment", "merchant": name, "variable": variable,
+                        "c": c, "t_scaled": t_scaled, "timestamp": 1},
+                       ensure_ascii=False) + "\n"
+            for variable, (c, t_scaled) in goldens.MERCHANT_A.items()
+        ), encoding="utf-8")
+        assert main(["ingest", "--store", seeded, "--from-file", str(batch)]) == 0
+        assert main(["ingest", "--store", seeded, "--merchant", name,
+                     "--variable", "Delivery", "--positive", "1"]) == 0
+        capsys.readouterr()
+        code = main(["compare", "--store", seeded, "--merchant", name,
+                     "--merchant", "A", "--format", "json"])
+        assert code == 0
+        ranked = json.loads(capsys.readouterr().out)
+        assert {r["merchant"] for r in ranked} == {name, "A"}
+        assert ranked[0]["merchant_trust"] == ranked[1]["merchant_trust"]
 
     def test_from_file_with_merchant_is_usage_error(self, store_path, tmp_path):
         src = tmp_path / "batch.jsonl"
@@ -181,8 +202,9 @@ class TestEvaluate:
         capsys.readouterr()
         # small evidence cap plus raw evidence for one variable: the
         # assessment for Delivery must be removed so counts are used
-        lines = [ln for ln in open(store_path, encoding="utf-8")
-                 if '"assessment"' not in ln or '"Delivery"' not in ln]
+        with open(store_path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh
+                     if '"assessment"' not in ln or '"Delivery"' not in ln]
         trimmed = tmp_path / "trimmed.jsonl"
         trimmed.write_text("".join(lines), encoding="utf-8")
         config = tmp_path / "config.json"
@@ -191,6 +213,23 @@ class TestEvaluate:
                      "--config", str(config)])
         assert code == 1
         assert "EvidenceExceedsCap" in capsys.readouterr().err
+
+    def test_torn_multibyte_final_line_is_skipped(self, seeded, capsys):
+        with open(seeded, "ab") as fh:
+            fh.write('{"kind": "evidence", "merchant": "Caf\u00e9'.encode("utf-8")[:-1])
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            code = main(["evaluate", "--store", seeded, "--merchant", "A"])
+        assert code == 0
+        assert "Trust class: Medium" in capsys.readouterr().out
+
+    def test_invalid_utf8_middle_line_is_storage_error(self, seeded, capsys):
+        with open(seeded, "ab") as fh:
+            fh.write(b'{"kind": "evidence", "merchant": "Caf\xc3"}\n')
+        seed_merchant(seeded, "C", goldens.MERCHANT_A)
+        code = main(["evaluate", "--store", seeded, "--merchant", "A"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert seeded in err and "line 25" in err
 
     def test_empty_store_names_all_missing_variables(self, store_path, capsys):
         code = main(["evaluate", "--store", store_path, "--merchant", "A"])
@@ -404,9 +443,9 @@ class TestUsage:
         assert main(["--help"]) == 0
 
     def test_store_untouched_by_reads(self, seeded, tmp_path):
-        before = open(seeded, "rb").read()
+        before = Path(seeded).read_bytes()
         main(["evaluate", "--store", seeded, "--merchant", "A"])
         main(["compare", "--store", seeded, "--merchant", "A", "--merchant", "B"])
         main(["surface", "--module", "Existence", "--x", "Portal",
               "--y", "People Existence", "--out", str(tmp_path / "s.csv")])
-        assert open(seeded, "rb").read() == before
+        assert Path(seeded).read_bytes() == before
