@@ -20,7 +20,6 @@ from .errors import (
     ZeroBase,
 )
 from .fuzzy import (
-    FuzzyResult,
     LinguisticVariable,
     MembershipFunction,
     Rule,

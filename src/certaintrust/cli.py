@@ -197,17 +197,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print("error: nothing to ingest (use --positive/--negative/--assessment)",
                   file=sys.stderr)
             return EXIT_USAGE
-        variable = store.normalize(args.variable)
         for _ in range(args.positive or 0):
-            records.append(EvidenceRecord(args.merchant, variable, POSITIVE, now))
+            records.append(EvidenceRecord(args.merchant, args.variable, POSITIVE, now))
         for _ in range(args.negative or 0):
-            records.append(EvidenceRecord(args.merchant, variable, NEGATIVE, now))
+            records.append(EvidenceRecord(args.merchant, args.variable, NEGATIVE, now))
         if args.assessment is not None:
             c, t_scaled = args.assessment
-            records.append(DirectAssessment(args.merchant, variable, c, t_scaled, now))
+            records.append(DirectAssessment(args.merchant, args.variable, c, t_scaled, now))
 
-    for record in records:
-        store.append(record)
+    store.append(*records)
     print(f"Appended {len(records)} record(s) to {store.path}")
     return EXIT_OK
 

@@ -181,17 +181,11 @@ def generate_rulebase(inputs: Sequence[LinguisticVariable], output: LinguisticVa
     return RuleBase(tuple(inputs), output, rules)
 
 
-@dataclass(frozen=True)
-class FuzzyResult:
-    crisp: float
-    firing_strengths: tuple[float, ...]
-
-
 @lru_cache(maxsize=64)
-def _output_grids(output: LinguisticVariable, samples: int) -> tuple[np.ndarray, np.ndarray]:
+def _output_grids(output: LinguisticVariable) -> tuple[np.ndarray, np.ndarray]:
     """Sampled output domain and the five term curves over it (read-only)."""
-    grid = np.linspace(output.lo, output.hi, samples)
-    curves = np.empty((TERM_COUNT, samples))
+    grid = np.linspace(output.lo, output.hi, CENTROID_SAMPLES)
+    curves = np.empty((TERM_COUNT, CENTROID_SAMPLES))
     for k, (_, mf) in enumerate(output.terms):
         curves[k] = np.exp(-((grid - mf.center) ** 2) / (2.0 * mf.sigma * mf.sigma))
     grid.setflags(write=False)
@@ -207,8 +201,8 @@ def _centroid(xs: np.ndarray, mu: np.ndarray) -> float:
     return float((xs * mu).sum() / total)
 
 
-def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> FuzzyResult:
-    """Run Mamdani inference for one input vector.
+def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> float:
+    """Run Mamdani inference for one input vector; returns the crisp output.
 
     Gaussian memberships never vanish, so with a generated rulebase every
     rule fires with positive strength and the aggregate is never empty.
@@ -224,23 +218,16 @@ def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> FuzzyResult:
     # max of min(firing, curve) over rules sharing a consequent equals
     # min(max firing, curve), so one strength per output term suffices
     strengths = np.where(rb.consequent_mask, firings, 0.0).max(axis=1, initial=0.0)
-    grid, curves = _output_grids(rb.output, CENTROID_SAMPLES)
+    grid, curves = _output_grids(rb.output)
     agg = np.minimum(strengths[:, None], curves).max(axis=0)
-    return FuzzyResult(rb.output.clamp(_centroid(grid, agg)), tuple(firings.tolist()))
+    return rb.output.clamp(_centroid(grid, agg))
 
 
-def defuzzify_centroid(
-    mu: Callable[[float], float],
-    lo: float,
-    hi: float,
-    samples: int = CENTROID_SAMPLES,
-) -> float:
+def defuzzify_centroid(mu: Callable[[float], float], lo: float, hi: float) -> float:
     """Discretized centroid of a membership function over ``[lo, hi]``."""
     if not lo < hi:
         raise InvalidDomain(f"need lo < hi, got [{lo}, {hi}]")
-    if samples < 2:
-        raise InvalidDomain(f"need at least 2 samples, got {samples}")
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, CENTROID_SAMPLES)
     vals = np.array([mu(float(x)) for x in xs], dtype=float)
     if (vals < 0).any():
         raise ValueError("membership values must be non-negative")
@@ -302,7 +289,7 @@ def surface_grid(
         point[x_index] = x
         for y in ys:
             point[y_index] = y
-            row.append(infer(rb, point, tnorm=tnorm).crisp)
+            row.append(infer(rb, point, tnorm=tnorm))
         values.append(tuple(row))
     return SurfaceGrid(xv.name, yv.name, tuple(xs), tuple(ys), tuple(values))
 

@@ -171,17 +171,17 @@ def op_not(a: Opinion, not_mode: str = PRESERVE_CERTAINTY) -> Opinion:
     return Opinion(1.0 - a.t, c, 1.0 - a.f)
 
 
-def op_and(a: Opinion, b: Opinion, eps: float = BASE_EPS) -> Opinion:
+def op_and(a: Opinion, b: Opinion) -> Opinion:
     """Conjunction of two opinions.
 
     Reduces to the probabilistic product at full certainty and keeps
     ``f = f_A * f_B``.  Raises :class:`DegenerateBase` when
-    ``1 - f_A*f_B <= eps`` (both priors ~1), where the shared denominator
+    ``1 - f_A*f_B <= BASE_EPS`` (both priors ~1), where the shared denominator
     vanishes.
     """
     denom = 1.0 - a.f * b.f
-    if denom <= eps:
-        raise DegenerateBase(f"1 - f_A*f_B = {denom!r} is below eps = {eps!r}")
+    if denom <= BASE_EPS:
+        raise DegenerateBase(f"1 - f_A*f_B = {denom!r} is below {BASE_EPS!r}")
     c = (
         a.c
         + b.c
@@ -201,16 +201,16 @@ def op_and(a: Opinion, b: Opinion, eps: float = BASE_EPS) -> Opinion:
     return Opinion(_clip_unit(t), c, f)
 
 
-def op_or(a: Opinion, b: Opinion, eps: float = BASE_EPS) -> Opinion:
+def op_or(a: Opinion, b: Opinion) -> Opinion:
     """Disjunction of two opinions.
 
     Reduces to ``t_A + t_B - t_A*t_B`` at full certainty and keeps
     ``f = f_A + f_B - f_A*f_B``.  Raises :class:`DegenerateBase` when that
-    combined prior is ``<= eps`` (both priors ~0).
+    combined prior is ``<= BASE_EPS`` (both priors ~0).
     """
     denom = a.f + b.f - a.f * b.f
-    if denom <= eps:
-        raise DegenerateBase(f"f_A + f_B - f_A*f_B = {denom!r} is below eps = {eps!r}")
+    if denom <= BASE_EPS:
+        raise DegenerateBase(f"f_A + f_B - f_A*f_B = {denom!r} is below {BASE_EPS!r}")
     c = (
         a.c
         + b.c

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .errors import MissingVariable
+from .errors import EvidenceExceedsCap, MissingVariable
 from .fuzzy import RuleBase, generate_rulebase, infer, make_variable
 from .opinion import (
     BehavioralProbability,
@@ -194,7 +194,7 @@ def merchant_rulebase(cfg: PipelineConfig) -> RuleBase:
 
 def module_trust_fuzzy(trusts: Sequence[float], rb: RuleBase) -> float:
     """Crisp module trust via fuzzy inference over the variable trusts."""
-    return infer(rb, list(trusts)).crisp
+    return infer(rb, list(trusts))
 
 
 def _aggregate(
@@ -281,7 +281,10 @@ def evaluate_merchant(
                 if spec.name not in overrides:
                     missing.append(name)
                 continue
-            trust = variable_trust(source, cfg.params)
+            try:
+                trust = variable_trust(source, cfg.params)
+            except EvidenceExceedsCap as exc:
+                raise EvidenceExceedsCap(f"merchant {merchant!r}, variable {name}: {exc}") from exc
             variable_trusts[name] = trust
             member_trusts.append(trust)
         if spec.name in overrides:

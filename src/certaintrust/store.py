@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import StorageFailure, UnknownVariable
+from .errors import StorageFailure
 from .opinion import EvidenceCount
 from .variables import CANONICAL_VARIABLES, normalize_name
 
@@ -126,37 +126,40 @@ def record_from_dict(data: dict) -> Record:
 class EvidenceStore:
     """Single-writer append-only store over one JSON-lines file."""
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        variables: tuple[str, ...] = CANONICAL_VARIABLES,
-        permissive: bool = False,
-    ) -> None:
+    def __init__(self, path: str | os.PathLike, permissive: bool = False) -> None:
         self.path = Path(path)
-        self.variables = variables
         self.permissive = permissive
         # the last validated newline-terminated prefix of the file: its
-        # bytes, its records and its number of lines
+        # bytes and its records
         self._prefix = b""
         self._prefix_records: tuple[Record, ...] = ()
-        self._prefix_lines = 0
 
     def normalize(self, variable: str) -> str:
-        return normalize_name(variable, self.variables, self.permissive)
+        return normalize_name(variable, CANONICAL_VARIABLES, self.permissive)
 
-    def append(self, record: Record) -> Record:
-        """Durably append one record; returns it with the variable canonicalized."""
-        record = replace(record, variable=self.normalize(record.variable))
-        line = json.dumps(record_to_dict(record), ensure_ascii=False, sort_keys=True)
+    def append(self, *records: Record) -> tuple[Record, ...]:
+        """Durably append a batch; returns it with the variables canonicalized.
+
+        Every variable is checked before anything is written, so a rejected
+        batch leaves the file as it was.  The batch is written with one
+        write and one fsync; an empty batch writes nothing.
+        """
+        records = tuple(replace(r, variable=self.normalize(r.variable)) for r in records)
+        if not records:
+            return records
+        text = "".join(
+            json.dumps(record_to_dict(r), ensure_ascii=False, sort_keys=True) + "\n"
+            for r in records
+        )
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError as exc:
             raise StorageFailure(f"cannot append to {self.path}: {exc}") from exc
-        return record
+        return records
 
     def records(self) -> list[Record]:
         """All records in file order, as a new list.
@@ -179,7 +182,7 @@ class EvidenceStore:
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
         if not data.startswith(self._prefix):
-            self._prefix, self._prefix_records, self._prefix_lines = b"", (), 0
+            self._prefix, self._prefix_records = b"", ()
         tail = data[len(self._prefix):]
         try:
             lines: list[str | None] = tail.decode("utf-8").split("\n")
@@ -213,12 +216,12 @@ class EvidenceStore:
                     )
                     keep, kept_records = i, len(out)
                     break
-                number = self._prefix_lines + i + 1
+                number = self._prefix.count(b"\n") + i + 1
                 raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
             try:
                 out.append(record_from_dict(fields))
             except ValueError as exc:
-                number = self._prefix_lines + i + 1
+                number = self._prefix.count(b"\n") + i + 1
                 raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
         # the kept prefix ends where line ``keep`` of the tail starts
         end = len(tail)
@@ -226,7 +229,6 @@ class EvidenceStore:
             end = tail.rfind(b"\n", 0, end)
         self._prefix = data[: len(self._prefix) + end + 1]
         self._prefix_records = tuple(out[:kept_records])
-        self._prefix_lines += keep
         return out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
@@ -240,7 +242,7 @@ class EvidenceStore:
         Assessment conflicts resolve latest-timestamp-wins, with later file
         order winning ties.
         """
-        tallies: dict[str, list[int]] = {name: [0, 0] for name in self.variables}
+        tallies: dict[str, list[int]] = {name: [0, 0] for name in CANONICAL_VARIABLES}
         assessments: dict[str, DirectAssessment] = {}
         for record in self.records():
             if record.merchant != merchant:

@@ -192,7 +192,7 @@ def test_criterion_7_fuzzy_engine():
     assert table[(1, 0, 0)] == 0  # one step up still rounds down
     assert table[(4, 4, 4)] == 4  # all highest -> highest
 
-    assert infer(rb, [0.5, 0.5, 0.5]).crisp == pytest.approx(0.5, abs=1e-3)
+    assert infer(rb, [0.5, 0.5, 0.5]) == pytest.approx(0.5, abs=1e-3)
 
     for ante, cons in table.items():
         for i in range(3):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from certaintrust import PipelineConfig, evaluate_merchant
+from certaintrust import EvidenceCount, PipelineConfig, evaluate_merchant
+from certaintrust import store as store_module
 from certaintrust.cli import main
 from certaintrust.store import DirectAssessment, EvidenceStore
 
@@ -101,6 +102,39 @@ class TestIngest:
         ranked = json.loads(capsys.readouterr().out)
         assert {r["merchant"] for r in ranked} == {name, "A"}
         assert ranked[0]["merchant_trust"] == ranked[1]["merchant_trust"]
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_rejected_batch_writes_nothing(self, seeded, tmp_path, capsys, existing):
+        store_path = seeded if existing else str(tmp_path / "absent.jsonl")
+        before = Path(seeded).read_bytes()
+        src = tmp_path / "batch.jsonl"
+        src.write_text("".join(
+            json.dumps({"kind": "evidence", "merchant": "A", "variable": variable,
+                        "outcome": "positive", "timestamp": 5}) + "\n"
+            for variable in ("Delivery", "Privacy", "Bogus", "Portal")
+        ), encoding="utf-8")
+        code = main(["ingest", "--store", store_path, "--from-file", str(src)])
+        assert code == 1
+        assert "UnknownVariable" in capsys.readouterr().err
+        if existing:
+            assert Path(store_path).read_bytes() == before
+        else:
+            assert not Path(store_path).exists()
+
+    def test_flag_batch_is_fsynced_once(self, store_path, monkeypatch):
+        fsyncs = []
+        real_fsync = store_module.os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(store_module.os, "fsync", counting_fsync)
+        code = main(["ingest", "--store", store_path, "--merchant", "A",
+                     "--variable", "Delivery", "--positive", "2", "--negative", "1"])
+        assert code == 0
+        assert len(fsyncs) == 1
+        assert EvidenceStore(store_path).counts("A", "Delivery") == EvidenceCount(2, 1)
 
     def test_from_file_with_merchant_is_usage_error(self, store_path, tmp_path):
         src = tmp_path / "batch.jsonl"
@@ -212,7 +246,9 @@ class TestEvaluate:
         code = main(["evaluate", "--store", str(trimmed), "--merchant", "A",
                      "--config", str(config)])
         assert code == 1
-        assert "EvidenceExceedsCap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "EvidenceExceedsCap" in err
+        assert "merchant 'A'" in err and "variable Delivery" in err
 
     def test_torn_multibyte_final_line_is_skipped(self, seeded, capsys):
         with open(seeded, "ab") as fh:

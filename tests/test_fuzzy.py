@@ -168,15 +168,15 @@ class TestInfer:
     def test_all_medium_is_midpoint(self):
         rb = unit_rulebase(3)
         got = infer(rb, [0.5, 0.5, 0.5])
-        assert got.crisp == pytest.approx(0.5, abs=1e-6)
+        assert got == pytest.approx(0.5, abs=1e-6)
         ref = oracle.bruteforce_infer([0.5, 0.5, 0.5])
-        assert got.crisp == pytest.approx(ref, abs=1e-9)
+        assert got == pytest.approx(ref, abs=1e-9)
 
     def test_all_very_high(self):
         rb = unit_rulebase(3)
-        got = infer(rb, [1.0, 1.0, 1.0]).crisp
+        got = infer(rb, [1.0, 1.0, 1.0])
         assert 0.75 <= got <= 1.0
-        assert got > infer(rb, [0.5, 0.5, 0.5]).crisp
+        assert got > infer(rb, [0.5, 0.5, 0.5])
         assert got == pytest.approx(oracle.bruteforce_infer([1.0, 1.0, 1.0]), abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -190,43 +190,37 @@ class TestInfer:
     )
     def test_matches_bruteforce_oracle(self, xs):
         rb = unit_rulebase(3)
-        assert infer(rb, xs).crisp == pytest.approx(
+        assert infer(rb, xs) == pytest.approx(
             oracle.bruteforce_infer(xs), abs=1e-9
         )
 
     def test_product_tnorm_matches_oracle(self):
         rb = unit_rulebase(3)
         for xs in ([0.1, 0.6, 0.9], [0.4, 0.4, 0.8]):
-            assert infer(rb, xs, tnorm="product").crisp == pytest.approx(
+            assert infer(rb, xs, tnorm="product") == pytest.approx(
                 oracle.bruteforce_infer(xs, tnorm="product"), abs=1e-9
             )
-
-    def test_every_rule_fires(self):
-        rb = unit_rulebase(3)
-        got = infer(rb, [0.2, 0.9, 0.55])
-        assert len(got.firing_strengths) == 125
-        assert all(f > 0.0 for f in got.firing_strengths)
 
     def test_output_within_domain(self):
         rb = unit_rulebase(2)
         for xs in itertools.product([0.0, 0.25, 0.6, 1.0], repeat=2):
-            assert 0.0 <= infer(rb, list(xs)).crisp <= 1.0
+            assert 0.0 <= infer(rb, list(xs)) <= 1.0
 
     def test_permutation_symmetry(self):
         rb = unit_rulebase(3)
         xs = [0.15, 0.62, 0.87]
-        base = infer(rb, xs).crisp
+        base = infer(rb, xs)
         for perm in itertools.permutations(xs):
-            assert infer(rb, list(perm)).crisp == pytest.approx(base, abs=1e-12)
+            assert infer(rb, list(perm)) == pytest.approx(base, abs=1e-12)
 
     def test_continuity_probe(self):
         rb = unit_rulebase(3)
         for xs in ([0.3, 0.5, 0.7], [0.12, 0.12, 0.99]):
-            base = infer(rb, xs).crisp
+            base = infer(rb, xs)
             for i in range(3):
                 bumped = list(xs)
                 bumped[i] += 1e-6
-                assert abs(infer(rb, bumped).crisp - base) < 1e-3
+                assert abs(infer(rb, bumped) - base) < 1e-3
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
@@ -283,9 +277,8 @@ class TestKernelAgainstOracle:
                 tuple(Rule(ante, cons) for ante, cons in table.items()),
             )
             got = infer(rb, xs, tnorm=tnorm)
-            assert len(got.firing_strengths) == len(table)
             ref = oracle.bruteforce_infer(xs, lo, hi, tnorm=tnorm, table=table)
-            assert got.crisp == pytest.approx(ref, abs=1e-9)
+            assert got == pytest.approx(ref, abs=1e-9)
 
         check()
 
@@ -334,7 +327,7 @@ class TestSurfaceGrid:
         rb = unit_rulebase(3)
         grid = surface_grid(rb, 0, 1, resolution=2)
         assert grid.values[1][1] == pytest.approx(
-            infer(rb, [1.0, 1.0, 0.5]).crisp, abs=1e-12
+            infer(rb, [1.0, 1.0, 0.5]), abs=1e-12
         )
 
     def test_symmetric_under_axis_swap(self):
@@ -348,7 +341,7 @@ class TestSurfaceGrid:
         rb = unit_rulebase(3)
         grid = surface_grid(rb, 0, 1, fixed=[0.0, 0.0, 0.9], resolution=2)
         assert grid.values[0][0] == pytest.approx(
-            infer(rb, [0.0, 0.0, 0.9]).crisp, abs=1e-12
+            infer(rb, [0.0, 0.0, 0.9]), abs=1e-12
         )
 
     def test_csv_shape_and_precision(self):

@@ -92,13 +92,25 @@ class TestAppendAndCounts:
             store.append(EvidenceRecord("A", "Bogus", "positive", 0))
         assert not store.path.exists()
 
+    def test_batch_with_unknown_variable_writes_nothing(self, store):
+        add_evidence(store, "A", "Delivery", positive=1)
+        before = store.path.read_bytes()
+        with pytest.raises(UnknownVariable):
+            store.append(EvidenceRecord("A", "Portal", "positive", 0),
+                         EvidenceRecord("A", "Bogus", "positive", 0))
+        assert store.path.read_bytes() == before
+
+    def test_empty_batch_creates_no_file(self, store):
+        assert store.append() == ()
+        assert not store.path.exists()
+
     def test_permissive_store_accepts_unknown(self, tmp_path):
         store = EvidenceStore(tmp_path / "log.jsonl", permissive=True)
         store.append(EvidenceRecord("A", "Bespoke Signal", "positive", 0))
         assert store.counts("A", "Bespoke Signal") == EvidenceCount(1, 0)
 
     def test_variable_normalization(self, store):
-        got = store.append(EvidenceRecord("A", "physical_existence", "positive", 0))
+        (got,) = store.append(EvidenceRecord("A", "physical_existence", "positive", 0))
         assert got.variable == "Physical Existence"
         assert store.counts("A", "PHYSICAL EXISTENCE") == EvidenceCount(1, 0)
 
@@ -296,7 +308,7 @@ records_st = st.one_of(
 )
 
 steps_st = st.one_of(
-    st.tuples(st.just("append"), records_st),
+    st.tuples(st.just("append"), st.lists(records_st, min_size=1, max_size=3)),
     st.tuples(st.just("raw"), records_st),
     st.tuples(st.just("torn"), records_st, st.integers(1, 200)),
     st.tuples(st.just("blank"), st.sampled_from((b"\n", b"  \n", b"\r\n"))),
@@ -351,7 +363,7 @@ def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
         for step in steps:
             kind = step[0]
             if kind == "append":
-                store.append(step[1])
+                store.append(*step[1])
             elif kind == "raw":
                 with path.open("ab") as fh:
                     fh.write(line_bytes(step[1]) + b"\n")
