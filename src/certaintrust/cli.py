@@ -41,6 +41,7 @@ from .store import (
     EvidenceStore,
     NEGATIVE,
     POSITIVE,
+    decode_line,
     record_from_dict,
 )
 from .variables import MERCHANT_MODULE, normalize_name
@@ -186,8 +187,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             if not line.strip():
                 continue
             try:
-                records.append(record_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
+                records.append(record_from_dict(decode_line(line)))
+            except ValueError as exc:
                 raise ValueError(f"{args.from_file}:{i}: {exc}") from exc
     else:
         if not args.merchant or not args.variable:

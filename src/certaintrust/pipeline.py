@@ -283,8 +283,8 @@ def evaluate_merchant(
                 continue
             try:
                 trust = variable_trust(source, cfg.params)
-            except EvidenceExceedsCap as exc:
-                raise EvidenceExceedsCap(f"merchant {merchant!r}, variable {name}: {exc}") from exc
+            except (EvidenceExceedsCap, ValueError) as exc:
+                raise type(exc)(f"merchant {merchant!r}, variable {name}: {exc}") from exc
             variable_trusts[name] = trust
             member_trusts.append(trust)
         if spec.name in overrides:

@@ -53,7 +53,16 @@ class EvidenceRecord:
     timestamp: int
 
     def __post_init__(self) -> None:
-        _check_common(self.merchant, self.variable, self.timestamp)
+        # one inline test passes the usual record (this runs once per log
+        # line); _check_common repeats it check by check to say what failed
+        if not (
+            type(self.merchant) is str
+            and type(self.variable) is str
+            and type(self.timestamp) is int
+            and self.merchant.strip()
+            and self.variable.strip()
+        ):
+            _check_common(self.merchant, self.variable, self.timestamp)
         if self.outcome not in (POSITIVE, NEGATIVE):
             raise ValueError(f"outcome must be 'positive' or 'negative', got {self.outcome!r}")
 
@@ -70,6 +79,9 @@ class DirectAssessment:
 
     def __post_init__(self) -> None:
         _check_common(self.merchant, self.variable, self.timestamp)
+        if isinstance(self.c, bool) or isinstance(self.t_scaled, bool):
+            raise ValueError(f"c and t_scaled must be numbers, not bool, got "
+                             f"{self.c!r}, {self.t_scaled!r}")
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"c must be in [0, 1], got {self.c!r}")
         if not self.t_scaled >= 0.0:
@@ -105,6 +117,27 @@ def record_to_dict(record: Record) -> dict:
         "t_scaled": record.t_scaled,
         "timestamp": record.timestamp,
     }
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def decode_line(line: str):
+    """The JSON value of one log line, exactly as ``json.loads(line)`` gives it.
+
+    The usual line, one value followed by nothing but JSON whitespace,
+    costs one ``raw_decode``, whose C scanner decodes the whole value;
+    ``json.loads`` adds a regex match at each end and two Python-level
+    calls.  Any other line is decoded again by ``json.loads``, so a bad
+    line fails with that call's exception and message.
+    """
+    try:
+        value, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if end == len(line) or not line[end:].strip(" \t\n\r"):
+        return value
+    return json.loads(line)
 
 
 def record_from_dict(data: dict) -> Record:
@@ -206,7 +239,7 @@ class EvidenceStore:
             try:
                 if line is None:
                     raise ValueError("not valid UTF-8")
-                fields = json.loads(line)
+                fields = decode_line(line)
             except ValueError as exc:
                 if i == final:
                     warnings.warn(

@@ -121,6 +121,23 @@ class TestIngest:
         else:
             assert not Path(store_path).exists()
 
+    @pytest.mark.parametrize("field", ["c", "t_scaled"])
+    def test_bool_assessment_rejects_batch(self, seeded, tmp_path, capsys, field):
+        before = Path(seeded).read_bytes()
+        lines = [
+            {"kind": "assessment", "merchant": "A", "variable": variable,
+             "c": 0.5, "t_scaled": 3.0, "timestamp": 5}
+            for variable in ("Delivery", "Privacy")
+        ]
+        lines[1][field] = True
+        src = tmp_path / "batch.jsonl"
+        src.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
+        code = main(["ingest", "--store", seeded, "--from-file", str(src)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{src}:2:" in err and "not bool" in err
+        assert Path(seeded).read_bytes() == before
+
     def test_flag_batch_is_fsynced_once(self, store_path, monkeypatch):
         fsyncs = []
         real_fsync = store_module.os.fsync
@@ -248,6 +265,17 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert "EvidenceExceedsCap" in err
+        assert "merchant 'A'" in err and "variable Delivery" in err
+
+    def test_assessment_over_scale_names_merchant_and_variable(self, seeded, capsys):
+        code = main(["ingest", "--store", seeded, "--merchant", "A", "--variable",
+                     "Delivery", "--assessment", "0.5,7", "--timestamp", "200"])
+        assert code == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--store", seeded, "--merchant", "A"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "t_scaled must be in [0, 5.0], got 7.0" in err
         assert "merchant 'A'" in err and "variable Delivery" in err
 
     def test_torn_multibyte_final_line_is_skipped(self, seeded, capsys):

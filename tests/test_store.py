@@ -4,6 +4,7 @@ and the reuse of an unchanged prefix against a fresh store."""
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -55,10 +56,26 @@ class TestRecords:
             DirectAssessment("A", "Delivery", 1.2, 3.0, 0)
         with pytest.raises(ValueError):
             DirectAssessment("A", "Delivery", 0.5, -1.0, 0)
+        with pytest.raises(ValueError, match="not bool"):
+            DirectAssessment("A", "Delivery", True, 3.0, 0)
+        with pytest.raises(ValueError, match="not bool"):
+            DirectAssessment("A", "Delivery", 0.5, False, 0)
 
     def test_timestamp_must_be_integer(self):
         with pytest.raises(ValueError):
             EvidenceRecord("A", "Delivery", "positive", 1.5)
+
+    @pytest.mark.parametrize("bad", ["", " \u3000", None, b"A", 7])
+    @pytest.mark.parametrize("field", ["merchant", "variable"])
+    def test_names_must_be_non_blank_strings(self, field, bad):
+        class Name(str):
+            pass
+
+        for record in (EvidenceRecord("A", "Delivery", "positive", 0),
+                       DirectAssessment("A", "Delivery", 0.5, 3.0, 0)):
+            with pytest.raises(ValueError, match=f"{field} must be a non-empty string"):
+                replace(record, **{field: bad})
+            assert getattr(replace(record, **{field: Name("B")}), field) == "B"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +186,17 @@ class TestTornAndCorruptLines:
             fh.write(json.dumps({"kind": "evidence", "merchant": "A"}) + "\n")
         add_evidence(store, "A", "Delivery", positive=1)
         with pytest.raises(StorageFailure, match="line 2"):
+            store.records()
+
+    @pytest.mark.parametrize("field", ["c", "t_scaled"])
+    def test_bool_assessment_line_is_fatal(self, store, field):
+        add_evidence(store, "A", "Delivery", positive=1)
+        line = record_to_dict(DirectAssessment("A", "Delivery", 0.5, 3.0, 0))
+        line[field] = True
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        add_evidence(store, "A", "Delivery", positive=1)
+        with pytest.raises(StorageFailure, match="invalid record on line 2: .*not bool"):
             store.records()
 
     def test_torn_line_warns_on_every_read(self, store):
@@ -287,6 +315,22 @@ class TestPrefixReuse:
         assert len(store.records()) == 2
 
 
+class TestLineDecoding:
+    def test_written_lines_decode_without_json_loads(self, store, monkeypatch):
+        records = [
+            EvidenceRecord("A", "Delivery", "positive", 1),
+            EvidenceRecord("Café \u2028", "Privacy", "negative", 2),
+            DirectAssessment("B", "Portal", 0.25, 4.5, 3),
+        ]
+        store.append(*records)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a well-formed log line went through json.loads")
+
+        monkeypatch.setattr(store_module.json, "loads", fail)
+        assert EvidenceStore(store.path).records() == records
+
+
 MERCHANTS = ("A", "Café", "Z\u0085", "\u2028B")
 
 records_st = st.one_of(
@@ -343,15 +387,21 @@ def rewrite(path: Path, mode: str, position: int, record) -> None:
     path.write_bytes(data)
 
 
-def observe(store: EvidenceStore, merchant: str):
-    """What a read shows: the records and one profile, or the error; plus the warnings."""
+def observe(read, *args):
+    """What ``read(*args)`` shows: its result, or its error and the error's
+    cause; plus the warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            seen = (store.records(), store.load_profile(merchant))
+            seen = read(*args)
         except Exception as exc:  # compared, not handled
-            seen = (type(exc), str(exc))
+            cause = exc.__cause__
+            seen = (type(exc), str(exc), type(cause), str(cause))
     return seen, [(w.category, str(w.message)) for w in caught]
+
+
+def records_and_profile(store: EvidenceStore, merchant: str):
+    return store.records(), store.load_profile(merchant)
 
 
 @settings(max_examples=150, deadline=None)
@@ -376,4 +426,123 @@ def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
                     fh.write(step[1])
             elif kind == "rewrite":
                 rewrite(path, *step[1:])
-            assert observe(store, merchant) == observe(EvidenceStore(path), merchant)
+            assert (observe(records_and_profile, store, merchant)
+                    == observe(records_and_profile, EvidenceStore(path), merchant))
+
+
+def reference_records(path: Path) -> list:
+    """The log read line by line with ``json.loads`` and ``record_from_dict``.
+
+    The store's rules, spelled out: lines end with ``"\\n"``, blank lines
+    are skipped, a bad last non-blank line is a torn write, any other bad
+    line raises naming its physical line.
+    """
+    lines = []
+    for raw in path.read_bytes().split(b"\n"):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            lines.append(None)
+    final = max((i for i, line in enumerate(lines) if line is None or line.strip()), default=-1)
+    out = []
+    for i, line in enumerate(lines):
+        if line is not None and not line.strip():
+            continue
+        try:
+            if line is None:
+                raise ValueError("not valid UTF-8")
+            fields = json.loads(line)
+        except ValueError as exc:
+            if i == final:
+                warnings.warn(f"{path}: skipping torn final line ({exc})", RuntimeWarning)
+                break
+            raise StorageFailure(f"{path}: corrupt record on line {i + 1}") from exc
+        try:
+            out.append(record_from_dict(fields))
+        except ValueError as exc:
+            raise StorageFailure(f"{path}: invalid record on line {i + 1}: {exc}") from exc
+    return out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("kind", "c", "x")), inner, max_size=3),
+    max_leaves=6,
+)
+
+valid_records_st = records_st | st.builds(
+    DirectAssessment, st.sampled_from(MERCHANTS), st.just("Privacy"),
+    st.floats(0.0, 1.0), st.floats(min_value=0.0), st.integers(0, 9),
+)
+
+
+@st.composite
+def good_lines(draw) -> bytes:
+    """A valid record (escaped or not, maybe ``Infinity``) inside JSON whitespace."""
+    body = json.dumps(record_to_dict(draw(valid_records_st)),
+                      ensure_ascii=draw(st.booleans()), sort_keys=draw(st.booleans()))
+    space = st.text(alphabet=" \t\r", max_size=2)
+    return (draw(space) + body + draw(space)).encode("utf-8")
+
+
+@st.composite
+def log_values(draw):
+    """A record's fields with one replaced or dropped, or any JSON value."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    fields = record_to_dict(draw(records_st))
+    key = draw(st.sampled_from(sorted(fields)))
+    if draw(st.booleans()):
+        fields[key] = draw(json_values)
+    else:
+        del fields[key]
+    return fields
+
+
+FRAGMENTS = (
+    '{"a": [{"b":1}', '{"x":1}]}', '{"k":1},{"k":2}', "NaN", "-Infinity", "[]", '""',
+    '"\\ud800"', '"caf\\u00e9 \\ud83d\\ude00"', "1" * 4301, "{", "not json",
+    '{"kind": "evidence", "merchant": "A", "variable": "Delivery",'
+    ' "outcome": "positive", "timestamp": 1e3}',
+)
+OTHER_SPACE = ("\x0b", "\x0c", "\xa0", "\x85", "\u2028", "\u3000")
+
+
+@st.composite
+def odd_lines(draw) -> bytes:
+    """A line that ``json.loads`` or ``record_from_dict`` may reject, or blank."""
+    good = draw(good_lines()).decode("utf-8")
+    kind = draw(st.sampled_from(
+        ("value", "fragment", "space", "bom", "extra", "blank", "cut", "byte")))
+    if kind == "value":
+        return json.dumps(draw(log_values()), ensure_ascii=draw(st.booleans())).encode("utf-8")
+    if kind == "fragment":
+        return draw(st.sampled_from(FRAGMENTS)).encode("utf-8")
+    if kind == "space":
+        space = draw(st.sampled_from(OTHER_SPACE))
+        return (space + good if draw(st.booleans()) else good + space).encode("utf-8")
+    if kind == "bom":
+        return ("\ufeff" + good).encode("utf-8")
+    if kind == "extra":
+        return (good + draw(st.sampled_from((" {}", ",", "x", "1", "\x00")))).encode("utf-8")
+    if kind == "blank":
+        return "".join(draw(st.lists(st.sampled_from((" ", "\t", "\r") + OTHER_SPACE),
+                                     max_size=3))).encode("utf-8")
+    line = good.replace("A", "é").encode("utf-8")
+    at = draw(st.integers(0, len(line) - 1))
+    return line[:at] if kind == "cut" else line[:at] + b"\xff" + line[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(good_lines(), max_size=8),
+       st.lists(st.tuples(st.integers(0, 8), odd_lines()), max_size=2),
+       st.booleans())
+def test_records_match_a_per_line_json_loads_reader(lines, odd, newline_at_end):
+    for position, line in odd:
+        lines.insert(position, line)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        path.write_bytes(b"\n".join(lines) + (b"\n" if newline_at_end and lines else b""))
+        assert observe(EvidenceStore(path).records) == observe(reference_records, path)
