@@ -26,7 +26,6 @@ from .fuzzy import (
     RuleBase,
     SurfaceGrid,
     TERM_LABELS,
-    defuzzify_centroid,
     fuzzify,
     gaussian_mf,
     generate_rulebase,

@@ -18,8 +18,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -160,6 +160,61 @@ class RuleBase:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def kernel(self) -> _Kernel:
+        """The tables :func:`infer` evaluates this rulebase from."""
+        n = len(self.inputs)
+        inputs = tuple(
+            (float(v.lo), float(v.hi),
+             tuple((float(mf.center), float(2.0 * mf.sigma * mf.sigma)) for _, mf in v.terms))
+            for v in self.inputs
+        )
+        # rules grouped by consequent, each group opened by a sentinel column
+        # that reads the trailing 0.0 of the degree vector, so every term has
+        # a strength, 0 when it concludes no rule
+        counts = self.consequent_mask.sum(axis=1)
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        flat = self.antecedent_index + TERM_COUNT * np.arange(n)
+        grouped = flat[np.nonzero(self.consequent_mask)[1]]
+        index = np.ascontiguousarray(np.insert(grouped, offsets, n * TERM_COUNT, axis=0).T)
+        starts = offsets + np.arange(TERM_COUNT)
+
+        grid = np.linspace(self.output.lo, self.output.hi, CENTROID_SAMPLES)
+        curves = np.empty((TERM_COUNT, CENTROID_SAMPLES))
+        for k, (_, mf) in enumerate(self.output.terms):
+            curves[k] = np.exp(-((grid - mf.center) ** 2) / (2.0 * mf.sigma * mf.sigma))
+        for array in (index, starts, grid, curves):
+            array.setflags(write=False)
+        return _Kernel(inputs, index, starts, grid, curves)
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """A rulebase's rule table laid out for single-point Mamdani inference."""
+
+    #: per input: ``lo``, ``hi`` and five ``(center, 2 sigma^2)`` pairs
+    inputs: tuple[tuple[float, float, tuple[tuple[float, float], ...]], ...]
+    #: ``(n, R + 5)`` positions in the :meth:`degrees` vector, rules grouped by consequent
+    index: np.ndarray
+    #: first column of each consequent group, for ``np.maximum.reduceat``
+    starts: np.ndarray
+    #: sampled output domain and the five output term curves over it
+    grid: np.ndarray
+    curves: np.ndarray
+
+    def degrees(self, xs: Sequence[float]) -> list[float]:
+        """Every input's five degrees, as :func:`fuzzify` computes them, then 0.0."""
+        exp = math.exp
+        out = []
+        for (lo, hi, terms), x in zip(self.inputs, xs):
+            # the clamp of LinguisticVariable.clamp, without two builtin calls
+            x = lo if x < lo else hi if x > hi else x
+            for center, two_var in terms:
+                d = x - center
+                out.append(exp(-(d * d) / two_var))
+        out.append(0.0)
+        return out
+
 
 def mean_consequent(antecedent: Sequence[int]) -> int:
     """Round-half-up of the arithmetic mean of the antecedent indices."""
@@ -181,18 +236,6 @@ def generate_rulebase(inputs: Sequence[LinguisticVariable], output: LinguisticVa
     return RuleBase(tuple(inputs), output, rules)
 
 
-@lru_cache(maxsize=64)
-def _output_grids(output: LinguisticVariable) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled output domain and the five term curves over it (read-only)."""
-    grid = np.linspace(output.lo, output.hi, CENTROID_SAMPLES)
-    curves = np.empty((TERM_COUNT, CENTROID_SAMPLES))
-    for k, (_, mf) in enumerate(output.terms):
-        curves[k] = np.exp(-((grid - mf.center) ** 2) / (2.0 * mf.sigma * mf.sigma))
-    grid.setflags(write=False)
-    curves.setflags(write=False)
-    return grid, curves
-
-
 def _centroid(xs: np.ndarray, mu: np.ndarray) -> float:
     """Discretized centroid of the sampled membership ``mu`` over ``xs``."""
     total = float(mu.sum())
@@ -211,27 +254,15 @@ def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> float:
         raise ValueError(f"tnorm must be one of {TNORMS}, got {tnorm!r}")
     if len(xs) != len(rb.inputs):
         raise ArityMismatch(f"expected {len(rb.inputs)} inputs, got {len(xs)}")
-    degrees = np.array([fuzzify(v, x) for v, x in zip(rb.inputs, xs)])
-    per_input = degrees[np.arange(len(xs)), rb.antecedent_index]
-    firings = per_input.min(axis=1) if tnorm == "min" else per_input.prod(axis=1)
+    kernel = rb.kernel
+    per_input = np.array(kernel.degrees(xs))[kernel.index]
+    firings = per_input.min(axis=0) if tnorm == "min" else per_input.prod(axis=0)
 
     # max of min(firing, curve) over rules sharing a consequent equals
     # min(max firing, curve), so one strength per output term suffices
-    strengths = np.where(rb.consequent_mask, firings, 0.0).max(axis=1, initial=0.0)
-    grid, curves = _output_grids(rb.output)
-    agg = np.minimum(strengths[:, None], curves).max(axis=0)
-    return rb.output.clamp(_centroid(grid, agg))
-
-
-def defuzzify_centroid(mu: Callable[[float], float], lo: float, hi: float) -> float:
-    """Discretized centroid of a membership function over ``[lo, hi]``."""
-    if not lo < hi:
-        raise InvalidDomain(f"need lo < hi, got [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, CENTROID_SAMPLES)
-    vals = np.array([mu(float(x)) for x in xs], dtype=float)
-    if (vals < 0).any():
-        raise ValueError("membership values must be non-negative")
-    return _centroid(xs, vals)
+    strengths = np.maximum.reduceat(firings, kernel.starts)
+    agg = np.minimum(strengths[:, None], kernel.curves).max(axis=0)
+    return rb.output.clamp(_centroid(kernel.grid, agg))
 
 
 @dataclass(frozen=True)

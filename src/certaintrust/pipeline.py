@@ -91,7 +91,34 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     }
 
 
+#: keys a config document may hold; ``not_mode`` names a setting that was
+#: removed, and is accepted and ignored so that older files still load
+_CONFIG_KEYS = ("scale", "N", "w", "f", "aggregation", "class_bounds", "modules", "not_mode")
+_MODULE_KEYS = ("name", "variables")
+
+
+def _unknown_config_keys(data: Mapping) -> list[str]:
+    """One issue for the document and one for each module entry holding unknown keys."""
+    entries = [("config", data, _CONFIG_KEYS)]
+    modules = data.get("modules")
+    if isinstance(modules, list):
+        entries += [(f"modules[{i}]", m, _MODULE_KEYS)
+                    for i, m in enumerate(modules) if isinstance(m, Mapping)]
+    issues = []
+    for place, entry, known in entries:
+        unknown = [repr(key) for key in entry if key not in known]
+        if unknown:
+            issues.append(f"{place}: unknown keys {', '.join(unknown)}")
+    return issues
+
+
 def config_from_dict(data: Mapping) -> PipelineConfig:
+    """Build a config from a document; unknown keys are an error naming each."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+    issues = _unknown_config_keys(data)
+    if issues:
+        raise ValueError("invalid config: " + "; ".join(issues))
     base = PipelineConfig()
     params = TrustParams(
         N=data.get("N", base.params.N),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Sequence
+
 from .errors import UnknownVariable
 
 MODULE_NAMES = ("Existence", "Affiliation", "Fulfillment", "Policy")
@@ -25,7 +28,16 @@ def _key(name: str) -> str:
     return " ".join(name.replace("_", " ").replace("-", " ").split()).casefold()
 
 
-def normalize_name(name: str, known: tuple[str, ...], permissive: bool = False) -> str:
+@lru_cache(maxsize=32)
+def _canonical_by_key(known: tuple[str, ...]) -> dict[str, str]:
+    """``{_key(canonical): canonical}``; on a key clash the first name wins."""
+    by_key: dict[str, str] = {}
+    for canonical in known:
+        by_key.setdefault(_key(canonical), canonical)
+    return by_key
+
+
+def normalize_name(name: str, known: Sequence[str], permissive: bool = False) -> str:
     """Map a loosely written name onto its canonical spelling.
 
     Matching is case-insensitive and ignores underscore/hyphen/extra-space
@@ -34,10 +46,10 @@ def normalize_name(name: str, known: tuple[str, ...], permissive: bool = False) 
     """
     if not isinstance(name, str) or not name.strip():
         raise UnknownVariable(f"variable name must be a non-empty string, got {name!r}")
-    wanted = _key(name)
-    for canonical in known:
-        if _key(canonical) == wanted:
-            return canonical
+    known = tuple(known)
+    canonical = _canonical_by_key(known).get(_key(name))
+    if canonical is not None:
+        return canonical
     if permissive:
         return name.strip()
     raise UnknownVariable(

@@ -316,6 +316,16 @@ class TestEvaluate:
         # lower base expectation raises the relative deviation
         assert got["behavioral"]["value"] > 100.0
 
+    def test_config_typo_is_domain_error(self, seeded, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"aggregaton": "fuzzy"}), encoding="utf-8")
+        code = main(["evaluate", "--store", seeded, "--merchant", "A",
+                     "--config", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown keys 'aggregaton'" in captured.err
+
 
 class TestCompare:
     def test_ranks_a_above_b(self, seeded, capsys):

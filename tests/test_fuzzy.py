@@ -1,8 +1,10 @@
 """Fuzzy engine tests: membership, rulebases, inference, surfaces, files."""
 
+import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,6 @@ from certaintrust import (
     Rule,
     RuleBase,
     TERM_LABELS,
-    defuzzify_centroid,
     fuzzify,
     gaussian_mf,
     generate_rulebase,
@@ -27,7 +28,7 @@ from certaintrust import (
     mean_consequent,
     surface_grid,
 )
-from certaintrust.fuzzy import dump_rulebase, rulebase_from_dict, validate_rulebase_data
+from certaintrust.fuzzy import TNORMS, dump_rulebase, rulebase_from_dict, validate_rulebase_data
 
 import oracle
 
@@ -264,6 +265,52 @@ def kernel_cases(draw, n):
     return lo, hi, table, tnorm, xs
 
 
+#: sha256 of :func:`infer_digest`, recorded with the per-rule-row kernel
+#: (``fuzzify``, an ``(R, n)`` gather, a masked max) that preceded the
+#: cached term tables; any change in a result's last bit changes it
+INFER_DIGEST = "4575b3fe10e0ba38403ccd184586b0d0e58dd2d7ceadbc9b642467900c140bdb"
+
+
+def digest_cases():
+    """Seeded ``(rulebase, xs, tnorm)`` triples for the bit-exactness digest.
+
+    Arity 1-4 over three domains; the full rounded-mean table and three
+    partial tables whose consequents use one to four of the five terms;
+    both t-norms; domain edges and term centres exactly, and points up to
+    30% of the domain width outside it.
+    """
+    rng = random.Random(2013)
+    for n in (1, 2, 3, 4):
+        for lo, hi in ((0.0, 1.0), (0.0, 100.0), (-3.0, 7.5)):
+            inputs = tuple(make_variable(f"x{i}", lo, hi) for i in range(n))
+            output = make_variable("y", lo, hi)
+            antecedents = list(itertools.product(range(len(TERM_LABELS)), repeat=n))
+            rulebases = [generate_rulebase(inputs, output)]
+            for size in (1, 3, len(antecedents) // 2):
+                used = rng.sample(range(len(TERM_LABELS)), rng.randint(1, 4))
+                rules = tuple(Rule(a, rng.choice(used)) for a in rng.sample(antecedents, size))
+                rulebases.append(RuleBase(inputs, output, rules))
+            width = hi - lo
+            exact = [mf.center for _, mf in inputs[0].terms]
+            for rb in rulebases:
+                for tnorm in TNORMS:
+                    points = [[rng.choice(exact) for _ in range(n)] for _ in range(3)]
+                    points += [
+                        [rng.uniform(lo - 0.3 * width, hi + 0.3 * width) for _ in range(n)]
+                        for _ in range(8)
+                    ]
+                    for xs in points:
+                        yield rb, xs, tnorm
+
+
+def infer_digest():
+    """sha256 over ``float.hex`` of every :func:`infer` result in :func:`digest_cases`."""
+    h = hashlib.sha256()
+    for rb, xs, tnorm in digest_cases():
+        h.update(infer(rb, xs, tnorm=tnorm).hex().encode() + b"\n")
+    return h.hexdigest()
+
+
 class TestKernelAgainstOracle:
     @pytest.mark.parametrize("n", sorted(KERNEL_EXAMPLES))
     def test_infer_matches_oracle(self, n):
@@ -282,44 +329,59 @@ class TestKernelAgainstOracle:
 
         check()
 
+    def test_results_are_bit_identical_to_the_recorded_digest(self):
+        assert infer_digest() == INFER_DIGEST
+
+    def test_kernel_degrees_equal_fuzzify_bit_for_bit(self):
+        for rb, xs, _ in digest_cases():
+            want = [d for v, x in zip(rb.inputs, xs) for d in fuzzify(v, x)]
+            got = rb.kernel.degrees(xs)
+            assert [d.hex() for d in got] == [d.hex() for d in want] + [(0.0).hex()]
+
     def test_cached_rule_arrays_leave_equality_and_hash_alone(self):
         a, b = unit_rulebase(3), unit_rulebase(3)
         infer(a, [0.2, 0.5, 0.9])
-        assert "antecedent_index" in vars(a) and "antecedent_index" not in vars(b)
+        for name in ("antecedent_index", "kernel"):
+            assert name in vars(a) and name not in vars(b)
         assert a == b
         assert hash(a) == hash(b)
 
 
+def one_input_rulebase(*rules):
+    """A rulebase over one input and one output, both on ``[0, 1]``."""
+    return RuleBase(
+        (make_variable("x", 0.0, 1.0),),
+        make_variable("y", 0.0, 1.0),
+        tuple(Rule((ante,), cons) for ante, cons in rules),
+    )
+
+
 class TestCentroid:
+    """Centroid properties of the aggregate, seen through :func:`infer`."""
+
     def test_clipped_mid_term_is_symmetric(self):
-        v = make_variable("v", 0.0, 1.0)
-        mid = v.terms[2][1]
-        for level in (1.0, 0.37):
-            mu = lambda x: min(level, gaussian_mf(x, mid))
-            assert defuzzify_centroid(mu, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
+        rb = one_input_rulebase((2, 2))
+        for x in (0.5, 0.35):  # clipped at 1.0, then at about 0.37
+            assert infer(rb, [x]) == pytest.approx(0.5, abs=1e-9)
 
     def test_two_equal_terms_balance(self):
-        v = make_variable("v", 0.0, 1.0)
-        low, high = v.terms[1][1], v.terms[3][1]
-        mu = lambda x: max(min(0.6, gaussian_mf(x, low)), min(0.6, gaussian_mf(x, high)))
-        assert defuzzify_centroid(mu, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)
+        # 0.5 sits exactly between the Low and High centres: equal strengths
+        rb = one_input_rulebase((1, 1), (3, 3))
+        assert infer(rb, [0.5]) == pytest.approx(0.5, abs=1e-9)
 
     def test_edge_term_pulled_inward(self):
-        v = make_variable("v", 0.0, 1.0)
-        edge = v.terms[4][1]
-        mu = lambda x: gaussian_mf(x, edge)
-        got = defuzzify_centroid(mu, 0.0, 1.0)
-        ref = oracle.bruteforce_centroid(mu, 0.0, 1.0)
+        edge = make_variable("y", 0.0, 1.0).terms[4][1]
+        got = infer(one_input_rulebase((4, 4)), [1.0])  # fires at 1.0: the whole curve
+        ref = oracle.bruteforce_centroid(lambda x: gaussian_mf(x, edge), 0.0, 1.0)
         assert got == pytest.approx(ref, abs=1e-9)
         assert got < 1.0 - 0.05  # truncated mass is asymmetric
 
     def test_empty_aggregate_rejected(self):
-        with pytest.raises(EmptyAggregate):
-            defuzzify_centroid(lambda x: 0.0, 0.0, 1.0)
-
-    def test_negative_membership_rejected(self):
-        with pytest.raises(ValueError):
-            defuzzify_centroid(lambda x: -0.1, 0.0, 1.0)
+        for n in (1, 2, 3, 4):
+            rb = RuleBase(tuple(unit_inputs(n)), make_variable("y", 0.0, 1.0), ())
+            for tnorm in TNORMS:
+                with pytest.raises(EmptyAggregate):
+                    infer(rb, [0.5] * n, tnorm=tnorm)
 
 
 class TestSurfaceGrid:

@@ -361,6 +361,25 @@ class TestConfig:
         save_config(cfg, str(path))
         assert load_config(str(path)) == cfg
 
+    def test_unknown_keys_are_named(self):
+        data = config_to_dict(CFG)
+        data["aggregaton"] = "fuzzy"
+        data["clas_bounds"] = [10, 30, 50, 70]
+        data["modules"][2]["weight"] = 2
+        with pytest.raises(ValueError) as excinfo:
+            config_from_dict(data)
+        assert str(excinfo.value) == (
+            "invalid config: config: unknown keys 'aggregaton', 'clas_bounds'; "
+            "modules[2]: unknown keys 'weight'"
+        )
+
+    def test_legacy_not_mode_is_accepted_and_ignored(self):
+        assert config_from_dict({"not_mode": "complement_certainty"}) == CFG
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="config must be a JSON object, got list"):
+            config_from_dict([])
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             PipelineConfig(aggregation="median")
