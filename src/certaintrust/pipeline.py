@@ -12,6 +12,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 from typing import Mapping, Sequence
 
 from .errors import EvidenceExceedsCap, MissingVariable
@@ -97,26 +98,49 @@ _CONFIG_KEYS = ("scale", "N", "w", "f", "aggregation", "class_bounds", "modules"
 _MODULE_KEYS = ("name", "variables")
 
 
-def _unknown_config_keys(data: Mapping) -> list[str]:
-    """One issue for the document and one for each module entry holding unknown keys."""
-    entries = [("config", data, _CONFIG_KEYS)]
-    modules = data.get("modules")
-    if isinstance(modules, list):
-        entries += [(f"modules[{i}]", m, _MODULE_KEYS)
-                    for i, m in enumerate(modules) if isinstance(m, Mapping)]
-    issues = []
-    for place, entry, known in entries:
-        unknown = [repr(key) for key in entry if key not in known]
-        if unknown:
-            issues.append(f"{place}: unknown keys {', '.join(unknown)}")
+def _unknown_keys(place: str, entry: Mapping, known: Sequence[str]) -> list[str]:
+    unknown = [repr(key) for key in entry if key not in known]
+    return [f"{place}: unknown keys {', '.join(unknown)}"] if unknown else []
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _config_issues(data: Mapping) -> list[str]:
+    """One issue for each place in the document holding unknown keys or a
+    value of the wrong shape; ranges are left to the config classes."""
+    issues = _unknown_keys("config", data, _CONFIG_KEYS)
+    issues += [f"{key}: must be a number, got {data[key]!r}"
+               for key in ("scale", "N", "w", "f") if key in data and not _is_number(data[key])]
+    bounds = data.get("class_bounds", [])
+    if not (isinstance(bounds, (list, tuple)) and all(map(_is_number, bounds))):
+        issues.append(f"class_bounds: must be a list of numbers, got {bounds!r}")
+    modules = data.get("modules", [])
+    if not isinstance(modules, (list, tuple)):
+        issues.append(f"modules: must be a list, got {type(modules).__name__}")
+        modules = []
+    for i, entry in enumerate(modules):
+        place = f"modules[{i}]"
+        if not isinstance(entry, Mapping):
+            issues.append(f"{place}: must be an object, got {type(entry).__name__}")
+            continue
+        issues += _unknown_keys(place, entry, _MODULE_KEYS)
+        missing = [repr(key) for key in _MODULE_KEYS if key not in entry]
+        if missing:
+            issues.append(f"{place}: missing keys {', '.join(missing)}")
+        elif not (isinstance(entry["name"], str) and isinstance(entry["variables"], (list, tuple))
+                  and all(isinstance(v, str) for v in entry["variables"])):
+            issues.append(f"{place}: name must be a string and variables a list of strings")
     return issues
 
 
 def config_from_dict(data: Mapping) -> PipelineConfig:
-    """Build a config from a document; unknown keys are an error naming each."""
+    """Build a config from a document; unknown keys and malformed values
+    are an error naming each key or ``modules[i]`` entry."""
     if not isinstance(data, Mapping):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    issues = _unknown_config_keys(data)
+    issues = _config_issues(data)
     if issues:
         raise ValueError("invalid config: " + "; ".join(issues))
     base = PipelineConfig()

@@ -11,12 +11,25 @@ The log is never rewritten.  Appends are serialized through one writer;
 readers always see a consistent prefix.  A torn final line (interrupted
 write) is skipped with a warning; corruption anywhere else raises
 :class:`StorageFailure`.
+
+Next to the log, ``<log name>.snapshot`` keeps the records of a validated
+prefix of it, so that a new store object parses only the lines after
+that prefix.  Its first line is a JSON header; the rest holds the records
+as JSON columns: a kind per record (``+`` and ``-`` for positive and
+negative evidence, ``a`` for an assessment), a merchant, variable and
+timestamp per record, and ``c`` and ``t_scaled`` per assessment:
+
+    {"digest": "<blake2b of the prefix bytes, then the columns>", "length": 230, "version": 1}
+    {"kind":"+a","merchant":["A","A"],"variable":["Delivery","Privacy"],"timestamp":[1,2],"c":[0.6],"t_scaled":[3.5]}
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,6 +45,9 @@ EVIDENCE_KIND = "evidence"
 ASSESSMENT_KIND = "assessment"
 
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
+
+SNAPSHOT_SUFFIX = ".snapshot"
+SNAPSHOT_VERSION = 1
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> None:
@@ -53,8 +69,8 @@ class EvidenceRecord:
     timestamp: int
 
     def __post_init__(self) -> None:
-        # one inline test passes the usual record (this runs once per log
-        # line); _check_common repeats it check by check to say what failed
+        # one inline test passes the usual record; _check_common repeats it
+        # check by check to say what failed
         if not (
             type(self.merchant) is str
             and type(self.variable) is str
@@ -119,41 +135,113 @@ def record_to_dict(record: Record) -> dict:
     }
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def decode_line(line: str):
     """The JSON value of one log line, exactly as ``json.loads(line)`` gives it.
 
     The usual line, one value followed by nothing but JSON whitespace,
-    costs one ``raw_decode``, whose C scanner decodes the whole value;
-    ``json.loads`` adds a regex match at each end and two Python-level
-    calls.  Any other line is decoded again by ``json.loads``, so a bad
-    line fails with that call's exception and message.
+    costs one call of the decoder's C scanner, which decodes the whole
+    value; ``json.loads`` adds a regex match at each end and three
+    Python-level calls.  Any other line is decoded again by ``json.loads``,
+    so a bad line fails with that call's exception and message.
     """
     try:
-        value, end = _raw_decode(line)
-    except ValueError:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
         return json.loads(line)
     if end == len(line) or not line[end:].strip(" \t\n\r"):
         return value
     return json.loads(line)
 
 
+# A log line or snapshot record with plain values (exact str and int,
+# int or float numbers) passes one inline test and is filled in directly,
+# which costs about half of running the frozen dataclass constructor; any
+# other values go through the constructor, which accepts or rejects them
+# and says why.
+_new = object.__new__
+_NUMBER = (float, int)
+
+
+def _evidence(merchant, variable, outcome, timestamp) -> EvidenceRecord:
+    if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
+            and merchant.strip() and variable.strip()
+            and (outcome == POSITIVE or outcome == NEGATIVE)):
+        return EvidenceRecord(merchant, variable, outcome, timestamp)
+    record = _new(EvidenceRecord)
+    record.__dict__.update(merchant=merchant, variable=variable, outcome=outcome,
+                           timestamp=timestamp)
+    return record
+
+
+def _assessment(merchant, variable, c, t_scaled, timestamp) -> DirectAssessment:
+    if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
+            and merchant.strip() and variable.strip()
+            and type(c) in _NUMBER and type(t_scaled) in _NUMBER
+            and 0.0 <= c <= 1.0 and t_scaled >= 0.0):
+        return DirectAssessment(merchant, variable, c, t_scaled, timestamp)
+    record = _new(DirectAssessment)
+    record.__dict__.update(merchant=merchant, variable=variable, c=c, t_scaled=t_scaled,
+                           timestamp=timestamp)
+    return record
+
+
 def record_from_dict(data: dict) -> Record:
     try:
         kind = data["kind"]
         if kind == EVIDENCE_KIND:
-            return EvidenceRecord(
-                data["merchant"], data["variable"], data["outcome"], data["timestamp"]
-            )
+            return _evidence(data["merchant"], data["variable"], data["outcome"], data["timestamp"])
         if kind == ASSESSMENT_KIND:
-            return DirectAssessment(
+            return _assessment(
                 data["merchant"], data["variable"], data["c"], data["t_scaled"], data["timestamp"]
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed record {data!r}: {exc}") from exc
     raise ValueError(f"unknown record kind {data.get('kind')!r}")
+
+
+#: the one-character kind of a snapshot record, and back
+_KINDS = {POSITIVE: "+", NEGATIVE: "-", None: "a"}
+_OUTCOMES = {"+": POSITIVE, "-": NEGATIVE}
+
+
+def _snapshot_payload(records) -> bytes:
+    """The records as JSON columns: per record a kind (``+``, ``-`` or
+    ``a``), merchant, variable and timestamp; per assessment ``c`` and
+    ``t_scaled``."""
+    assessments = [r for r in records if isinstance(r, DirectAssessment)]
+    columns = {
+        "kind": "".join([_KINDS[getattr(r, "outcome", None)] for r in records]),
+        "merchant": [r.merchant for r in records],
+        "variable": [r.variable for r in records],
+        "timestamp": [r.timestamp for r in records],
+        "c": [r.c for r in assessments],
+        "t_scaled": [r.t_scaled for r in assessments],
+    }
+    return json.dumps(columns, separators=(",", ":"), check_circular=False).encode("ascii")
+
+
+def _snapshot_records(payload: bytes) -> tuple[Record, ...]:
+    """The records of a snapshot payload.  Each passes the checks of a
+    decoded log line; a record that fails them, or columns of unequal
+    lengths, raise ValueError or TypeError."""
+    columns = json.loads(payload)
+    kinds, stamps = columns["kind"], columns["timestamp"]
+    if not (type(kinds) is str
+            and len(kinds) == len(columns["merchant"]) == len(columns["variable"]) == len(stamps)
+            and kinds.count("a") == len(columns["c"]) == len(columns["t_scaled"])):
+        raise ValueError("snapshot columns differ in length")
+    assessed = zip(columns["c"], columns["t_scaled"])
+    out = []
+    for kind, merchant, variable, timestamp in zip(
+            kinds, columns["merchant"], columns["variable"], stamps):
+        if kind == "a":
+            out.append(_assessment(merchant, variable, *next(assessed), timestamp))
+        else:
+            out.append(_evidence(merchant, variable, _OUTCOMES.get(kind), timestamp))
+    return tuple(out)
 
 
 class EvidenceStore:
@@ -166,6 +254,13 @@ class EvidenceStore:
         # bytes and its records
         self._prefix = b""
         self._prefix_records: tuple[Record, ...] = ()
+        # how many records the snapshot holds, as far as this object knows:
+        # those it loaded, or those it last wrote or tried to write
+        self._snapshot_records = 0
+
+    @property
+    def _snapshot_path(self) -> Path:
+        return self.path.with_name(self.path.name + SNAPSHOT_SUFFIX)
 
     def normalize(self, variable: str) -> str:
         return normalize_name(variable, CANONICAL_VARIABLES, self.permissive)
@@ -206,7 +301,11 @@ class EvidenceStore:
         with that prefix's records: when the file still starts with exactly
         those bytes, only the bytes after them are parsed.  A torn or
         unterminated final line is never kept, so it is checked again on
-        every read.
+        every read.  A store object without a kept prefix takes it from the
+        snapshot file when the snapshot's length fits and its digest
+        matches the file's first bytes; otherwise the snapshot is ignored.
+        After a read that parsed more records from the log than the snapshot
+        holds, the kept prefix is written as the new snapshot.
         """
         if not self.path.exists():
             return []
@@ -216,6 +315,10 @@ class EvidenceStore:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
         if not data.startswith(self._prefix):
             self._prefix, self._prefix_records = b"", ()
+        if not self._prefix:
+            length, self._prefix_records = self._load_snapshot(data)
+            self._prefix = data[:length]
+            self._snapshot_records = len(self._prefix_records)
         tail = data[len(self._prefix):]
         try:
             lines: list[str | None] = tail.decode("utf-8").split("\n")
@@ -262,6 +365,9 @@ class EvidenceStore:
             end = tail.rfind(b"\n", 0, end)
         self._prefix = data[: len(self._prefix) + end + 1]
         self._prefix_records = tuple(out[:kept_records])
+        if len(self._prefix_records) > 2 * self._snapshot_records:
+            self._snapshot_records = len(self._prefix_records)
+            self._save_snapshot()
         return out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
@@ -289,3 +395,43 @@ class EvidenceStore:
                     assessments[record.variable] = record
         counts = {name: EvidenceCount(r, s) for name, (r, s) in tallies.items()}
         return MerchantProfile(merchant, counts, assessments)
+
+    def _load_snapshot(self, data: bytes) -> tuple[int, tuple[Record, ...]]:
+        """The length and records of the snapshot when it holds a prefix of
+        ``data``, else ``(0, ())``."""
+        try:
+            head, _, payload = self._snapshot_path.read_bytes().partition(b"\n")
+            header = json.loads(head)
+            length = header["length"]
+            if not (header["version"] == SNAPSHOT_VERSION and type(length) is int
+                    and 0 < length <= len(data) and data[length - 1] == ord("\n")):
+                return 0, ()
+            digest = hashlib.blake2b(memoryview(data)[:length])
+            digest.update(payload)
+            if digest.hexdigest() != header["digest"]:
+                return 0, ()
+            return length, _snapshot_records(payload)
+        except (OSError, ValueError, TypeError, KeyError, RecursionError):
+            return 0, ()
+
+    def _save_snapshot(self) -> None:
+        """Atomically replace the snapshot with the kept prefix; a failed
+        write leaves the old snapshot, or none, and is not reported."""
+        target = self._snapshot_path
+        try:
+            payload = _snapshot_payload(self._prefix_records)
+            digest = hashlib.blake2b(self._prefix)
+            digest.update(payload)
+            header = json.dumps({"digest": digest.hexdigest(), "length": len(self._prefix),
+                                 "version": SNAPSHOT_VERSION}, sort_keys=True)
+            fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
+                                        dir=target.parent)
+        except (OSError, ValueError):
+            return
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header.encode("ascii") + b"\n" + payload)
+            os.replace(temp, target)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)

@@ -326,6 +326,23 @@ class TestEvaluate:
         assert captured.out == ""
         assert "unknown keys 'aggregaton'" in captured.err
 
+    @pytest.mark.parametrize("document, named", [
+        ({"modules": [{"name": "X"}]}, "modules[0]: missing keys 'variables'"),
+        ({"modules": [1, 2]}, "modules[1]: must be an object, got int"),
+        ({"class_bounds": 5}, "class_bounds: must be a list of numbers, got 5"),
+        ({"modules": {"name": "X"}}, "modules: must be a list, got dict"),
+    ])
+    def test_malformed_config_value_is_domain_error(self, seeded, tmp_path, capsys,
+                                                    document, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(["evaluate", "--store", seeded, "--merchant", "A", "--config", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValueError: invalid config: ")
+        assert named in captured.err
+
 
 class TestCompare:
     def test_ranks_a_above_b(self, seeded, capsys):

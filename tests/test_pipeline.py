@@ -380,6 +380,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="config must be a JSON object, got list"):
             config_from_dict([])
 
+    @pytest.mark.parametrize("data, message", [
+        ({"modules": [{"name": "X"}]}, "modules[0]: missing keys 'variables'"),
+        ({"modules": [1, 2]},
+         "modules[0]: must be an object, got int; modules[1]: must be an object, got int"),
+        ({"class_bounds": 5}, "class_bounds: must be a list of numbers, got 5"),
+        ({"modules": "Existence"}, "modules: must be a list, got str"),
+        ({"modules": [{"name": 7, "variables": ["a", "b", "c"]}]},
+         "modules[0]: name must be a string and variables a list of strings"),
+        ({"class_bounds": [20, "40", 60, 80]},
+         "class_bounds: must be a list of numbers, got [20, '40', 60, 80]"),
+        ({"w": "1.0", "N": True}, "N: must be a number, got True; w: must be a number, got '1.0'"),
+    ])
+    def test_malformed_values_are_named(self, data, message):
+        with pytest.raises(ValueError) as excinfo:
+            config_from_dict(data)
+        assert str(excinfo.value) == "invalid config: " + message
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             PipelineConfig(aggregation="median")

@@ -1,10 +1,13 @@
 """Evidence store tests: round trips, torn lines, latest-wins, counting,
-and the reuse of an unchanged prefix against a fresh store."""
+the reuse of an unchanged prefix against a fresh store, and the on-disk
+snapshot of that prefix."""
 
+import hashlib
 import json
+import os
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -331,6 +334,238 @@ class TestLineDecoding:
         assert EvidenceStore(store.path).records() == records
 
 
+def write_lines(path: Path, records) -> None:
+    with path.open("ab") as fh:
+        for record in records:
+            fh.write(json.dumps(record_to_dict(record)).encode("ascii") + b"\n")
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The lines the store decodes, in order."""
+    lines = []
+
+    def counting(line):
+        lines.append(line)
+        return decode(line)
+
+    decode = store_module.decode_line
+    monkeypatch.setattr(store_module, "decode_line", counting)
+    return lines
+
+
+@pytest.fixture
+def replaced(monkeypatch):
+    """The targets of every ``os.replace``: one per snapshot written."""
+    targets = []
+
+    def counting(src, dst):
+        targets.append(Path(dst).name)
+        return move(src, dst)
+
+    move = os.replace
+    monkeypatch.setattr(store_module.os, "replace", counting)
+    return targets
+
+
+def forge_snapshot(path: Path, columns: dict, length: int | None = None) -> None:
+    """A snapshot of the log's first ``length`` bytes (all by default)
+    holding ``columns``, with a valid digest."""
+    prefix = path.read_bytes()[:length]
+    payload = json.dumps(columns).encode("ascii")
+    header = {"digest": hashlib.blake2b(prefix + payload).hexdigest(),
+              "length": len(prefix), "version": 1}
+    snapshot_of(path).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+
+
+SAMPLE = [
+    EvidenceRecord("A", "Delivery", "positive", 1),
+    DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
+    EvidenceRecord("A", "Portal", "negative", 3),
+]
+
+
+class TestSnapshot:
+    def test_a_cold_read_writes_it_and_the_next_one_takes_it(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        assert store.records() == SAMPLE
+        assert len(decoded) == 3
+        assert snapshot_of(store.path).read_bytes().isascii()
+        assert EvidenceStore(store.path).records() == SAMPLE
+        assert len(decoded) == 3
+
+    def test_values_and_types_survive_the_round_trip(self, store, decoded):
+        records = [
+            EvidenceRecord("\ud800 lone", "Delivery", "positive", 10**30),
+            DirectAssessment("A", "Privacy", 1, float("inf"), -(10**25)),
+            DirectAssessment("\udfff", "Portal", -0.0, 3, 0),
+            DirectAssessment("Café \u2028", "Privacy", 0.1 + 0.2, 1e308, 7),
+            EvidenceRecord("Z\u0085", "Portal", "negative", 0),
+        ]
+        write_lines(store.path, records)
+        miss = store.records()
+        decoded.clear()
+        hit = EvidenceStore(store.path).records()
+        assert decoded == []
+        assert hit == miss == records
+        assert repr(hit) == repr(records)  # tells -0.0 from 0.0
+        assert ([[type(getattr(r, f.name)) for f in fields(r)] for r in hit]
+                == [[type(getattr(r, f.name)) for f in fields(r)] for r in records])
+
+    def test_a_hit_decodes_only_the_tail(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        more = [EvidenceRecord("C", "Delivery", "negative", 4),
+                DirectAssessment("C", "Portal", 0.75, 1.0, 5)]
+        store.append(*more)
+        decoded.clear()
+        assert EvidenceStore(store.path).records() == SAMPLE + more
+        assert [json.loads(line)["merchant"] for line in decoded] == ["C", "C"]
+
+    def test_damage_after_a_hit_names_the_physical_line(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write("\nnot json\n")
+        write_lines(store.path, SAMPLE[:1])
+        with pytest.raises(StorageFailure, match="line 5"):
+            EvidenceStore(store.path).records()
+        with store.path.open("ab") as fh:
+            fh.write(b'{"kind": "evid')
+        store.path.write_bytes(store.path.read_bytes().replace(b"not json\n", b"\n"))
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            assert EvidenceStore(store.path).records() == SAMPLE + SAMPLE[:1]
+
+    def test_a_rewritten_log_of_the_same_length_is_parsed_again(self, store):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        data = store.path.read_bytes()
+        store.path.write_bytes(data.replace(b'"positive"', b'"negative"', 1))
+        assert EvidenceStore(store.path).records() == reference_records(store.path)
+        assert EvidenceStore(store.path).records()[0].outcome == "negative"
+
+    def test_a_shorter_log_ignores_it(self, store):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        store.path.write_bytes(store.path.read_bytes()[:-5])
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            assert EvidenceStore(store.path).records() == SAMPLE[:2]
+
+    def test_a_forged_snapshot_of_the_same_records_is_taken(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        forge_snapshot(store.path, {
+            "kind": "+a-", "merchant": ["A", "B", "A"], "variable": ["Delivery", "Privacy", "Portal"],
+            "timestamp": [1, 2, 3], "c": [0.5], "t_scaled": [2.5],
+        })
+        assert EvidenceStore(store.path).records() == SAMPLE
+        assert decoded == []
+
+    def test_a_length_inside_a_line_falls_back_to_the_log(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        first = store.path.read_bytes().index(b"\n") + 1
+        forge_snapshot(store.path, {
+            "kind": "+", "merchant": ["A"], "variable": ["Delivery"], "timestamp": [1],
+            "c": [], "t_scaled": [],
+        }, length=first + 1)
+        assert EvidenceStore(store.path).records() == SAMPLE
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("column, value", [
+        ("merchant", ["A", " ", "A"]),
+        ("merchant", ["A", "B", 7]),
+        ("variable", [None, "Privacy", "Portal"]),
+        ("timestamp", [True, 2, 3]),
+        ("timestamp", [1, 2, 3.0]),
+        ("kind", "+ax"),
+        ("kind", "+--"),
+        ("c", [1.5]),
+        ("c", [True]),
+        ("t_scaled", [-1]),
+        ("t_scaled", ["2.5"]),
+        ("merchant", ["A", "B"]),
+        ("c", []),
+    ])
+    def test_a_record_the_checks_reject_falls_back_to_the_log(self, store, decoded,
+                                                               column, value):
+        write_lines(store.path, SAMPLE)
+        columns = {
+            "kind": "+a-", "merchant": ["A", "B", "A"], "variable": ["Delivery", "Privacy", "Portal"],
+            "timestamp": [1, 2, 3], "c": [0.5], "t_scaled": [2.5],
+        }
+        forge_snapshot(store.path, {**columns, column: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EvidenceStore(store.path).records() == SAMPLE
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("damage", ["version", "length", "digest", "header", "empty", "record"])
+    def test_a_damaged_header_falls_back_to_the_log(self, store, decoded, damage):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        head, _, payload = snapshot_of(store.path).read_bytes().partition(b"\n")
+        header = json.loads(head)
+        if damage == "version":
+            header["version"] = 2
+        elif damage == "length":
+            header["length"] -= 1
+        elif damage == "digest":
+            header["digest"] = header["digest"][::-1]
+        changed = json.dumps(header).encode("ascii") + b"\n" + payload
+        if damage == "header":
+            changed = b"[]\n" + payload
+        elif damage == "empty":
+            changed = b""
+        elif damage == "record":  # a timestamp, still a valid one
+            changed = changed.replace(b",3]", b",4]")
+            assert changed.count(b",4]") == 1
+        snapshot_of(store.path).write_bytes(changed)
+        decoded.clear()
+        assert EvidenceStore(store.path).records() == SAMPLE
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("failing", ["replace", "mkstemp"])
+    def test_a_failed_write_is_skipped_quietly(self, store, monkeypatch, failing):
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failing == "replace":
+            monkeypatch.setattr(store_module.os, "replace", fail)
+        else:
+            monkeypatch.setattr(store_module.tempfile, "mkstemp", fail)
+        write_lines(store.path, SAMPLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.records() == SAMPLE
+            assert EvidenceStore(store.path).records() == SAMPLE
+        assert sorted(p.name for p in store.path.parent.iterdir()) == ["log.jsonl"]
+
+    def test_append_writes_no_snapshot(self, store):
+        store.append(*SAMPLE)
+        assert not snapshot_of(store.path).exists()
+        store.records()
+        before = snapshot_of(store.path).read_bytes()
+        store.append(*SAMPLE)
+        assert snapshot_of(store.path).read_bytes() == before
+
+    def test_it_is_rewritten_when_a_store_has_parsed_more_than_it_holds(self, store, replaced):
+        write_lines(store.path, SAMPLE + SAMPLE[:1])  # 4 records
+        for _ in range(4):
+            store.records()
+        assert replaced == ["log.jsonl.snapshot"]
+        other = EvidenceStore(store.path)
+        for _ in range(4):
+            other.records()
+        assert len(replaced) == 1
+        store.append(*SAMPLE)  # 7 records, 3 parsed after the 4 taken
+        other.records()
+        EvidenceStore(store.path).records()
+        assert len(replaced) == 1
+        store.append(*SAMPLE[:2])  # 9 records: other has now parsed 5
+        other.records()
+        assert len(replaced) == 2
+        assert EvidenceStore(store.path).records() == reference_records(store.path)
+
+
 MERCHANTS = ("A", "Café", "Z\u0085", "\u2028B")
 
 records_st = st.one_of(
@@ -353,6 +588,8 @@ records_st = st.one_of(
 
 steps_st = st.one_of(
     st.tuples(st.just("append"), st.lists(records_st, min_size=1, max_size=3)),
+    st.tuples(st.just("snapshot"), st.sampled_from(("delete", "truncate", "flip", "digit", "stale")),
+              st.integers(0, 10_000)),
     st.tuples(st.just("raw"), records_st),
     st.tuples(st.just("torn"), records_st, st.integers(1, 200)),
     st.tuples(st.just("blank"), st.sampled_from((b"\n", b"  \n", b"\r\n"))),
@@ -387,6 +624,37 @@ def rewrite(path: Path, mode: str, position: int, record) -> None:
     path.write_bytes(data)
 
 
+def snapshot_of(path: Path) -> Path:
+    return path.with_name(path.name + ".snapshot")
+
+
+def damage_snapshot(path: Path, mode: str, position: int, earlier: list) -> None:
+    """Delete, cut, flip a byte of or change a digit of the log's snapshot,
+    or put back one of its ``earlier`` contents."""
+    snapshot = snapshot_of(path)
+    if mode == "stale":
+        if earlier:
+            snapshot.write_bytes(earlier[position % len(earlier)])
+        return
+    data = snapshot.read_bytes() if snapshot.exists() else b""
+    if not data:
+        return
+    at = position % len(data)
+    if mode == "delete":
+        snapshot.unlink()
+    elif mode == "truncate":
+        snapshot.write_bytes(data[:at])
+    elif mode == "flip":
+        snapshot.write_bytes(data[:at] + bytes([data[at] ^ 0x04]) + data[at + 1:])
+    else:
+        # another non-zero digit of the records, so that the file still parses
+        digits = [i for i, byte in enumerate(data) if byte in b"0123456789" and i > data.find(b"\n")]
+        if digits:
+            at = digits[position % len(digits)]
+            digit = b"%d" % ((data[at] - ord("0")) % 9 + 1)
+            snapshot.write_bytes(data[:at] + digit + data[at + 1:])
+
+
 def observe(read, *args):
     """What ``read(*args)`` shows: its result, or its error and the error's
     cause; plus the warnings."""
@@ -404,12 +672,19 @@ def records_and_profile(store: EvidenceStore, merchant: str):
     return store.records(), store.load_profile(merchant)
 
 
+def fresh_records(path: Path) -> list:
+    return EvidenceStore(path).records()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(steps_st, max_size=25), st.sampled_from(MERCHANTS))
 def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
+    """A long-lived store, a new one (which may take the snapshot or write
+    it) and a reader that never sees a snapshot agree after every step."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         store = EvidenceStore(path)
+        earlier = []  # every snapshot content seen so far
         for step in steps:
             kind = step[0]
             if kind == "append":
@@ -426,8 +701,13 @@ def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
                     fh.write(step[1])
             elif kind == "rewrite":
                 rewrite(path, *step[1:])
+            elif kind == "snapshot":
+                damage_snapshot(path, *step[1:], earlier)
             assert (observe(records_and_profile, store, merchant)
                     == observe(records_and_profile, EvidenceStore(path), merchant))
+            assert observe(fresh_records, path) == observe(reference_records, path)
+            if snapshot_of(path).exists() and snapshot_of(path).read_bytes() not in earlier:
+                earlier.append(snapshot_of(path).read_bytes())
 
 
 def reference_records(path: Path) -> list:
@@ -435,8 +715,10 @@ def reference_records(path: Path) -> list:
 
     The store's rules, spelled out: lines end with ``"\\n"``, blank lines
     are skipped, a bad last non-blank line is a torn write, any other bad
-    line raises naming its physical line.
+    line raises naming its physical line.  It never reads a snapshot.
     """
+    if not path.exists():
+        return []
     lines = []
     for raw in path.read_bytes().split(b"\n"):
         try:
