@@ -224,23 +224,30 @@ def _snapshot_payload(records) -> bytes:
 
 
 def _snapshot_records(payload: bytes) -> tuple[Record, ...]:
-    """The records of a snapshot payload.  Each passes the checks of a
-    decoded log line; a record that fails them, or columns of unequal
-    lengths, raise ValueError or TypeError."""
+    """The records of a snapshot payload.  They pass the checks of a
+    decoded log line, the evidence checks column by column; a record that
+    fails them, or columns of unequal lengths, raise ValueError or
+    TypeError."""
     columns = json.loads(payload)
-    kinds, stamps = columns["kind"], columns["timestamp"]
+    kinds, merchants, variables, stamps = (
+        columns[key] for key in ("kind", "merchant", "variable", "timestamp"))
     if not (type(kinds) is str
-            and len(kinds) == len(columns["merchant"]) == len(columns["variable"]) == len(stamps)
-            and kinds.count("a") == len(columns["c"]) == len(columns["t_scaled"])):
-        raise ValueError("snapshot columns differ in length")
+            and len(kinds) == len(merchants) == len(variables) == len(stamps)
+            and kinds.count("a") == len(columns["c"]) == len(columns["t_scaled"])
+            and set(kinds) <= {"+", "-", "a"}
+            and all(type(name) is str and name.strip() for name in {*merchants, *variables})
+            and set(map(type, stamps)) <= {int}):
+        raise ValueError("snapshot columns do not hold valid records")
     assessed = zip(columns["c"], columns["t_scaled"])
     out = []
-    for kind, merchant, variable, timestamp in zip(
-            kinds, columns["merchant"], columns["variable"], stamps):
+    for kind, merchant, variable, timestamp in zip(kinds, merchants, variables, stamps):
         if kind == "a":
             out.append(_assessment(merchant, variable, *next(assessed), timestamp))
         else:
-            out.append(_evidence(merchant, variable, _OUTCOMES.get(kind), timestamp))
+            record = _new(EvidenceRecord)
+            record.__dict__.update(merchant=merchant, variable=variable,
+                                   outcome=_OUTCOMES[kind], timestamp=timestamp)
+            out.append(record)
     return tuple(out)
 
 
