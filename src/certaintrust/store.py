@@ -29,6 +29,7 @@ import contextlib
 import hashlib
 import json
 import os
+import stat
 import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
@@ -69,16 +70,7 @@ class EvidenceRecord:
     timestamp: int
 
     def __post_init__(self) -> None:
-        # one inline test passes the usual record; _check_common repeats it
-        # check by check to say what failed
-        if not (
-            type(self.merchant) is str
-            and type(self.variable) is str
-            and type(self.timestamp) is int
-            and self.merchant.strip()
-            and self.variable.strip()
-        ):
-            _check_common(self.merchant, self.variable, self.timestamp)
+        _check_common(self.merchant, self.variable, self.timestamp)
         if self.outcome not in (POSITIVE, NEGATIVE):
             raise ValueError(f"outcome must be 'positive' or 'negative', got {self.outcome!r}")
 
@@ -160,7 +152,7 @@ def decode_line(line: str):
 # int or float numbers) passes one inline test and is filled in directly,
 # which costs about half of running the frozen dataclass constructor; any
 # other values go through the constructor, which accepts or rejects them
-# and says why.
+# and says why.  A snapshot admits no record that a log line would not.
 _new = object.__new__
 _NUMBER = (float, int)
 
@@ -224,30 +216,23 @@ def _snapshot_payload(records) -> bytes:
 
 
 def _snapshot_records(payload: bytes) -> tuple[Record, ...]:
-    """The records of a snapshot payload.  They pass the checks of a
-    decoded log line, the evidence checks column by column; a record that
-    fails them, or columns of unequal lengths, raise ValueError or
-    TypeError."""
+    """The records of a snapshot payload, each checked as a decoded log
+    line is; a record the checks reject, or columns of unequal lengths,
+    raise ValueError or TypeError."""
     columns = json.loads(payload)
-    kinds, merchants, variables, stamps = (
-        columns[key] for key in ("kind", "merchant", "variable", "timestamp"))
+    kinds, stamps = columns["kind"], columns["timestamp"]
     if not (type(kinds) is str
-            and len(kinds) == len(merchants) == len(variables) == len(stamps)
-            and kinds.count("a") == len(columns["c"]) == len(columns["t_scaled"])
-            and set(kinds) <= {"+", "-", "a"}
-            and all(type(name) is str and name.strip() for name in {*merchants, *variables})
-            and set(map(type, stamps)) <= {int}):
-        raise ValueError("snapshot columns do not hold valid records")
+            and len(kinds) == len(columns["merchant"]) == len(columns["variable"]) == len(stamps)
+            and kinds.count("a") == len(columns["c"]) == len(columns["t_scaled"])):
+        raise ValueError("snapshot columns differ in length")
     assessed = zip(columns["c"], columns["t_scaled"])
     out = []
-    for kind, merchant, variable, timestamp in zip(kinds, merchants, variables, stamps):
+    for kind, merchant, variable, timestamp in zip(
+            kinds, columns["merchant"], columns["variable"], stamps):
         if kind == "a":
             out.append(_assessment(merchant, variable, *next(assessed), timestamp))
         else:
-            record = _new(EvidenceRecord)
-            record.__dict__.update(merchant=merchant, variable=variable,
-                                   outcome=_OUTCOMES[kind], timestamp=timestamp)
-            out.append(record)
+            out.append(_evidence(merchant, variable, _OUTCOMES.get(kind), timestamp))
     return tuple(out)
 
 
@@ -423,7 +408,8 @@ class EvidenceStore:
 
     def _save_snapshot(self) -> None:
         """Atomically replace the snapshot with the kept prefix; a failed
-        write leaves the old snapshot, or none, and is not reported."""
+        write leaves the old snapshot, or none, and is not reported.  The
+        snapshot gets the log's permission bits, as it holds the same data."""
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(self._prefix_records)
@@ -438,6 +424,7 @@ class EvidenceStore:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(header.encode("ascii") + b"\n" + payload)
+            os.chmod(temp, stat.S_IMODE(self.path.stat().st_mode))
             os.replace(temp, target)
         except OSError:
             with contextlib.suppress(OSError):

@@ -80,6 +80,26 @@ class TestRecords:
                 replace(record, **{field: bad})
             assert getattr(replace(record, **{field: Name("B")}), field) == "B"
 
+    @pytest.mark.parametrize("record, field, value", [
+        (EvidenceRecord("A", "Delivery", "positive", 0), "outcome", "meh"),
+        (EvidenceRecord("A", "Delivery", "positive", 0), "outcome", None),
+        (EvidenceRecord("A", "Delivery", "positive", 0), "merchant", " "),
+        (EvidenceRecord("A", "Delivery", "positive", 0), "variable", 7),
+        (EvidenceRecord("A", "Delivery", "positive", 0), "timestamp", True),
+        (EvidenceRecord("A", "Delivery", "positive", 0), "timestamp", 1.5),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", 1.5),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", float("nan")),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", "0.5"),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", -1),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", None),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "merchant", ""),
+    ])
+    def test_dict_with_a_bad_value_rejected(self, record, field, value):
+        data = record_to_dict(record)
+        data[field] = value
+        with pytest.raises(ValueError, match="malformed record"):
+            record_from_dict(data)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             record_from_dict({"kind": "note", "merchant": "A"})
@@ -538,6 +558,12 @@ class TestSnapshot:
             assert store.records() == SAMPLE
             assert EvidenceStore(store.path).records() == SAMPLE
         assert sorted(p.name for p in store.path.parent.iterdir()) == ["log.jsonl"]
+
+    def test_it_has_the_permission_bits_of_the_log(self, store):
+        write_lines(store.path, SAMPLE)
+        store.path.chmod(0o640)
+        store.records()
+        assert snapshot_of(store.path).stat().st_mode & 0o7777 == 0o640
 
     def test_append_writes_no_snapshot(self, store):
         store.append(*SAMPLE)
