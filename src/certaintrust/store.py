@@ -32,7 +32,7 @@ import os
 import stat
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import StorageFailure
@@ -60,7 +60,7 @@ def _check_common(merchant: str, variable: str, timestamp: int) -> None:
         raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceRecord:
     """One positive or negative observation for (merchant, variable)."""
 
@@ -75,7 +75,7 @@ class EvidenceRecord:
             raise ValueError(f"outcome must be 'positive' or 'negative', got {self.outcome!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectAssessment:
     """A directly supplied (certainty, scaled rating) pair."""
 
@@ -149,12 +149,16 @@ def decode_line(line: str):
 
 
 # A log line or snapshot record with plain values (exact str and int,
-# int or float numbers) passes one inline test and is filled in directly,
-# which costs about half of running the frozen dataclass constructor; any
-# other values go through the constructor, which accepts or rejects them
-# and says why.  A snapshot admits no record that a log line would not.
+# int or float numbers) passes one inline test and is filled in through
+# its slots' setters, which costs about half of running the frozen
+# dataclass constructor; any other values go through the constructor,
+# which accepts or rejects them and says why.  A snapshot admits no
+# record that a log line would not.
 _new = object.__new__
 _NUMBER = (float, int)
+_EVIDENCE_SLOTS = tuple(getattr(EvidenceRecord, f.name).__set__ for f in fields(EvidenceRecord))
+_ASSESSMENT_SLOTS = tuple(
+    getattr(DirectAssessment, f.name).__set__ for f in fields(DirectAssessment))
 
 
 def _evidence(merchant, variable, outcome, timestamp) -> EvidenceRecord:
@@ -163,8 +167,11 @@ def _evidence(merchant, variable, outcome, timestamp) -> EvidenceRecord:
             and (outcome == POSITIVE or outcome == NEGATIVE)):
         return EvidenceRecord(merchant, variable, outcome, timestamp)
     record = _new(EvidenceRecord)
-    record.__dict__.update(merchant=merchant, variable=variable, outcome=outcome,
-                           timestamp=timestamp)
+    set_merchant, set_variable, set_outcome, set_timestamp = _EVIDENCE_SLOTS
+    set_merchant(record, merchant)
+    set_variable(record, variable)
+    set_outcome(record, outcome)
+    set_timestamp(record, timestamp)
     return record
 
 
@@ -175,8 +182,12 @@ def _assessment(merchant, variable, c, t_scaled, timestamp) -> DirectAssessment:
             and 0.0 <= c <= 1.0 and t_scaled >= 0.0):
         return DirectAssessment(merchant, variable, c, t_scaled, timestamp)
     record = _new(DirectAssessment)
-    record.__dict__.update(merchant=merchant, variable=variable, c=c, t_scaled=t_scaled,
-                           timestamp=timestamp)
+    set_merchant, set_variable, set_c, set_t_scaled, set_timestamp = _ASSESSMENT_SLOTS
+    set_merchant(record, merchant)
+    set_variable(record, variable)
+    set_c(record, c)
+    set_t_scaled(record, t_scaled)
+    set_timestamp(record, timestamp)
     return record
 
 
