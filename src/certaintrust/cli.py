@@ -98,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="append evidence or assessments to the store")
     add_store(p)
+    add_config(p)
     p.add_argument("--merchant", help="merchant identifier")
     p.add_argument("--variable", help="pipeline variable name")
     p.add_argument("--positive", type=_nonneg_int, default=None, metavar="N")
@@ -170,6 +171,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     store = _open_store(args, permissive=args.allow_unknown)
     if store is None:
         return EXIT_USAGE
+    cfg = _load_config(args)
     now = args.timestamp if args.timestamp is not None else int(time.time())
 
     records = []
@@ -188,7 +190,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 continue
             try:
                 records.append(record_from_dict(decode_line(line)))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{args.from_file}:{i}: {exc}") from exc
     else:
         if not args.merchant or not args.variable:
@@ -206,6 +208,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             c, t_scaled = args.assessment
             records.append(DirectAssessment(args.merchant, args.variable, c, t_scaled, now))
 
+    scale = cfg.params.scale
+    for r in records:
+        if isinstance(r, DirectAssessment) and r.t_scaled > scale:
+            raise ValueError(f"merchant {r.merchant!r}, variable {r.variable}: "
+                             f"t_scaled must be in [0, {scale}], got {r.t_scaled!r}")
     store.append(*records)
     print(f"Appended {len(records)} record(s) to {store.path}")
     return EXIT_OK

@@ -226,25 +226,49 @@ def _snapshot_payload(records) -> bytes:
     return json.dumps(columns, separators=(",", ":"), check_circular=False).encode("ascii")
 
 
-def _snapshot_records(payload: bytes) -> tuple[Record, ...]:
-    """The records of a snapshot payload, each checked as a decoded log
-    line is; a record the checks reject, or columns of unequal lengths,
-    raise ValueError or TypeError."""
+def _snapshot_columns(payload: bytes) -> tuple:
+    """The columns of a snapshot payload, checked whole: columns of unequal
+    lengths, or any record that ``_evidence`` or ``_assessment`` would
+    reject, raise ValueError or TypeError.  The checks are made per column,
+    so a snapshot is taken or ignored whole without building its records."""
     columns = json.loads(payload)
-    kinds, stamps = columns["kind"], columns["timestamp"]
+    kinds, merchants, variables, stamps, cs, ts = (
+        columns[key] for key in ("kind", "merchant", "variable", "timestamp", "c", "t_scaled"))
     if not (type(kinds) is str
-            and len(kinds) == len(columns["merchant"]) == len(columns["variable"]) == len(stamps)
-            and kinds.count("a") == len(columns["c"]) == len(columns["t_scaled"])):
-        raise ValueError("snapshot columns differ in length")
-    assessed = zip(columns["c"], columns["t_scaled"])
+            and all(type(column) is list for column in (merchants, variables, stamps, cs, ts))
+            and len(kinds) == len(merchants) == len(variables) == len(stamps)
+            and kinds.count("a") == len(cs) == len(ts)):
+        raise ValueError("snapshot columns are not lists of equal lengths")
+    # str.strip raises TypeError for a name that is not a string
+    if not (set(kinds) <= {"+", "-", "a"}
+            and all(map(str.strip, merchants)) and all(map(str.strip, variables))
+            and set(map(type, stamps)) <= {int}
+            and set(map(type, cs)) | set(map(type, ts)) <= {int, float}
+            and all(map(0.0.__le__, cs)) and all(map(1.0.__ge__, cs))
+            and all(map(0.0.__le__, ts))):
+        raise ValueError("snapshot holds a record the checks reject")
+    return kinds, merchants, variables, stamps, cs, ts
+
+
+def _column_records(columns: tuple, merchant: str | None = None) -> list[Record]:
+    """The records of checked snapshot columns, all of them or one
+    merchant's, in order, built by the same helpers as log lines."""
+    kinds, merchants, variables, stamps, cs, ts = columns
+    if merchant is None:
+        picked = range(len(kinds))
+    else:
+        picked = [i for i, name in enumerate(merchants) if name == merchant]
     out = []
-    for kind, merchant, variable, timestamp in zip(
-            kinds, columns["merchant"], columns["variable"], stamps):
-        if kind == "a":
-            out.append(_assessment(merchant, variable, *next(assessed), timestamp))
+    assessed = start = 0  # the assessments before record ``start``
+    for i in picked:
+        if kinds[i] == "a":
+            assessed += kinds.count("a", start, i)
+            start = i
+            out.append(_assessment(merchants[i], variables[i], cs[assessed], ts[assessed],
+                                   stamps[i]))
         else:
-            out.append(_evidence(merchant, variable, _OUTCOMES.get(kind), timestamp))
-    return tuple(out)
+            out.append(_evidence(merchants[i], variables[i], _OUTCOMES[kinds[i]], stamps[i]))
+    return out
 
 
 class EvidenceStore:
@@ -254,8 +278,10 @@ class EvidenceStore:
         self.path = Path(path)
         self.permissive = permissive
         # the last validated newline-terminated prefix of the file: its
-        # bytes and its records
+        # bytes and its records, the first of which may still be the
+        # checked columns taken from the snapshot
         self._prefix = b""
+        self._columns: tuple | None = None
         self._prefix_records: tuple[Record, ...] = ()
         # how many records the snapshot holds, as far as this object knows:
         # those it loaded, or those it last wrote or tried to write
@@ -292,23 +318,27 @@ class EvidenceStore:
             raise StorageFailure(f"cannot append to {self.path}: {exc}") from exc
         return records
 
-    def records(self) -> list[Record]:
-        """All records in file order, as a new list.
+    def records(self, merchant: str | None = None) -> list[Record]:
+        """All records in file order, or those of one ``merchant``, as a new list.
 
         Lines end with ``"\\n"`` only.  A final non-blank line that fails to
         decode or parse is treated as a torn write and skipped with a
         warning; any earlier damage raises :class:`StorageFailure` naming
-        the physical line.
+        the physical line.  Every byte is validated whichever records are
+        asked for, so ``records(m)`` warns and fails as ``records()`` does.
 
         The store keeps the newline-terminated prefix it last validated,
         with that prefix's records: when the file still starts with exactly
         those bytes, only the bytes after them are parsed.  A torn or
         unterminated final line is never kept, so it is checked again on
         every read.  A store object without a kept prefix takes it from the
-        snapshot file when the snapshot's length fits and its digest
-        matches the file's first bytes; otherwise the snapshot is ignored.
-        After a read that parsed more records from the log than the snapshot
-        holds, the kept prefix is written as the new snapshot.
+        snapshot file when the snapshot's length fits, its digest matches
+        the file's first bytes and its columns pass the record checks;
+        otherwise the snapshot is ignored.  The records of a snapshot are
+        built when first asked for: one merchant's on each ``records(m)``,
+        all of them, once, on ``records()``.  After a read that parsed more
+        records from the log than the snapshot holds, the kept prefix is
+        written as the new snapshot.
         """
         if not self.path.exists():
             return []
@@ -317,11 +347,11 @@ class EvidenceStore:
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
         if not data.startswith(self._prefix):
-            self._prefix, self._prefix_records = b"", ()
+            self._prefix, self._columns, self._prefix_records = b"", None, ()
         if not self._prefix:
-            length, self._prefix_records = self._load_snapshot(data)
+            length, self._columns = self._load_snapshot(data)
             self._prefix = data[:length]
-            self._snapshot_records = len(self._prefix_records)
+            self._snapshot_records = len(self._columns[0]) if self._columns else 0
         tail = data[len(self._prefix):]
         try:
             lines: list[str | None] = tail.decode("utf-8").split("\n")
@@ -335,7 +365,7 @@ class EvidenceStore:
         final = len(lines) - 1  # the last non-blank line, the only one that may be torn
         while final >= 0 and lines[final] is not None and not lines[final].strip():
             final -= 1
-        out = list(self._prefix_records)
+        out = []  # the records of the tail
         keep = len(lines) - 1  # lines[:keep] end with "\n" and join the kept prefix
         for i, line in enumerate(lines):
             if i == keep:
@@ -346,7 +376,7 @@ class EvidenceStore:
                 if line is None:
                     raise ValueError("not valid UTF-8")
                 fields = decode_line(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 if i == final:
                     warnings.warn(
                         f"{self.path}: skipping torn final line ({exc})",
@@ -359,7 +389,7 @@ class EvidenceStore:
                 raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
             try:
                 out.append(record_from_dict(fields))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 number = self._prefix.count(b"\n") + i + 1
                 raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
         # the kept prefix ends where line ``keep`` of the tail starts
@@ -367,11 +397,25 @@ class EvidenceStore:
         for _ in range(len(lines) - keep):
             end = tail.rfind(b"\n", 0, end)
         self._prefix = data[: len(self._prefix) + end + 1]
-        self._prefix_records = tuple(out[:kept_records])
-        if len(self._prefix_records) > 2 * self._snapshot_records:
-            self._snapshot_records = len(self._prefix_records)
+        self._prefix_records += tuple(out[:kept_records])
+        held = len(self._prefix_records) + (len(self._columns[0]) if self._columns else 0)
+        if held > 2 * self._snapshot_records:
+            self._snapshot_records = held
             self._save_snapshot()
-        return out
+        if merchant is None:
+            return [*self._built_prefix(), *out[kept_records:]]
+        picked = [] if self._columns is None else _column_records(self._columns, merchant)
+        picked += [r for r in self._prefix_records if r.merchant == merchant]
+        picked += [r for r in out[kept_records:] if r.merchant == merchant]
+        return picked
+
+    def _built_prefix(self) -> tuple[Record, ...]:
+        """The kept prefix's records, building those of the snapshot columns
+        the first time."""
+        if self._columns is not None:
+            self._prefix_records = (*_column_records(self._columns), *self._prefix_records)
+            self._columns = None
+        return self._prefix_records
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
         """Exact (r, s) tally from the log; (0, 0) for never-seen pairs."""
@@ -386,9 +430,7 @@ class EvidenceStore:
         """
         tallies: dict[str, list[int]] = {name: [0, 0] for name in CANONICAL_VARIABLES}
         assessments: dict[str, DirectAssessment] = {}
-        for record in self.records():
-            if record.merchant != merchant:
-                continue
+        for record in self.records(merchant):
             if isinstance(record, EvidenceRecord):
                 pair = tallies.setdefault(record.variable, [0, 0])
                 pair[0 if record.outcome == POSITIVE else 1] += 1
@@ -399,23 +441,23 @@ class EvidenceStore:
         counts = {name: EvidenceCount(r, s) for name, (r, s) in tallies.items()}
         return MerchantProfile(merchant, counts, assessments)
 
-    def _load_snapshot(self, data: bytes) -> tuple[int, tuple[Record, ...]]:
-        """The length and records of the snapshot when it holds a prefix of
-        ``data``, else ``(0, ())``."""
+    def _load_snapshot(self, data: bytes) -> tuple[int, tuple | None]:
+        """The length and checked columns of the snapshot when it holds a
+        prefix of ``data``, else ``(0, None)``."""
         try:
             head, _, payload = self._snapshot_path.read_bytes().partition(b"\n")
             header = json.loads(head)
             length = header["length"]
             if not (header["version"] == SNAPSHOT_VERSION and type(length) is int
                     and 0 < length <= len(data) and data[length - 1] == ord("\n")):
-                return 0, ()
+                return 0, None
             digest = hashlib.blake2b(memoryview(data)[:length])
             digest.update(payload)
             if digest.hexdigest() != header["digest"]:
-                return 0, ()
-            return length, _snapshot_records(payload)
+                return 0, None
+            return length, _snapshot_columns(payload)
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
-            return 0, ()
+            return 0, None
 
     def _save_snapshot(self) -> None:
         """Atomically replace the snapshot with the kept prefix; a failed
@@ -423,7 +465,7 @@ class EvidenceStore:
         snapshot gets the log's permission bits, as it holds the same data."""
         target = self._snapshot_path
         try:
-            payload = _snapshot_payload(self._prefix_records)
+            payload = _snapshot_payload(self._built_prefix())
             digest = hashlib.blake2b(self._prefix)
             digest.update(payload)
             header = json.dumps({"digest": digest.hexdigest(), "length": len(self._prefix),

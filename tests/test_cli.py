@@ -138,6 +138,41 @@ class TestIngest:
         assert f"{src}:2:" in err and "not bool" in err
         assert Path(seeded).read_bytes() == before
 
+    def test_assessment_over_scale_rejects_batch(self, seeded, tmp_path, capsys):
+        before = Path(seeded).read_bytes()
+        code = main(["ingest", "--store", seeded, "--merchant", "A", "--variable", "Delivery",
+                     "--assessment", "0.5,5.5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "merchant 'A', variable Delivery: t_scaled must be in [0, 5.0], got 5.5" in err
+        src = tmp_path / "batch.jsonl"
+        src.write_text("".join(
+            json.dumps({"kind": "assessment", "merchant": "B", "variable": variable,
+                        "c": 0.5, "t_scaled": t_scaled, "timestamp": 5}) + "\n"
+            for variable, t_scaled in (("Delivery", 5.0), ("Privacy", 8))
+        ), encoding="utf-8")
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({"scale": 4}), encoding="utf-8")
+        for config, message in ((None, "variable Privacy: t_scaled must be in [0, 5.0], got 8"),
+                                 (narrow, "variable Delivery: t_scaled must be in [0, 4], got 5.0")):
+            config_args = [] if config is None else ["--config", str(config)]
+            code = main(["ingest", "--store", seeded, *config_args, "--from-file", str(src)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "ValueError" in err and f"merchant 'B', {message}" in err
+        assert Path(seeded).read_bytes() == before
+
+    def test_deeply_nested_line_in_batch_rejects_it(self, seeded, tmp_path, capsys):
+        before = Path(seeded).read_bytes()
+        src = tmp_path / "batch.jsonl"
+        good = json.dumps({"kind": "evidence", "merchant": "A", "variable": "Delivery",
+                           "outcome": "positive", "timestamp": 5})
+        src.write_text(good + "\n" + "[" * 100_000 + "\n" + good + "\n", encoding="utf-8")
+        code = main(["ingest", "--store", seeded, "--from-file", str(src)])
+        assert code == 1
+        assert f"{src}:2:" in capsys.readouterr().err
+        assert Path(seeded).read_bytes() == before
+
     def test_flag_batch_is_fsynced_once(self, store_path, monkeypatch):
         fsyncs = []
         real_fsync = store_module.os.fsync
@@ -267,9 +302,11 @@ class TestEvaluate:
         assert "EvidenceExceedsCap" in err
         assert "merchant 'A'" in err and "variable Delivery" in err
 
-    def test_assessment_over_scale_names_merchant_and_variable(self, seeded, capsys):
-        code = main(["ingest", "--store", seeded, "--merchant", "A", "--variable",
-                     "Delivery", "--assessment", "0.5,7", "--timestamp", "200"])
+    def test_assessment_over_scale_names_merchant_and_variable(self, seeded, tmp_path, capsys):
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"scale": 10}), encoding="utf-8")
+        code = main(["ingest", "--store", seeded, "--config", str(wide), "--merchant", "A",
+                     "--variable", "Delivery", "--assessment", "0.5,7", "--timestamp", "200"])
         assert code == 0
         capsys.readouterr()
         code = main(["evaluate", "--store", seeded, "--merchant", "A"])
@@ -294,6 +331,23 @@ class TestEvaluate:
         assert code == 3
         err = capsys.readouterr().err
         assert seeded in err and "line 25" in err
+
+    def test_deeply_nested_middle_line_is_storage_error(self, seeded, capsys):
+        with open(seeded, "a", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "\n")
+        seed_merchant(seeded, "C", goldens.MERCHANT_A)
+        code = main(["evaluate", "--store", seeded, "--merchant", "A"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "StorageFailure" in err and "corrupt record on line 25" in err
+
+    def test_deeply_nested_final_line_is_skipped(self, seeded, capsys):
+        with open(seeded, "a", encoding="utf-8") as fh:
+            fh.write("[" * 100_000)
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            code = main(["evaluate", "--store", seeded, "--merchant", "A"])
+        assert code == 0
+        assert "Trust class: Medium" in capsys.readouterr().out
 
     def test_empty_store_names_all_missing_variables(self, store_path, capsys):
         code = main(["evaluate", "--store", store_path, "--merchant", "A"])

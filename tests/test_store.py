@@ -268,6 +268,31 @@ class TestTornAndCorruptLines:
         with pytest.raises(StorageFailure, match="line 4"):
             store.records()
 
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000,
+        '{"kind": "evidence", "merchant": ' + "[" * 995 + "]" * 995
+        + ', "variable": "Delivery", "outcome": "positive", "timestamp": 1}',
+    ], ids=["undecodable", "decodable"])
+    def test_deeply_nested_middle_line_is_fatal(self, store, line):
+        add_evidence(store, "A", "Delivery", positive=1)
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        add_evidence(store, "A", "Delivery", positive=1)
+        with pytest.raises(StorageFailure, match="line 2") as info:
+            store.records()
+        assert isinstance(info.value.__cause__, (RecursionError, ValueError))
+        with pytest.raises(StorageFailure, match="line 2"):
+            store.load_profile("A")
+
+    def test_deeply_nested_final_line_is_a_torn_line(self, store):
+        add_evidence(store, "A", "Delivery", positive=1)
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write("[" * 100_000)
+        with pytest.warns(RuntimeWarning, match="torn final line .*recursion"):
+            assert len(store.records()) == 1
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            assert store.counts("A", "Delivery") == EvidenceCount(1, 0)
+
     def test_missing_file_reads_empty(self, store):
         assert store.records() == []
         assert store.counts("A", "Delivery") == EvidenceCount(0, 0)
@@ -372,6 +397,23 @@ def decoded(monkeypatch):
     decode = store_module.decode_line
     monkeypatch.setattr(store_module, "decode_line", counting)
     return lines
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The merchant of every record built through ``_evidence`` or
+    ``_assessment``, in order."""
+    merchants = []
+
+    def counting(helper):
+        def build(merchant, *rest):
+            merchants.append(merchant)
+            return helper(merchant, *rest)
+        return build
+
+    for name in ("_evidence", "_assessment"):
+        monkeypatch.setattr(store_module, name, counting(getattr(store_module, name)))
+    return merchants
 
 
 @pytest.fixture
@@ -504,6 +546,7 @@ class TestSnapshot:
         ("t_scaled", ["2.5"]),
         ("merchant", ["A", "B"]),
         ("c", []),
+        ("merchant", {"A": 0, "B": 1, "C": 2}),
     ])
     def test_a_record_the_checks_reject_falls_back_to_the_log(self, store, decoded,
                                                                column, value):
@@ -517,6 +560,50 @@ class TestSnapshot:
             warnings.simplefilter("error")
             assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
+
+    def test_a_hit_builds_only_the_records_asked_for(self, store, built):
+        write_lines(store.path, SAMPLE + SAMPLE)
+        store.records()
+        built.clear()
+        reader = EvidenceStore(store.path)
+        profile = reader.load_profile("B")
+        assert built == ["B", "B"]
+        assert profile.assessments["Privacy"] == SAMPLE[1]
+        assert reader.records("A") == [SAMPLE[0], SAMPLE[2]] * 2
+        assert reader.records("nobody") == []
+        assert built == ["B", "B", "A", "A", "A", "A"]
+
+    def test_a_second_full_read_builds_nothing(self, store, built):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        reader = EvidenceStore(store.path)
+        reader.load_profile("A")
+        built.clear()
+        assert reader.records() == SAMPLE
+        assert len(built) == 3
+        built.clear()
+        assert reader.records() == SAMPLE
+        assert reader.records("B") == SAMPLE[1:2]
+        assert reader.load_profile("A").counts["Portal"] == EvidenceCount(0, 1)
+        assert built == []
+
+    @pytest.mark.parametrize("column, value", [
+        ("c", [1.5]),
+        ("t_scaled", [float("nan")]),
+        ("merchant", ["A", "", "A"]),
+        ("timestamp", [1, 2.0, 3]),
+    ])
+    def test_a_bad_record_of_another_merchant_ignores_it_whole(self, store, decoded, built,
+                                                               column, value):
+        write_lines(store.path, SAMPLE)
+        columns = {
+            "kind": "+a-", "merchant": ["A", "B", "A"], "variable": ["Delivery", "Privacy", "Portal"],
+            "timestamp": [1, 2, 3], "c": [0.5], "t_scaled": [2.5],
+        }
+        forge_snapshot(store.path, {**columns, column: value})
+        assert EvidenceStore(store.path).records("A") == [SAMPLE[0], SAMPLE[2]]
+        assert len(decoded) == 3
+        assert built == ["A", "B", "A"]
 
     @pytest.mark.parametrize("damage", ["version", "length", "digest", "header", "empty", "record"])
     def test_a_damaged_header_falls_back_to_the_log(self, store, decoded, damage):
@@ -698,6 +785,10 @@ def records_and_profile(store: EvidenceStore, merchant: str):
     return store.records(), store.load_profile(merchant)
 
 
+def merchant_records(path: Path, merchant: str) -> list:
+    return [r for r in reference_records(path) if r.merchant == merchant]
+
+
 def fresh_records(path: Path) -> list:
     return EvidenceStore(path).records()
 
@@ -706,10 +797,13 @@ def fresh_records(path: Path) -> list:
 @given(st.lists(steps_st, max_size=25), st.sampled_from(MERCHANTS))
 def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
     """A long-lived store, a new one (which may take the snapshot or write
-    it) and a reader that never sees a snapshot agree after every step."""
+    it) and a reader that never sees a snapshot agree after every step, on
+    all records and on one merchant's; a second long-lived store reads
+    only that merchant's, so it may keep snapshot columns across steps."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         store = EvidenceStore(path)
+        narrow = EvidenceStore(path)  # reads only the merchant's records
         earlier = []  # every snapshot content seen so far
         for step in steps:
             kind = step[0]
@@ -729,6 +823,11 @@ def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
                 rewrite(path, *step[1:])
             elif kind == "snapshot":
                 damage_snapshot(path, *step[1:], earlier)
+            expected = observe(merchant_records, path, merchant)
+            for reader in (store, narrow, EvidenceStore(path)):
+                assert observe(reader.records, merchant) == expected
+            assert observe(narrow.load_profile, merchant) == observe(
+                EvidenceStore(path).load_profile, merchant)
             assert (observe(records_and_profile, store, merchant)
                     == observe(records_and_profile, EvidenceStore(path), merchant))
             assert observe(fresh_records, path) == observe(reference_records, path)
