@@ -278,8 +278,8 @@ class EvidenceStore:
         self.path = Path(path)
         self.permissive = permissive
         # the last validated newline-terminated prefix of the file: its
-        # bytes and its records, the first of which may still be the
-        # checked columns taken from the snapshot
+        # bytes and its records; the records taken from the snapshot stay
+        # its checked columns until all of them are asked for
         self._prefix = b""
         self._columns: tuple | None = None
         self._prefix_records: tuple[Record, ...] = ()
