@@ -14,13 +14,17 @@ write) is skipped with a warning; corruption anywhere else raises
 
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
 prefix of it, so that a new store object parses only the lines after
-that prefix.  Its first line is a JSON header; the rest holds the records
-as JSON columns: a kind per record (``+`` and ``-`` for positive and
-negative evidence, ``a`` for an assessment), a merchant, variable and
-timestamp per record, and ``c`` and ``t_scaled`` per assessment:
+that prefix.  Its first line is a JSON header.  A JSON table line follows:
+the distinct merchant and variable names in first-seen order, ``c`` and
+``t_scaled`` per assessment, and the timestamps only when one falls
+outside int64.  Then come fixed-width little-endian columns: the
+timestamps (``<i8``, unless the table holds them), merchant ids and
+variable ids (``<u4``), and a kind byte per record (``+`` and ``-`` for
+positive and negative evidence, ``a`` for an assessment):
 
-    {"digest": "<blake2b of the prefix bytes, then the columns>", "length": 230, "version": 1}
-    {"kind":"+a","merchant":["A","A"],"variable":["Delivery","Privacy"],"timestamp":[1,2],"c":[0.6],"t_scaled":[3.5]}
+    {"digest": "<sha256 of the prefix bytes, then the rest>", "length": 230, "version": 2}
+    {"merchant":["A"],"variable":["Delivery","Privacy"],"c":[0.6],"t_scaled":[3.5],"timestamp":null}
+    <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import StorageFailure
 from .opinion import EvidenceCount
 from .variables import CANONICAL_VARIABLES, normalize_name
@@ -48,7 +54,7 @@ ASSESSMENT_KIND = "assessment"
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> None:
@@ -205,69 +211,96 @@ def record_from_dict(data: dict) -> Record:
     raise ValueError(f"unknown record kind {data.get('kind')!r}")
 
 
-#: the one-character kind of a snapshot record, and back
+#: the kind byte of a snapshot record, and back
 _KINDS = {POSITIVE: "+", NEGATIVE: "-", None: "a"}
-_OUTCOMES = {"+": POSITIVE, "-": NEGATIVE}
+_OUTCOMES = {ord("+"): POSITIVE, ord("-"): NEGATIVE}
+_ASSESSED = ord("a")
 
 
 def _snapshot_payload(records) -> bytes:
-    """The records as JSON columns: per record a kind (``+``, ``-`` or
-    ``a``), merchant, variable and timestamp; per assessment ``c`` and
-    ``t_scaled``."""
+    """The records as a JSON table line and fixed-width binary columns.
+
+    The table holds the distinct merchant and variable names in first-seen
+    order, ``c`` and ``t_scaled`` per assessment, and the timestamps when
+    any falls outside int64 (else null).  The columns follow it: the
+    timestamps as ``<i8`` when they fit, then merchant ids and variable
+    ids as ``<u4`` and a kind byte per record (``+``, ``-`` or ``a``)."""
+    merchants: dict[str, int] = {}
+    variables: dict[str, int] = {}
+    mids = [merchants.setdefault(r.merchant, len(merchants)) for r in records]
+    vids = [variables.setdefault(r.variable, len(variables)) for r in records]
     assessments = [r for r in records if isinstance(r, DirectAssessment)]
-    columns = {
-        "kind": "".join([_KINDS[getattr(r, "outcome", None)] for r in records]),
-        "merchant": [r.merchant for r in records],
-        "variable": [r.variable for r in records],
-        "timestamp": [r.timestamp for r in records],
-        "c": [r.c for r in assessments],
-        "t_scaled": [r.t_scaled for r in assessments],
-    }
-    return json.dumps(columns, separators=(",", ":"), check_circular=False).encode("ascii")
+    stamps = [r.timestamp for r in records]
+    try:
+        columns = [np.array(stamps, "<i8").tobytes()]
+        stamps = None
+    except OverflowError:
+        columns = []
+    table = {"merchant": list(merchants), "variable": list(variables),
+             "c": [r.c for r in assessments], "t_scaled": [r.t_scaled for r in assessments],
+             "timestamp": stamps}
+    columns += [np.array(mids, "<u4").tobytes(), np.array(vids, "<u4").tobytes(),
+                "".join([_KINDS[getattr(r, "outcome", None)] for r in records]).encode("ascii")]
+    line = json.dumps(table, separators=(",", ":"), check_circular=False).encode("ascii")
+    return b"\n".join([line, b"".join(columns)])
 
 
 def _snapshot_columns(payload: bytes) -> tuple:
-    """The columns of a snapshot payload, checked whole: columns of unequal
-    lengths, or any record that ``_evidence`` or ``_assessment`` would
-    reject, raise ValueError or TypeError.  The checks are made per column,
-    so a snapshot is taken or ignored whole without building its records."""
-    columns = json.loads(payload)
-    kinds, merchants, variables, stamps, cs, ts = (
-        columns[key] for key in ("kind", "merchant", "variable", "timestamp", "c", "t_scaled"))
-    if not (type(kinds) is str
-            and all(type(column) is list for column in (merchants, variables, stamps, cs, ts))
-            and len(kinds) == len(merchants) == len(variables) == len(stamps)
-            and kinds.count("a") == len(cs) == len(ts)):
-        raise ValueError("snapshot columns are not lists of equal lengths")
+    """The checked columns of a snapshot payload: kinds, merchant ids,
+    variable ids, timestamps, the position of each record's assessment
+    among the assessments, merchant names, variable names, ``c``,
+    ``t_scaled`` and the id of each merchant name.  A blob whose length
+    does not fit the table, an id outside its table, a duplicate merchant
+    name, or any record that ``_evidence`` or ``_assessment`` would reject
+    raise ValueError or TypeError, so a snapshot is taken or ignored whole
+    without building its records."""
+    line, _, blob = payload.partition(b"\n")
+    table = json.loads(line)
+    names, variables, cs, ts, stamps = (
+        table[key] for key in ("merchant", "variable", "c", "t_scaled", "timestamp"))
+    n, rest = divmod(len(blob), 17 if stamps is None else 9)
+    if not (type(names) is type(variables) is type(cs) is type(ts) is list and not rest
+            and (stamps is None or type(stamps) is list and len(stamps) == n
+                 and set(map(type, stamps)) <= {int})):
+        raise ValueError("snapshot tables are not lists that fit the blob")
+    if stamps is None:
+        stamps, at = np.frombuffer(blob, "<i8", n), 8 * n
+    else:
+        stamps, at = np.array(stamps, dtype=object), 0
+    mids, vids = np.frombuffer(blob, "<u4", n, at), np.frombuffer(blob, "<u4", n, at + 4 * n)
+    kinds = blob[at + 8 * n:]
+    index = dict(zip(names, range(len(names))))
     # str.strip raises TypeError for a name that is not a string
-    if not (set(kinds) <= {"+", "-", "a"}
-            and all(map(str.strip, merchants)) and all(map(str.strip, variables))
-            and set(map(type, stamps)) <= {int}
+    if not (all(map(str.strip, names)) and all(map(str.strip, variables))
+            and len(index) == len(names) and not kinds.translate(None, b"+-a")
+            and kinds.count(b"a") == len(cs) == len(ts)
+            and (mids < len(names)).all() and (vids < len(variables)).all()
             and set(map(type, cs)) | set(map(type, ts)) <= {int, float}
             and all(map(0.0.__le__, cs)) and all(map(1.0.__ge__, cs))
             and all(map(0.0.__le__, ts))):
         raise ValueError("snapshot holds a record the checks reject")
-    return kinds, merchants, variables, stamps, cs, ts
+    kinds = np.frombuffer(kinds, np.uint8)
+    assessed = np.cumsum(kinds == _ASSESSED) - 1
+    return kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index
 
 
 def _column_records(columns: tuple, merchant: str | None = None) -> list[Record]:
     """The records of checked snapshot columns, all of them or one
     merchant's, in order, built by the same helpers as log lines."""
-    kinds, merchants, variables, stamps, cs, ts = columns
+    kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index = columns
     if merchant is None:
-        picked = range(len(kinds))
+        rows = slice(None)
+    elif merchant in index:
+        rows = np.flatnonzero(mids == index[merchant])
     else:
-        picked = [i for i, name in enumerate(merchants) if name == merchant]
+        return []
     out = []
-    assessed = start = 0  # the assessments before record ``start``
-    for i in picked:
-        if kinds[i] == "a":
-            assessed += kinds.count("a", start, i)
-            start = i
-            out.append(_assessment(merchants[i], variables[i], cs[assessed], ts[assessed],
-                                   stamps[i]))
+    for kind, m, v, t, a in zip(kinds[rows].tolist(), mids[rows].tolist(), vids[rows].tolist(),
+                                stamps[rows].tolist(), assessed[rows].tolist()):
+        if kind == _ASSESSED:
+            out.append(_assessment(names[m], variables[v], cs[a], ts[a], t))
         else:
-            out.append(_evidence(merchants[i], variables[i], _OUTCOMES[kinds[i]], stamps[i]))
+            out.append(_evidence(names[m], variables[v], _OUTCOMES[kind], t))
     return out
 
 
@@ -451,7 +484,7 @@ class EvidenceStore:
             if not (header["version"] == SNAPSHOT_VERSION and type(length) is int
                     and 0 < length <= len(data) and data[length - 1] == ord("\n")):
                 return 0, None
-            digest = hashlib.blake2b(memoryview(data)[:length])
+            digest = hashlib.sha256(memoryview(data)[:length])
             digest.update(payload)
             if digest.hexdigest() != header["digest"]:
                 return 0, None
@@ -466,7 +499,7 @@ class EvidenceStore:
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(self._built_prefix())
-            digest = hashlib.blake2b(self._prefix)
+            digest = hashlib.sha256(self._prefix)
             digest.update(payload)
             header = json.dumps({"digest": digest.hexdigest(), "length": len(self._prefix),
                                  "version": SNAPSHOT_VERSION}, sort_keys=True)

@@ -1,9 +1,12 @@
 """Command-line tests, driven through cli.main with captured output."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certaintrust import EvidenceCount, PipelineConfig, evaluate_merchant
 from certaintrust import store as store_module
@@ -436,6 +439,35 @@ class TestCompare:
                      "--merchant", "A", "--merchant", "ghost"])
         assert code == 1
         assert "MissingVariable" in capsys.readouterr().err
+
+
+RANKED = ("A", "B", "zeta", "alpha", "Café")
+
+
+@pytest.fixture(scope="module")
+def ranked_store(tmp_path_factory):
+    """A store of five merchants, two of them tied with A."""
+    path = str(tmp_path_factory.mktemp("ranked") / "store.jsonl")
+    for merchant, data in zip(RANKED, (goldens.MERCHANT_A, goldens.MERCHANT_B,
+                                       goldens.MERCHANT_A, goldens.MERCHANT_A,
+                                       goldens.MERCHANT_B)):
+        seed_merchant(path, merchant, data)
+    return path
+
+
+def compare_json(path, merchants) -> str:
+    argv = ["compare", "--store", path, "--format", "json"]
+    for merchant in merchants:
+        argv += ["--merchant", merchant]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(RANKED))
+def test_compare_json_does_not_depend_on_the_merchant_order(ranked_store, merchants):
+    assert compare_json(ranked_store, merchants) == compare_json(ranked_store, RANKED)
 
 
 class TestRules:

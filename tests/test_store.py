@@ -5,10 +5,12 @@ snapshot of that prefix."""
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -430,13 +432,22 @@ def replaced(monkeypatch):
     return targets
 
 
-def forge_snapshot(path: Path, columns: dict, length: int | None = None) -> None:
+def pack(columns: dict) -> bytes:
+    """Snapshot columns as format 2 lays them out: the timestamps as
+    ``<i8`` (unless null), merchant and variable ids as ``<u4``, then the
+    kind bytes."""
+    stamps, mids, vids = columns["timestamp"], columns["merchant"], columns["variable"]
+    return (b"" if stamps is None else struct.pack(f"<{len(stamps)}q", *stamps)) + struct.pack(
+        f"<{len(mids)}I", *mids) + struct.pack(f"<{len(vids)}I", *vids) + columns["kind"]
+
+
+def forge_snapshot(path: Path, table, blob: bytes, length: int | None = None) -> None:
     """A snapshot of the log's first ``length`` bytes (all by default)
-    holding ``columns``, with a valid digest."""
+    holding ``table`` and ``blob``, with a valid digest."""
     prefix = path.read_bytes()[:length]
-    payload = json.dumps(columns).encode("ascii")
-    header = {"digest": hashlib.blake2b(prefix + payload).hexdigest(),
-              "length": len(prefix), "version": 1}
+    payload = json.dumps(table).encode("ascii") + b"\n" + blob
+    header = {"digest": hashlib.sha256(prefix + payload).hexdigest(),
+              "length": len(prefix), "version": 2}
     snapshot_of(path).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
 
 
@@ -445,6 +456,43 @@ SAMPLE = [
     DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
     EvidenceRecord("A", "Portal", "negative", 3),
 ]
+#: the snapshot of SAMPLE: its table, with the timestamps in the columns
+#: or in the table, and its columns
+SAMPLE_TABLE = {"merchant": ["A", "B"], "variable": ["Delivery", "Privacy", "Portal"],
+                "c": [0.5], "t_scaled": [2.5], "timestamp": None}
+SAMPLE_COLUMNS = {"timestamp": [1, 2, 3], "merchant": [0, 1, 0], "variable": [0, 1, 2],
+                  "kind": b"+a-"}
+#: SAMPLE's log as ``write_lines`` writes it, and the snapshot of format 1
+#: that the previous release wrote for it
+SAMPLE_LOG = (
+    b'{"kind": "evidence", "merchant": "A", "variable": "Delivery", "outcome": "positive",'
+    b' "timestamp": 1}\n'
+    b'{"kind": "assessment", "merchant": "B", "variable": "Privacy", "c": 0.5, "t_scaled": 2.5,'
+    b' "timestamp": 2}\n'
+    b'{"kind": "evidence", "merchant": "A", "variable": "Portal", "outcome": "negative",'
+    b' "timestamp": 3}\n'
+)
+SAMPLE_SNAPSHOT_V1 = (
+    b'{"digest": "188320e75d6d45503b0ac27ab184fcc5fa14831574139b093c8bed2d9eec22be2ed5bff704b40f2c'
+    b'5bfb56d2c872d102d254a42643edbb68302617213bcec097", "length": 306, "version": 1}\n'
+    b'{"kind":"+a-","merchant":["A","B","A"],"variable":["Delivery","Privacy","Portal"],'
+    b'"timestamp":[1,2,3],"c":[0.5],"t_scaled":[2.5]}'
+)
+#: the sha256 of the snapshot written for SAMPLE.  A change of the layout
+#: must bump ``store.SNAPSHOT_VERSION``, so that old snapshots are ignored;
+#: then update this pin.
+SAMPLE_SNAPSHOT_SHA256 = "db4bba0269b86ca021be2db56d4cbca3703900ea44c75d0f0deec2e862e49664"
+
+
+def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
+    """SAMPLE's snapshot table and blob with the entries of ``table`` and
+    ``columns`` replaced.  A ``timestamp`` entry in ``table`` takes the
+    timestamps out of the columns, as a snapshot does whose timestamps do
+    not all fit int64."""
+    table, columns = {**SAMPLE_TABLE, **(table or {})}, {**SAMPLE_COLUMNS, **(columns or {})}
+    if table["timestamp"] is not None:
+        columns["timestamp"] = None
+    return table, pack(columns)
 
 
 class TestSnapshot:
@@ -515,50 +563,78 @@ class TestSnapshot:
 
     def test_a_forged_snapshot_of_the_same_records_is_taken(self, store, decoded):
         write_lines(store.path, SAMPLE)
-        forge_snapshot(store.path, {
-            "kind": "+a-", "merchant": ["A", "B", "A"], "variable": ["Delivery", "Privacy", "Portal"],
-            "timestamp": [1, 2, 3], "c": [0.5], "t_scaled": [2.5],
-        })
-        assert EvidenceStore(store.path).records() == SAMPLE
-        assert decoded == []
+        for table in (None, {"timestamp": [1, 2, 3]}):  # timestamps in the columns, in the table
+            forge_snapshot(store.path, *sample_payload(table))
+            assert EvidenceStore(store.path).records() == SAMPLE
+            assert EvidenceStore(store.path).records("A") == SAMPLE[::2]
+            assert decoded == []
 
     def test_a_length_inside_a_line_falls_back_to_the_log(self, store, decoded):
         write_lines(store.path, SAMPLE)
         first = store.path.read_bytes().index(b"\n") + 1
-        forge_snapshot(store.path, {
-            "kind": "+", "merchant": ["A"], "variable": ["Delivery"], "timestamp": [1],
-            "c": [], "t_scaled": [],
-        }, length=first + 1)
+        table = {"merchant": ["A"], "variable": ["Delivery"], "c": [], "t_scaled": [],
+                 "timestamp": None}
+        forge_snapshot(store.path, table, pack(
+            {"timestamp": [1], "merchant": [0], "variable": [0], "kind": b"+"}), length=first + 1)
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
 
-    @pytest.mark.parametrize("column, value", [
-        ("merchant", ["A", " ", "A"]),
-        ("merchant", ["A", "B", 7]),
-        ("variable", [None, "Privacy", "Portal"]),
-        ("timestamp", [True, 2, 3]),
-        ("timestamp", [1, 2, 3.0]),
-        ("kind", "+ax"),
-        ("kind", "+--"),
-        ("c", [1.5]),
-        ("c", [True]),
-        ("t_scaled", [-1]),
-        ("t_scaled", ["2.5"]),
-        ("merchant", ["A", "B"]),
-        ("c", []),
-        ("merchant", {"A": 0, "B": 1, "C": 2}),
+    # the cases of format 1 keep their ids
+    @pytest.mark.parametrize("table, columns", [
+        pytest.param({"merchant": ["A", " "]}, None, id="merchant-value0"),
+        pytest.param({"merchant": ["A", 7]}, None, id="merchant-value1"),
+        pytest.param({"variable": [None, "Privacy", "Portal"]}, None, id="variable-value2"),
+        pytest.param({"timestamp": [True, 2, 3]}, None, id="timestamp-value3"),
+        pytest.param({"timestamp": [1, 2, 3.0]}, None, id="timestamp-value4"),
+        pytest.param(None, {"kind": b"+ax"}, id="kind-+ax"),
+        pytest.param(None, {"kind": b"+--"}, id="kind-+--"),  # one assessment too few
+        pytest.param({"c": [1.5]}, None, id="c-value7"),
+        pytest.param({"c": [True]}, None, id="c-value8"),
+        pytest.param({"t_scaled": [-1]}, None, id="t_scaled-value9"),
+        pytest.param({"t_scaled": ["2.5"]}, None, id="t_scaled-value10"),
+        pytest.param(None, {"merchant": [0, 1]}, id="merchant-value11"),  # a short column
+        pytest.param({"c": []}, None, id="c-value12"),
+        pytest.param({"merchant": {"A": 0, "B": 1}}, None, id="merchant-value13"),
+        pytest.param({"merchant": ["A", ["B"]]}, None, id="merchant-unhashable"),
+        pytest.param({"merchant": ["A", "B", "A"]}, None, id="merchant-twice"),
+        pytest.param(None, {"kind": b"+a\x00"}, id="kind-zero-byte"),
+        pytest.param(None, {"merchant": [0, 2, 0]}, id="merchant-id-out-of-range"),
+        pytest.param(None, {"merchant": [0, 1, 2**32 - 1]}, id="merchant-id-max"),
+        pytest.param(None, {"variable": [0, 1, 3]}, id="variable-id-out-of-range"),
+        pytest.param({"variable": "Delivery"}, None, id="variable-not-a-list"),
+        pytest.param({"c": {"0": 0.5}}, None, id="c-not-a-list"),
+        pytest.param({"timestamp": 7}, None, id="timestamp-not-a-list"),
     ])
     def test_a_record_the_checks_reject_falls_back_to_the_log(self, store, decoded,
-                                                               column, value):
+                                                               table, columns):
         write_lines(store.path, SAMPLE)
-        columns = {
-            "kind": "+a-", "merchant": ["A", "B", "A"], "variable": ["Delivery", "Privacy", "Portal"],
-            "timestamp": [1, 2, 3], "c": [0.5], "t_scaled": [2.5],
-        }
-        forge_snapshot(store.path, {**columns, column: value})
+        forge_snapshot(store.path, *sample_payload(table, columns))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert EvidenceStore(store.path).records() == SAMPLE
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("damage", ["cut", "extra", "short list", "long list", "both",
+                                        "not an object", "no timestamp entry"])
+    def test_a_blob_that_does_not_fit_the_table_falls_back_to_the_log(self, store, decoded,
+                                                                       damage):
+        write_lines(store.path, SAMPLE)
+        table, blob = sample_payload()
+        if damage == "cut":
+            blob = blob[:-1]
+        elif damage == "extra":
+            blob += b"+"
+        elif damage in ("short list", "long list"):
+            table, blob = sample_payload(
+                {"timestamp": [1, 2] if damage == "short list" else [1, 2, 3, 4]})
+        elif damage == "both":  # the timestamps in the table and in the blob
+            table = {**table, "timestamp": [1, 2, 3]}
+        elif damage == "not an object":
+            table = list(table.values())
+        else:
+            del table["timestamp"]
+        forge_snapshot(store.path, table, blob)
+        assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
 
     def test_a_hit_builds_only_the_records_asked_for(self, store, built):
@@ -587,20 +663,18 @@ class TestSnapshot:
         assert reader.load_profile("A").counts["Portal"] == EvidenceCount(0, 1)
         assert built == []
 
-    @pytest.mark.parametrize("column, value", [
-        ("c", [1.5]),
-        ("t_scaled", [float("nan")]),
-        ("merchant", ["A", "", "A"]),
-        ("timestamp", [1, 2.0, 3]),
+    @pytest.mark.parametrize("table, columns", [
+        pytest.param({"c": [1.5]}, None, id="c-value0"),
+        pytest.param({"t_scaled": [float("nan")]}, None, id="t_scaled-value1"),
+        pytest.param({"merchant": ["A", ""]}, None, id="merchant-value2"),
+        pytest.param({"timestamp": [1, 2.0, 3]}, None, id="timestamp-value3"),
+        pytest.param(None, {"variable": [0, 3, 2]}, id="variable-id-out-of-range"),
+        pytest.param(None, {"kind": b"+x-"}, id="kind-x"),
     ])
     def test_a_bad_record_of_another_merchant_ignores_it_whole(self, store, decoded, built,
-                                                               column, value):
+                                                               table, columns):
         write_lines(store.path, SAMPLE)
-        columns = {
-            "kind": "+a-", "merchant": ["A", "B", "A"], "variable": ["Delivery", "Privacy", "Portal"],
-            "timestamp": [1, 2, 3], "c": [0.5], "t_scaled": [2.5],
-        }
-        forge_snapshot(store.path, {**columns, column: value})
+        forge_snapshot(store.path, *sample_payload(table, columns))
         assert EvidenceStore(store.path).records("A") == [SAMPLE[0], SAMPLE[2]]
         assert len(decoded) == 3
         assert built == ["A", "B", "A"]
@@ -612,7 +686,7 @@ class TestSnapshot:
         head, _, payload = snapshot_of(store.path).read_bytes().partition(b"\n")
         header = json.loads(head)
         if damage == "version":
-            header["version"] = 2
+            header["version"] = 3
         elif damage == "length":
             header["length"] -= 1
         elif damage == "digest":
@@ -622,13 +696,35 @@ class TestSnapshot:
             changed = b"[]\n" + payload
         elif damage == "empty":
             changed = b""
-        elif damage == "record":  # a timestamp, still a valid one
-            changed = changed.replace(b",3]", b",4]")
-            assert changed.count(b",4]") == 1
+        elif damage == "record":  # the third timestamp, still a valid one
+            at = changed.index(b"\n", changed.index(b"\n") + 1) + 1 + 16
+            assert changed[at:at + 8] == (3).to_bytes(8, "little")
+            changed = changed[:at] + b"\x04" + changed[at + 1:]
         snapshot_of(store.path).write_bytes(changed)
         decoded.clear()
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
+
+    def test_a_format_1_snapshot_is_replaced(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        assert store.path.read_bytes() == SAMPLE_LOG
+        snapshot_of(store.path).write_bytes(SAMPLE_SNAPSHOT_V1)
+        assert store.records() == SAMPLE
+        assert len(decoded) == 3
+        head = snapshot_of(store.path).read_bytes().partition(b"\n")[0]
+        assert json.loads(head)["version"] == 2
+        decoded.clear()
+        assert EvidenceStore(store.path).records() == SAMPLE
+        assert decoded == []
+
+    def test_the_layout_is_pinned(self, store):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        written = snapshot_of(store.path).read_bytes()
+        assert written.partition(b"\n")[2] == (
+            json.dumps(SAMPLE_TABLE, separators=(",", ":")).encode("ascii") + b"\n"
+            + pack(SAMPLE_COLUMNS))
+        assert hashlib.sha256(written).hexdigest() == SAMPLE_SNAPSHOT_SHA256
 
     @pytest.mark.parametrize("failing", ["replace", "mkstemp"])
     def test_a_failed_write_is_skipped_quietly(self, store, monkeypatch, failing):
@@ -760,7 +856,7 @@ def damage_snapshot(path: Path, mode: str, position: int, earlier: list) -> None
     elif mode == "flip":
         snapshot.write_bytes(data[:at] + bytes([data[at] ^ 0x04]) + data[at + 1:])
     else:
-        # another non-zero digit of the records, so that the file still parses
+        # another non-zero digit after the header, so that the table may still parse
         digits = [i for i, byte in enumerate(data) if byte in b"0123456789" and i > data.find(b"\n")]
         if digits:
             at = digits[position % len(digits)]
@@ -953,3 +1049,85 @@ def test_records_match_a_per_line_json_loads_reader(lines, odd, newline_at_end):
         path = Path(tmp) / "log.jsonl"
         path.write_bytes(b"\n".join(lines) + (b"\n" if newline_at_end and lines else b""))
         assert observe(EvidenceStore(path).records) == observe(reference_records, path)
+
+
+INT64 = (-(2**63), 2**63 - 1)
+snapshot_names = st.text(st.characters(categories=["L", "N", "P", "Zs", "Zl", "Cc", "Cs"]),
+                         min_size=1, max_size=4).filter(str.strip)
+
+
+def snapshot_records(stamps):
+    return st.lists(st.one_of(
+        st.builds(EvidenceRecord, snapshot_names, snapshot_names,
+                  st.sampled_from(("positive", "negative")), stamps),
+        st.builds(DirectAssessment, snapshot_names, snapshot_names,
+                  st.sampled_from((0, 1, -0.0)) | st.floats(0.0, 1.0),
+                  st.sampled_from((0, 7, -0.0, float("inf"))) | st.floats(min_value=0.0),
+                  stamps),
+    ), min_size=1, max_size=12)
+
+
+def no_decoding():
+    """A context in which the store fails if it decodes a log line."""
+    return mock.patch.object(store_module, "decode_line", side_effect=AssertionError("decoded"))
+
+
+def typed(records: list) -> list:
+    """The records with the type of every field, which tells 1 from 1.0."""
+    return [(r, [type(getattr(r, f.name)) for f in fields(r)]) for r in records]
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
+    """Names with any characters, lone surrogates included; timestamps that
+    fit int64 (kept as binary) or not (kept in the table); int ``c``,
+    ``-0.0`` and ``inf``: a hit, a miss and a plain reader agree exactly."""
+    records = data.draw(snapshot_records(st.integers(*INT64)))
+    if wide:
+        records += data.draw(snapshot_records(
+            st.integers(max_value=INT64[0] - 1) | st.integers(min_value=INT64[1] + 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        write_lines(path, records)
+        miss = EvidenceStore(path).records()
+        table = json.loads(snapshot_of(path).read_bytes().split(b"\n")[1])
+        assert (table["timestamp"] is None) is not wide
+        with no_decoding():
+            hit = EvidenceStore(path).records()
+        expected = reference_records(path)
+        assert typed(hit) == typed(miss) == typed(expected)
+        assert repr(hit) == repr(miss) == repr(expected)  # tells -0.0 from 0.0
+        reader = EvidenceStore(path)
+        for merchant in {r.merchant for r in records}:
+            mine = [r for r in expected if r.merchant == merchant]
+            with no_decoding():
+                assert repr(typed(reader.records(merchant))) == repr(typed(mine))
+
+
+def profiles(path: Path) -> list:
+    """Every merchant's profile from a new store object."""
+    store = EvidenceStore(path)
+    return [store.load_profile(merchant) for merchant in MERCHANTS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(records_st, max_size=15), st.data())
+def test_permuting_evidence_lines_leaves_profiles_unchanged(records, data):
+    """Evidence lines in any order, with the assessment lines in theirs,
+    give the same profiles, read from the log and from its snapshot."""
+    order = data.draw(st.permutations(range(len(records))))
+    assessments = iter([r for r in records if isinstance(r, DirectAssessment)])
+    permuted = [next(assessments) if isinstance(records[i], DirectAssessment) else records[i]
+                for i in order]
+    seen = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in (("log.jsonl", records), ("permuted.jsonl", permuted)):
+            path = Path(tmp) / name
+            write_lines(path, lines)
+            seen.append(profiles(path))  # a miss, which writes the snapshot
+            assert snapshot_of(path).exists() == bool(lines)
+            with no_decoding():
+                seen.append(profiles(path))  # a hit
+    assert seen[1:] == seen[:1] * 3
