@@ -456,14 +456,13 @@ SAMPLE = [
     DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
     EvidenceRecord("A", "Portal", "negative", 3),
 ]
-#: the snapshot of SAMPLE: its table, with the timestamps in the columns
-#: or in the table, and its columns
+#: SAMPLE's snapshot in format 2: its table line and its columns
 SAMPLE_TABLE = {"merchant": ["A", "B"], "variable": ["Delivery", "Privacy", "Portal"],
                 "c": [0.5], "t_scaled": [2.5], "timestamp": None}
 SAMPLE_COLUMNS = {"timestamp": [1, 2, 3], "merchant": [0, 1, 0], "variable": [0, 1, 2],
                   "kind": b"+a-"}
-#: SAMPLE's log as ``write_lines`` writes it, and the snapshot of format 1
-#: that the previous release wrote for it
+#: SAMPLE's log as ``write_lines`` writes it, and the snapshot that format 1
+#: (JSON columns under a blake2b digest) wrote for it
 SAMPLE_LOG = (
     b'{"kind": "evidence", "merchant": "A", "variable": "Delivery", "outcome": "positive",'
     b' "timestamp": 1}\n'
