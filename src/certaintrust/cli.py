@@ -11,6 +11,7 @@ Payloads go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -153,6 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def _open_store(args: argparse.Namespace, permissive: bool = False) -> EvidenceStore | None:
     path = args.store or os.environ.get(STORE_ENV_VAR)
     if not path:
@@ -176,8 +183,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     records = []
     if args.from_file is not None:
-        if args.merchant or args.variable:
-            print("error: --from-file cannot be combined with --merchant/--variable",
+        flags = ("merchant", "variable", "positive", "negative", "assessment", "timestamp")
+        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if given:
+            print(f"error: --from-file cannot be combined with {', '.join(given)}",
                   file=sys.stderr)
             return EXIT_USAGE
         try:
@@ -252,6 +261,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     merchants = args.merchant
     if len(merchants) < 2:
         print("error: compare needs at least two --merchant arguments", file=sys.stderr)
+        return EXIT_USAGE
+    repeated = next((m for i, m in enumerate(merchants) if m in merchants[:i]), None)
+    if repeated is not None:
+        print(f"error: merchant {repeated!r} is given more than once", file=sys.stderr)
         return EXIT_USAGE
     store = _open_store(args)
     if store is None:
@@ -357,9 +370,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from certaintrust import EvidenceCount, PipelineConfig, evaluate_merchant
+from certaintrust import cli as cli_module
 from certaintrust import store as store_module
-from certaintrust.cli import main
+from certaintrust.cli import build_parser, main
 from certaintrust.store import DirectAssessment, EvidenceStore
 
 import goldens
@@ -197,6 +201,26 @@ class TestIngest:
         code = main(["ingest", "--store", store_path, "--merchant", "A",
                      "--from-file", str(src)])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--positive", "9"],
+        ["--negative", "1"],
+        ["--assessment", "0.5,3"],
+        ["--timestamp", "77"],
+        ["--variable", "Delivery"],
+        ["--positive", "9", "--timestamp", "77"],
+    ], ids=" ".join)
+    def test_from_file_with_record_flags_is_usage_error(self, seeded, tmp_path, capsys, flags):
+        src = tmp_path / "batch.jsonl"
+        src.write_text(json.dumps({"kind": "evidence", "merchant": "A", "variable": "Delivery",
+                                   "outcome": "positive", "timestamp": 5}), encoding="utf-8")
+        before = Path(seeded).read_bytes()
+        code = main(["ingest", "--store", seeded, "--from-file", str(src), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        for flag in flags[::2]:
+            assert flag in err
+        assert Path(seeded).read_bytes() == before
 
     def test_missing_action_is_usage_error(self, store_path):
         code = main(["ingest", "--store", store_path, "--merchant", "A",
@@ -424,6 +448,14 @@ class TestCompare:
     def test_single_merchant_is_usage_error(self, seeded):
         assert main(["compare", "--store", seeded, "--merchant", "A"]) == 2
 
+    def test_repeated_merchant_is_usage_error(self, seeded, capsys):
+        code = main(["compare", "--store", seeded, "--merchant", "A",
+                     "--merchant", "B", "--merchant", "A"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "'A'" in captured.err
+        assert captured.out == ""
+
     def test_identical_data_ties_break_lexicographically(self, store_path, capsys):
         seed_merchant(store_path, "zeta", goldens.MERCHANT_A)
         seed_merchant(store_path, "alpha", goldens.MERCHANT_A)
@@ -626,3 +658,99 @@ class TestUsage:
         main(["surface", "--module", "Existence", "--x", "Portal",
               "--y", "People Existence", "--out", str(tmp_path / "s.csv")])
         assert Path(seeded).read_bytes() == before
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the parser ``main`` keeps, so the next call builds a new one."""
+    cli_module._parser.cache_clear()
+    yield
+    cli_module._parser.cache_clear()
+
+
+def captured_main(capsys, argv) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser, built on the first call."""
+
+    def test_parser_built_once_across_calls(self, seeded, fresh_parser, monkeypatch, capsys):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting_build_parser)
+        assert main(["evaluate", "--store", seeded, "--merchant", "A"]) == 0
+        assert main(["compare", "--store", seeded, "--merchant", "A", "--merchant", "B"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert main(["--help"]) == 0
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_module_trust_does_not_leak_into_the_next_call(self, seeded, fresh_parser, capsys):
+        plain = ["evaluate", "--store", seeded, "--merchant", "A", "--format", "json"]
+        expected = captured_main(capsys, plain)
+        cli_module._parser.cache_clear()
+        assert captured_main(capsys, [*plain, "--module-trust", "Affiliation=39"])[0] == 0
+        assert captured_main(capsys, plain) == expected
+
+    def test_compare_merchants_do_not_accumulate(self, seeded, fresh_parser, capsys):
+        argv = ["compare", "--store", seeded, "--merchant", "A", "--merchant", "B",
+                "--format", "json"]
+        first = captured_main(capsys, argv)
+        assert first[0] == 0
+        assert len(json.loads(first[1])) == 2
+        assert captured_main(capsys, argv) == first
+
+    def test_usage_error_then_valid_call(self, seeded, fresh_parser, capsys):
+        assert main(["evaluate", "--store", seeded]) == 2
+        assert main(["evaluate", "--store", seeded, "--merchant", "A", "--format", "xml"]) == 2
+        assert main(["evaluate", "--store", seeded, "--merchant", "A"]) == 0
+        assert "Merchant: A" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["evaluate", "--help"]], ids=" ".join)
+    def test_help_text_is_the_same_on_every_call(self, fresh_parser, capsys, argv):
+        first = captured_main(capsys, argv)
+        assert first[0] == 0
+        assert first[1].startswith("usage: certaintrust")
+        assert captured_main(capsys, argv) == first
+        assert captured_main(capsys, argv) == first
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new Python process on this checkout's source."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestFreshProcess:
+    """One process per CLI call, as a shell or a cron job would run it."""
+
+    def test_help_exits_zero(self):
+        result = run_python("-m", "certaintrust", "--help")
+        assert result.returncode == 0
+        assert result.stdout.startswith(b"usage: certaintrust")
+
+    def test_evaluate_json_matches_in_process_main(self, seeded, capsys):
+        argv = ["evaluate", "--store", seeded, "--merchant", "A", "--format", "json"]
+        result = run_python("-m", "certaintrust", *argv)
+        assert result.returncode == 0, result.stderr
+        assert main(argv) == 0
+        assert result.stdout == capsys.readouterr().out.encode("utf-8")
+
+    def test_import_builds_no_parser(self):
+        result = run_python("-c", "import certaintrust.cli as cli; "
+                                  "print(cli._parser.cache_info().currsize)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == b"0\n"
