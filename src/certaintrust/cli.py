@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Sequence
 
-from .errors import StorageFailure, TrustError, UnknownVariable
+from .errors import EvidenceExceedsCap, StorageFailure, TrustError, UnknownVariable
 from .fuzzy import (
     dump_rulebase,
     generate_rulebase,
@@ -60,7 +60,7 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _assessment(text: str) -> tuple[float, float]:
+def _c_t_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'c,t_scaled', got {text!r}")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variable", help="pipeline variable name")
     p.add_argument("--positive", type=_nonneg_int, default=None, metavar="N")
     p.add_argument("--negative", type=_nonneg_int, default=None, metavar="N")
-    p.add_argument("--assessment", type=_assessment, default=None, metavar="C,T")
+    p.add_argument("--assessment", type=_c_t_pair, default=None, metavar="C,T")
     p.add_argument("--from-file", default=None, metavar="PATH",
                    help="append records from a JSON-lines file")
     p.add_argument("--timestamp", type=int, default=None,
@@ -209,6 +209,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print("error: nothing to ingest (use --positive/--negative/--assessment)",
                   file=sys.stderr)
             return EXIT_USAGE
+        evidence = (args.positive or 0) + (args.negative or 0)
+        if evidence > cfg.params.N:
+            raise EvidenceExceedsCap(f"merchant {args.merchant!r}, variable {args.variable}: "
+                                     f"r+s = {evidence} exceeds evidence cap N = {cfg.params.N}")
         for _ in range(args.positive or 0):
             records.append(EvidenceRecord(args.merchant, args.variable, POSITIVE, now))
         for _ in range(args.negative or 0):

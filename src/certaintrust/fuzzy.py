@@ -83,6 +83,9 @@ class LinguisticVariable:
         return (self.lo + self.hi) / 2.0
 
     def clamp(self, x: float) -> float:
+        """``x`` moved into the domain; NaN raises :class:`InvalidDomain`."""
+        if x != x:
+            raise InvalidDomain(f"{self.name}: input is NaN")
         return min(max(x, self.lo), self.hi)
 
 
@@ -142,41 +145,27 @@ class RuleBase:
                 raise ValueError(f"rule {i + 1}: duplicate antecedent {rule.antecedent}")
             seen.add(rule.antecedent)
 
-    # The rule table as read-only arrays, built on first use.  Cached
-    # properties sit outside the dataclass fields: equality and hash ignore them.
-    @cached_property
-    def antecedent_index(self) -> np.ndarray:
-        """Term index of every rule on every input, shape ``(R, n)``."""
-        index = np.array([r.antecedent for r in self.rules], dtype=np.intp)
-        index = index.reshape(len(self.rules), len(self.inputs))
-        index.setflags(write=False)
-        return index
-
-    @cached_property
-    def consequent_mask(self) -> np.ndarray:
-        """``mask[k, j]`` is true when rule ``j`` concludes term ``k``; shape ``(5, R)``."""
-        consequents = np.array([r.consequent for r in self.rules], dtype=np.intp)
-        mask = consequents == np.arange(TERM_COUNT)[:, None]
-        mask.setflags(write=False)
-        return mask
-
+    # Built on first use.  A cached property sits outside the dataclass
+    # fields: equality and hash ignore it.
     @cached_property
     def kernel(self) -> _Kernel:
         """The tables :func:`infer` evaluates this rulebase from."""
         n = len(self.inputs)
         inputs = tuple(
-            (float(v.lo), float(v.hi),
+            (v.name, float(v.lo), float(v.hi),
              tuple((float(mf.center), float(2.0 * mf.sigma * mf.sigma)) for _, mf in v.terms))
             for v in self.inputs
         )
-        # rules grouped by consequent, each group opened by a sentinel column
-        # that reads the trailing 0.0 of the degree vector, so every term has
-        # a strength, 0 when it concludes no rule
-        counts = self.consequent_mask.sum(axis=1)
+        # rules grouped by consequent, in rule order within a group (the sort
+        # is stable), each group opened by a sentinel column that reads the
+        # trailing 0.0 of the degree vector, so every term has a strength, 0
+        # when it concludes no rule
+        rules = sorted(self.rules, key=lambda r: r.consequent)
+        counts = np.bincount([r.consequent for r in rules], minlength=TERM_COUNT)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat = self.antecedent_index + TERM_COUNT * np.arange(n)
-        grouped = flat[np.nonzero(self.consequent_mask)[1]]
-        index = np.ascontiguousarray(np.insert(grouped, offsets, n * TERM_COUNT, axis=0).T)
+        flat = np.array([r.antecedent for r in rules], dtype=np.intp).reshape(len(rules), n)
+        flat += TERM_COUNT * np.arange(n)
+        index = np.ascontiguousarray(np.insert(flat, offsets, n * TERM_COUNT, axis=0).T)
         starts = offsets + np.arange(TERM_COUNT)
 
         grid = np.linspace(self.output.lo, self.output.hi, CENTROID_SAMPLES)
@@ -192,8 +181,8 @@ class RuleBase:
 class _Kernel:
     """A rulebase's rule table laid out for single-point Mamdani inference."""
 
-    #: per input: ``lo``, ``hi`` and five ``(center, 2 sigma^2)`` pairs
-    inputs: tuple[tuple[float, float, tuple[tuple[float, float], ...]], ...]
+    #: per input: its name, ``lo``, ``hi`` and five ``(center, 2 sigma^2)`` pairs
+    inputs: tuple[tuple[str, float, float, tuple[tuple[float, float], ...]], ...]
     #: ``(n, R + 5)`` positions in the :meth:`degrees` vector, rules grouped by consequent
     index: np.ndarray
     #: first column of each consequent group, for ``np.maximum.reduceat``
@@ -206,9 +195,12 @@ class _Kernel:
         """Every input's five degrees, as :func:`fuzzify` computes them, then 0.0."""
         exp = math.exp
         out = []
-        for (lo, hi, terms), x in zip(self.inputs, xs):
+        for (name, lo, hi, terms), x in zip(self.inputs, xs):
             # the clamp of LinguisticVariable.clamp, without two builtin calls
-            x = lo if x < lo else hi if x > hi else x
+            if not lo <= x <= hi:
+                if x != x:
+                    raise InvalidDomain(f"{name}: input is NaN")
+                x = lo if x < lo else hi
             for center, two_var in terms:
                 d = x - center
                 out.append(exp(-(d * d) / two_var))

@@ -32,11 +32,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import stat
 import tempfile
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,23 @@ def _check_common(merchant: str, variable: str, timestamp: int) -> None:
         raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
 
 
-@dataclass(frozen=True, slots=True)
+def _check_number(name: str, value: float, upper: float, bounds: str) -> None:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, not bool, got {value!r}")
+    try:
+        valid = 0.0 <= value <= upper
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not valid:
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+# Each record class writes its slots itself.  Plain values (exact str and
+# int, int or float numbers) pass one inline test; any other values get the
+# checks above, which accept or reject them and say why.  Log lines,
+# snapshot records and callers all build records through these
+# constructors, so a snapshot admits no record that a log line would not.
+@dataclass(frozen=True, slots=True, init=False)
 class EvidenceRecord:
     """One positive or negative observation for (merchant, variable)."""
 
@@ -75,13 +92,21 @@ class EvidenceRecord:
     outcome: str
     timestamp: int
 
-    def __post_init__(self) -> None:
-        _check_common(self.merchant, self.variable, self.timestamp)
-        if self.outcome not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"outcome must be 'positive' or 'negative', got {self.outcome!r}")
+    def __init__(self, merchant: str, variable: str, outcome: str, timestamp: int) -> None:
+        if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
+                and merchant.strip() and variable.strip()
+                and (outcome == POSITIVE or outcome == NEGATIVE)):
+            _check_common(merchant, variable, timestamp)
+            if outcome not in (POSITIVE, NEGATIVE):
+                raise ValueError(f"outcome must be 'positive' or 'negative', got {outcome!r}")
+        set_merchant, set_variable, set_outcome, set_timestamp = self._setters
+        set_merchant(self, merchant)
+        set_variable(self, variable)
+        set_outcome(self, outcome)
+        set_timestamp(self, timestamp)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DirectAssessment:
     """A directly supplied (certainty, scaled rating) pair."""
 
@@ -91,15 +116,28 @@ class DirectAssessment:
     t_scaled: float
     timestamp: int
 
-    def __post_init__(self) -> None:
-        _check_common(self.merchant, self.variable, self.timestamp)
-        if isinstance(self.c, bool) or isinstance(self.t_scaled, bool):
-            raise ValueError(f"c and t_scaled must be numbers, not bool, got "
-                             f"{self.c!r}, {self.t_scaled!r}")
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c must be in [0, 1], got {self.c!r}")
-        if not self.t_scaled >= 0.0:
-            raise ValueError(f"t_scaled must be non-negative, got {self.t_scaled!r}")
+    def __init__(self, merchant: str, variable: str, c: float, t_scaled: float,
+                 timestamp: int) -> None:
+        if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
+                and merchant.strip() and variable.strip()
+                and (type(c) is float or type(c) is int) and 0.0 <= c <= 1.0
+                and (type(t_scaled) is float or type(t_scaled) is int) and t_scaled >= 0.0):
+            _check_common(merchant, variable, timestamp)
+            _check_number("c", c, 1.0, "in [0, 1]")
+            _check_number("t_scaled", t_scaled, math.inf, "non-negative")
+        set_merchant, set_variable, set_c, set_t_scaled, set_timestamp = self._setters
+        set_merchant(self, merchant)
+        set_variable(self, variable)
+        set_c(self, c)
+        set_t_scaled(self, t_scaled)
+        set_timestamp(self, timestamp)
+
+
+# each class's slot setters in field order: a constructor that writes
+# through them costs about a quarter less than one using object.__setattr__
+for _record_type in (EvidenceRecord, DirectAssessment):
+    _record_type._setters = tuple(getattr(_record_type, name).__set__
+                                  for name in _record_type.__slots__)
 
 
 Record = EvidenceRecord | DirectAssessment
@@ -154,56 +192,14 @@ def decode_line(line: str):
     return json.loads(line)
 
 
-# A log line or snapshot record with plain values (exact str and int,
-# int or float numbers) passes one inline test and is filled in through
-# its slots' setters, which costs about half of running the frozen
-# dataclass constructor; any other values go through the constructor,
-# which accepts or rejects them and says why.  A snapshot admits no
-# record that a log line would not.
-_new = object.__new__
-_NUMBER = (float, int)
-_EVIDENCE_SLOTS = tuple(getattr(EvidenceRecord, f.name).__set__ for f in fields(EvidenceRecord))
-_ASSESSMENT_SLOTS = tuple(
-    getattr(DirectAssessment, f.name).__set__ for f in fields(DirectAssessment))
-
-
-def _evidence(merchant, variable, outcome, timestamp) -> EvidenceRecord:
-    if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
-            and merchant.strip() and variable.strip()
-            and (outcome == POSITIVE or outcome == NEGATIVE)):
-        return EvidenceRecord(merchant, variable, outcome, timestamp)
-    record = _new(EvidenceRecord)
-    set_merchant, set_variable, set_outcome, set_timestamp = _EVIDENCE_SLOTS
-    set_merchant(record, merchant)
-    set_variable(record, variable)
-    set_outcome(record, outcome)
-    set_timestamp(record, timestamp)
-    return record
-
-
-def _assessment(merchant, variable, c, t_scaled, timestamp) -> DirectAssessment:
-    if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
-            and merchant.strip() and variable.strip()
-            and type(c) in _NUMBER and type(t_scaled) in _NUMBER
-            and 0.0 <= c <= 1.0 and t_scaled >= 0.0):
-        return DirectAssessment(merchant, variable, c, t_scaled, timestamp)
-    record = _new(DirectAssessment)
-    set_merchant, set_variable, set_c, set_t_scaled, set_timestamp = _ASSESSMENT_SLOTS
-    set_merchant(record, merchant)
-    set_variable(record, variable)
-    set_c(record, c)
-    set_t_scaled(record, t_scaled)
-    set_timestamp(record, timestamp)
-    return record
-
-
 def record_from_dict(data: dict) -> Record:
     try:
         kind = data["kind"]
         if kind == EVIDENCE_KIND:
-            return _evidence(data["merchant"], data["variable"], data["outcome"], data["timestamp"])
+            return EvidenceRecord(data["merchant"], data["variable"], data["outcome"],
+                                  data["timestamp"])
         if kind == ASSESSMENT_KIND:
-            return _assessment(
+            return DirectAssessment(
                 data["merchant"], data["variable"], data["c"], data["t_scaled"], data["timestamp"]
             )
     except (KeyError, TypeError, ValueError) as exc:
@@ -251,8 +247,8 @@ def _snapshot_columns(payload: bytes) -> tuple:
     among the assessments, merchant names, variable names, ``c``,
     ``t_scaled`` and the id of each merchant name.  A blob whose length
     does not fit the table, an id outside its table, a duplicate merchant
-    name, or any record that ``_evidence`` or ``_assessment`` would reject
-    raise ValueError or TypeError, so a snapshot is taken or ignored whole
+    name, or any record that the record constructors would reject raise
+    ValueError or TypeError, so a snapshot is taken or ignored whole
     without building its records."""
     line, _, blob = payload.partition(b"\n")
     table = json.loads(line)
@@ -286,7 +282,7 @@ def _snapshot_columns(payload: bytes) -> tuple:
 
 def _column_records(columns: tuple, merchant: str | None = None) -> list[Record]:
     """The records of checked snapshot columns, all of them or one
-    merchant's, in order, built by the same helpers as log lines."""
+    merchant's, in order, built by the same constructors as log lines."""
     kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index = columns
     if merchant is None:
         rows = slice(None)
@@ -298,9 +294,9 @@ def _column_records(columns: tuple, merchant: str | None = None) -> list[Record]
     for kind, m, v, t, a in zip(kinds[rows].tolist(), mids[rows].tolist(), vids[rows].tolist(),
                                 stamps[rows].tolist(), assessed[rows].tolist()):
         if kind == _ASSESSED:
-            out.append(_assessment(names[m], variables[v], cs[a], ts[a], t))
+            out.append(DirectAssessment(names[m], variables[v], cs[a], ts[a], t))
         else:
-            out.append(_evidence(names[m], variables[v], _OUTCOMES[kind], t))
+            out.append(EvidenceRecord(names[m], variables[v], _OUTCOMES[kind], t))
     return out
 
 

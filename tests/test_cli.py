@@ -145,6 +145,19 @@ class TestIngest:
         assert f"{src}:2:" in err and "not bool" in err
         assert Path(seeded).read_bytes() == before
 
+    def test_flags_over_the_evidence_cap_reject_batch(self, seeded, tmp_path, capsys):
+        before = Path(seeded).read_bytes()
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({"N": 7}), encoding="utf-8")
+        flags = ["ingest", "--store", seeded, "--config", str(narrow),
+                 "--merchant", "A", "--variable", "Delivery", "--positive", "5"]
+        assert main([*flags, "--negative", "3"]) == 1
+        err = capsys.readouterr().err
+        assert ("EvidenceExceedsCap: merchant 'A', variable Delivery: "
+                "r+s = 8 exceeds evidence cap N = 7") in err
+        assert Path(seeded).read_bytes() == before
+        assert main([*flags, "--negative", "2"]) == 0
+
     def test_assessment_over_scale_rejects_batch(self, seeded, tmp_path, capsys):
         before = Path(seeded).read_bytes()
         code = main(["ingest", "--store", seeded, "--merchant", "A", "--variable", "Delivery",

@@ -4,6 +4,7 @@ snapshot of that prefix."""
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -12,6 +13,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +67,8 @@ class TestRecords:
             DirectAssessment("A", "Delivery", True, 3.0, 0)
         with pytest.raises(ValueError, match="not bool"):
             DirectAssessment("A", "Delivery", 0.5, False, 0)
+        record = DirectAssessment("A", "Delivery", np.float64(0.5), np.float32(3.0), 0)
+        assert (record.c, record.t_scaled) == (0.5, 3.0)
 
     def test_timestamp_must_be_integer(self):
         with pytest.raises(ValueError):
@@ -95,12 +99,20 @@ class TestRecords:
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", -1),
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", None),
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "merchant", ""),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", None),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", [0.5]),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", True),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", "x"),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", [3.0]),
     ])
     def test_dict_with_a_bad_value_rejected(self, record, field, value):
         data = record_to_dict(record)
         data[field] = value
         with pytest.raises(ValueError, match="malformed record"):
             record_from_dict(data)
+        with pytest.raises(ValueError, match=f"^{field} ") as info:
+            replace(record, **{field: value})
+        assert repr(value) in str(info.value)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -403,18 +415,17 @@ def decoded(monkeypatch):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The merchant of every record built through ``_evidence`` or
-    ``_assessment``, in order."""
+    """The merchant of every record whose constructor runs, in order."""
     merchants = []
 
-    def counting(helper):
-        def build(merchant, *rest):
+    def counting(init):
+        def build(self, merchant, *rest, **keywords):
             merchants.append(merchant)
-            return helper(merchant, *rest)
+            init(self, merchant, *rest, **keywords)
         return build
 
-    for name in ("_evidence", "_assessment"):
-        monkeypatch.setattr(store_module, name, counting(getattr(store_module, name)))
+    for cls in (EvidenceRecord, DirectAssessment):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     return merchants
 
 
@@ -1103,6 +1114,48 @@ def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
             mine = [r for r in expected if r.merchant == merchant]
             with no_decoding():
                 assert repr(typed(reader.records(merchant))) == repr(typed(mine))
+
+
+checked_names = st.sampled_from(("", " ", "\u3000", "\x85\u2028", None, 7)) | snapshot_names
+checked_numbers = st.sampled_from(
+    (True, False, math.nan, math.inf, -math.inf, -0.0, None, "0.5", [0.5])
+) | st.integers(-2, 2) | st.sampled_from((10**30, -(10**30))) | st.floats(-2.0, 7.0)
+checked_stamps = (st.integers(*INT64) | st.integers(max_value=INT64[0] - 1)
+                  | st.integers(min_value=INT64[1] + 1) | st.sampled_from((True, 1.5, None)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(checked_names, checked_names, checked_numbers, checked_numbers, checked_stamps,
+       st.booleans())
+def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
+        merchant, variable, c, t_scaled, timestamp, assessed):
+    """A one-record snapshot with a valid digest is taken when the record
+    constructor accepts its values, and otherwise ignored for the log."""
+    try:
+        if assessed:
+            record = DirectAssessment(merchant, variable, c, t_scaled, timestamp)
+        else:
+            record = EvidenceRecord(merchant, variable, "positive", timestamp)
+    except ValueError:
+        record = None
+    binary = type(timestamp) is int and INT64[0] <= timestamp <= INT64[1]
+    table = {"merchant": [merchant], "variable": [variable],
+             "c": [c] if assessed else [], "t_scaled": [t_scaled] if assessed else [],
+             "timestamp": None if binary else [timestamp]}
+    columns = {"timestamp": [timestamp] if binary else None, "merchant": [0], "variable": [0],
+               "kind": b"a" if assessed else b"+"}
+    logged = EvidenceRecord("log", "Delivery", "negative", 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        write_lines(path, [logged])
+        forge_snapshot(path, table, pack(columns))
+        with mock.patch.object(store_module, "decode_line",
+                               wraps=store_module.decode_line) as decode:
+            got = EvidenceStore(path).records()
+    if record is None:
+        assert (got, decode.call_count) == ([logged], 1)
+    else:
+        assert (repr(got), decode.call_count) == (repr([record]), 0)
 
 
 def profiles(path: Path) -> list:
