@@ -10,7 +10,10 @@ One UTF-8 JSON object per line, discriminated by ``kind``:
 The log is never rewritten.  Appends are serialized through one writer;
 readers always see a consistent prefix.  A torn final line (interrupted
 write) is skipped with a warning; corruption anywhere else raises
-:class:`StorageFailure`.
+:class:`StorageFailure`, and so does an append to a log whose last line
+is unterminated.  A store object keeps the prefix it validated and, on
+the next read, compares it with the file one chunk at a time, in place,
+before it reads the bytes after it.
 
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
 prefix of it, so that a new store object parses only the lines after
@@ -56,6 +59,9 @@ STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
 SNAPSHOT_VERSION = 2
+
+#: bytes of the kept prefix compared against the file per read call
+_CHUNK = 1 << 16
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> None:
@@ -327,8 +333,11 @@ class EvidenceStore:
         """Durably append a batch; returns it with the variables canonicalized.
 
         Every variable is checked before anything is written, so a rejected
-        batch leaves the file as it was.  The batch is written with one
-        write and one fsync; an empty batch writes nothing.
+        batch leaves the file as it was.  A file whose last line has no
+        ``"\\n"`` (a torn write) is refused with :class:`StorageFailure`
+        and left as it was, as the batch's first line would join it.  The
+        batch is written with one write and one fsync; an empty batch
+        writes nothing.
         """
         records = tuple(replace(r, variable=self.normalize(r.variable)) for r in records)
         if not records:
@@ -339,8 +348,13 @@ class EvidenceStore:
         )
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(text)
+            with self.path.open("a+b") as fh:
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        raise StorageFailure(f"cannot append to {self.path}: its last line is "
+                                             "unterminated; end or remove that line first")
+                fh.write(text.encode("utf-8"))
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError as exc:
@@ -358,9 +372,11 @@ class EvidenceStore:
 
         The store keeps the newline-terminated prefix it last validated,
         with that prefix's records: when the file still starts with exactly
-        those bytes, only the bytes after them are parsed.  A torn or
+        those bytes, compared chunk by chunk without a copy of the file,
+        only the bytes after them are read and parsed.  A torn or
         unterminated final line is never kept, so it is checked again on
-        every read.  A store object without a kept prefix takes it from the
+        every read.  A missing log reads as empty and drops what was kept.
+        A store object without a kept prefix takes it from the
         snapshot file when the snapshot's length fits, its digest matches
         the file's first bytes and its columns pass the record checks;
         otherwise the snapshot is ignored.  The records of a snapshot are
@@ -369,19 +385,20 @@ class EvidenceStore:
         records from the log than the snapshot holds, the kept prefix is
         written as the new snapshot.
         """
-        if not self.path.exists():
-            return []
         try:
-            data = self.path.read_bytes()
+            with self.path.open("rb") as fh:
+                warm = self._read_past_prefix(fh)
+                data = fh.read()  # the file after the kept prefix, or all of it
+        except (FileNotFoundError, NotADirectoryError):
+            warm, data = False, b""  # a missing log reads as empty
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
-        if not data.startswith(self._prefix):
+        start = 0  # data[:start] is covered by the snapshot
+        if not warm:
             self._prefix, self._columns, self._prefix_records = b"", None, ()
-        if not self._prefix:
-            length, self._columns = self._load_snapshot(data)
-            self._prefix = data[:length]
+            start, self._columns = self._load_snapshot(data)
             self._snapshot_records = len(self._columns[0]) if self._columns else 0
-        tail = data[len(self._prefix):]
+        tail = data[start:]
         try:
             lines: list[str | None] = tail.decode("utf-8").split("\n")
         except UnicodeDecodeError:
@@ -414,18 +431,20 @@ class EvidenceStore:
                     )
                     keep, kept_records = i, len(out)
                     break
-                number = self._prefix.count(b"\n") + i + 1
+                number = self._prefix.count(b"\n") + data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
             try:
                 out.append(record_from_dict(fields))
             except (ValueError, RecursionError) as exc:
-                number = self._prefix.count(b"\n") + i + 1
+                number = self._prefix.count(b"\n") + data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
         # the kept prefix ends where line ``keep`` of the tail starts
         end = len(tail)
         for _ in range(len(lines) - keep):
             end = tail.rfind(b"\n", 0, end)
-        self._prefix = data[: len(self._prefix) + end + 1]
+        # slicing all of data or adding it to an empty prefix copies nothing,
+        # so only a torn last line or a re-read's new lines cost a copy here
+        self._prefix += data[: start + end + 1]
         self._prefix_records += tuple(out[:kept_records])
         held = len(self._prefix_records) + (len(self._columns[0]) if self._columns else 0)
         if held > 2 * self._snapshot_records:
@@ -437,6 +456,18 @@ class EvidenceStore:
         picked += [r for r in self._prefix_records if r.merchant == merchant]
         picked += [r for r in out[kept_records:] if r.merchant == merchant]
         return picked
+
+    def _read_past_prefix(self, fh) -> bool:
+        """Whether ``fh`` starts with the kept prefix, compared one chunk at
+        a time; then ``fh`` is past it, else back at its start."""
+        prefix = self._prefix
+        for at in range(0, len(prefix), _CHUNK):
+            size = min(_CHUNK, len(prefix) - at)
+            piece = fh.read(size)
+            if len(piece) < size or not prefix.startswith(piece, at):
+                fh.seek(0)
+                return False
+        return bool(prefix)
 
     def _built_prefix(self) -> tuple[Record, ...]:
         """The kept prefix's records, building those of the snapshot columns

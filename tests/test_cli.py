@@ -265,6 +265,28 @@ class TestIngest:
         assert code == 3
         assert "StorageFailure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flags", "from_file"])
+    def test_unterminated_last_line_refuses_the_batch(self, seeded, tmp_path, capsys,
+                                                      from_file):
+        with open(seeded, "ab") as fh:
+            fh.write(b'{"kind": "evid')
+        before = Path(seeded).read_bytes()
+        if from_file:
+            src = tmp_path / "batch.jsonl"
+            src.write_text(json.dumps({"kind": "evidence", "merchant": "A",
+                                       "variable": "Delivery", "outcome": "positive",
+                                       "timestamp": 5}) + "\n", encoding="utf-8")
+            batch = ["--from-file", str(src)]
+        else:
+            batch = ["--merchant", "A", "--variable", "Delivery", "--positive", "1"]
+        assert main(["ingest", "--store", seeded, *batch]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"StorageFailure: cannot append to {seeded}: its last line is unterminated" in err
+        assert Path(seeded).read_bytes() == before
+        with pytest.warns(RuntimeWarning, match="torn final line"):
+            assert main(["evaluate", "--store", seeded, "--merchant", "A"]) == 0
+
 
 class TestEvaluate:
     def test_human_output(self, seeded, capsys):

@@ -6,8 +6,11 @@ import hashlib
 import json
 import math
 import os
+import random
 import struct
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -250,10 +253,24 @@ class TestTornAndCorruptLines:
             fh.write(b'{"kind": "evid')
         with pytest.warns(RuntimeWarning):
             store.records()
-        add_evidence(store, "A", "Delivery", positive=1)
-        add_evidence(store, "A", "Delivery", positive=1)
+        write_lines(store.path, [EvidenceRecord("A", "Delivery", "positive", 0)] * 2)
         with pytest.raises(StorageFailure, match="line 2"):
             store.records()
+
+    @pytest.mark.parametrize("last", [
+        b'{"kind": "evid',
+        b'{"kind": "evidence", "merchant": "A", "variable": "Delivery", "outcome": "positive",'
+        b' "timestamp": 0}',
+    ], ids=["torn", "whole"])
+    def test_append_after_an_unterminated_last_line_is_refused(self, store, last):
+        add_evidence(store, "A", "Delivery", positive=1)
+        with store.path.open("ab") as fh:
+            fh.write(last)
+        before = store.path.read_bytes()
+        with pytest.raises(StorageFailure, match="last line is unterminated") as info:
+            store.append(EvidenceRecord("A", "Delivery", "positive", 0))
+        assert str(store.path) in str(info.value)
+        assert store.path.read_bytes() == before
 
     def test_torn_multibyte_character_is_a_torn_line(self, store):
         add_evidence(store, "A", "Delivery", positive=1)
@@ -310,6 +327,29 @@ class TestTornAndCorruptLines:
     def test_missing_file_reads_empty(self, store):
         assert store.records() == []
         assert store.counts("A", "Delivery") == EvidenceCount(0, 0)
+
+    def test_a_log_removed_as_it_is_read_reads_empty(self, store, monkeypatch):
+        add_evidence(store, "A", "Delivery", positive=1)
+        opened = Path.open
+
+        def removing_open(path, mode="r", *args, **kwargs):
+            if path == store.path and mode == "rb":
+                path.unlink()
+            return opened(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", removing_open)
+        assert store.records() == []
+
+    def test_a_removed_log_drops_the_kept_prefix(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        assert store.records() == SAMPLE
+        store.path.unlink()
+        snapshot_of(store.path).unlink()
+        assert store.records() == []
+        write_lines(store.path, SAMPLE)
+        decoded.clear()
+        assert store.records() == SAMPLE
+        assert len(decoded) == 3
 
 
 class TestLoadProfile:
@@ -375,6 +415,75 @@ class TestPrefixReuse:
         first.append(EvidenceRecord("B", "Portal", "negative", 0))
         assert store.records() == EvidenceStore(store.path).records()
         assert len(store.records()) == 2
+
+
+class TestChunkedPrefixCheck:
+    """A long-lived store compares its kept prefix with the file one chunk
+    at a time; a change next to a chunk boundary must still be seen."""
+
+    @pytest.fixture
+    def log(self, store):
+        """A log of several chunks that ``store`` has read and kept."""
+        records = [EvidenceRecord(f"m{i % 97:03d}", "Delivery", "positive", i)
+                   for i in range(3 * store_module._CHUNK // 80)]
+        write_lines(store.path, records)
+        assert store.records() == records
+        return records
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_a_changed_byte_is_seen(self, store, log, offset):
+        data = store.path.read_bytes()
+        at = len(data) - 1 if offset is None else store_module._CHUNK + offset
+        store.path.write_bytes(data[:at] + b"#" + data[at + 1:])
+        expected = observe(reference_records, store.path)
+        assert expected != (log, [])
+        assert observe(store.records) == expected
+
+    def test_a_log_cut_inside_the_kept_prefix_is_read_again(self, store, log, decoded):
+        data = store.path.read_bytes()
+        store.path.write_bytes(data[:-1])
+        decoded.clear()
+        assert observe(store.records) == observe(reference_records, store.path) == (log, [])
+        assert len(decoded) == len(log)
+
+
+def allocated(read, *args) -> int:
+    """The peak of the memory that ``read(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        read(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadAllocation:
+    """Reading a log of about 1 MB whose snapshot covers all but its last
+    line copies only what it parses."""
+
+    @pytest.fixture(scope="class")
+    def log(self, tmp_path_factory):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            import gen
+        finally:
+            sys.path.pop(0)
+        path = tmp_path_factory.mktemp("allocation") / "log.jsonl"
+        gen.write_store(path, random.Random(7), 9_000, 500)
+        store = EvidenceStore(path)
+        store.records()
+        store.append(EvidenceRecord("m00001", "Delivery", "positive", 0))
+        return path
+
+    def test_a_cold_snapshot_hit_copies_the_log_less_than_twice(self, log):
+        store = EvidenceStore(log)
+        assert allocated(store.load_profile, "m00001") < 2 * log.stat().st_size
+
+    def test_a_re_read_copies_less_than_half_the_log(self, log):
+        store = EvidenceStore(log)
+        profile = store.load_profile("m00001")
+        assert allocated(store.load_profile, "m00001") < 0.5 * log.stat().st_size
+        assert store.load_profile("m00001") == profile
 
 
 class TestLineDecoding:
@@ -906,6 +1015,19 @@ def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
     it) and a reader that never sees a snapshot agree after every step, on
     all records and on one merchant's; a second long-lived store reads
     only that merchant's, so it may keep snapshot columns across steps."""
+    check_long_lived_store(steps, merchant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(steps_st, max_size=25), st.sampled_from(MERCHANTS))
+def test_long_lived_store_reads_like_a_fresh_one_in_small_chunks(steps, merchant):
+    """The same, with the kept prefix compared three bytes at a time, so
+    that even these small logs span many chunks."""
+    with mock.patch.object(store_module, "_CHUNK", 3):
+        check_long_lived_store(steps, merchant)
+
+
+def check_long_lived_store(steps, merchant) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         store = EvidenceStore(path)
@@ -914,7 +1036,13 @@ def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
         for step in steps:
             kind = step[0]
             if kind == "append":
-                store.append(*step[1])
+                before = path.read_bytes() if path.exists() else b""
+                if before.endswith(b"\n") or not before:
+                    store.append(*step[1])
+                else:
+                    with pytest.raises(StorageFailure, match="last line is unterminated"):
+                        store.append(*step[1])
+                    assert path.read_bytes() == before
             elif kind == "raw":
                 with path.open("ab") as fh:
                     fh.write(line_bytes(step[1]) + b"\n")
