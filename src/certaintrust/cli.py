@@ -16,6 +16,8 @@ import json
 import os
 import sys
 import time
+from collections import Counter
+from dataclasses import replace
 from typing import Sequence
 
 from .errors import EvidenceExceedsCap, StorageFailure, TrustError, UnknownVariable
@@ -45,12 +47,17 @@ from .store import (
     decode_line,
     record_from_dict,
 )
-from .variables import MERCHANT_MODULE, normalize_name
+from .variables import CANONICAL_VARIABLES, MERCHANT_MODULE, normalize_name
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_STORAGE = 3
+
+
+class UsageError(Exception):
+    """A command line the parser accepts but the command cannot run;
+    ``main`` prints it as ``error: <message>`` and exits 2."""
 
 
 def _nonneg_int(text: str) -> int:
@@ -160,11 +167,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _open_store(args: argparse.Namespace, permissive: bool = False) -> EvidenceStore | None:
+def _open_store(args: argparse.Namespace, permissive: bool = False) -> EvidenceStore:
     path = args.store or os.environ.get(STORE_ENV_VAR)
     if not path:
-        print(f"error: no store given (use --store or ${STORE_ENV_VAR})", file=sys.stderr)
-        return None
+        raise UsageError(f"no store given (use --store or ${STORE_ENV_VAR})")
     return EvidenceStore(path, permissive=permissive)
 
 
@@ -174,10 +180,15 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig()
 
 
+def _check_cap(merchant: str, variable: str, evidence: int, cap: int) -> None:
+    if evidence > cap:
+        raise EvidenceExceedsCap(f"merchant {merchant!r}, variable {variable}: "
+                                 f"r+s = {evidence} exceeds evidence cap N = {cap}")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
-    store = _open_store(args, permissive=args.allow_unknown)
-    if store is None:
-        return EXIT_USAGE
+    # names are checked below against the config's, so the store must not reject them
+    store = _open_store(args, permissive=True)
     cfg = _load_config(args)
     now = args.timestamp if args.timestamp is not None else int(time.time())
 
@@ -186,9 +197,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         flags = ("merchant", "variable", "positive", "negative", "assessment", "timestamp")
         given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
         if given:
-            print(f"error: --from-file cannot be combined with {', '.join(given)}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--from-file cannot be combined with {', '.join(given)}")
         try:
             with open(args.from_file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -203,16 +212,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 raise ValueError(f"{args.from_file}:{i}: {exc}") from exc
     else:
         if not args.merchant or not args.variable:
-            print("error: --merchant and --variable are required", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("--merchant and --variable are required")
         if args.positive is None and args.negative is None and args.assessment is None:
-            print("error: nothing to ingest (use --positive/--negative/--assessment)",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        evidence = (args.positive or 0) + (args.negative or 0)
-        if evidence > cfg.params.N:
-            raise EvidenceExceedsCap(f"merchant {args.merchant!r}, variable {args.variable}: "
-                                     f"r+s = {evidence} exceeds evidence cap N = {cfg.params.N}")
+            raise UsageError("nothing to ingest (use --positive/--negative/--assessment)")
+        # before any record is built, so a huge count costs nothing
+        _check_cap(args.merchant, args.variable, (args.positive or 0) + (args.negative or 0),
+                   cfg.params.N)
         for _ in range(args.positive or 0):
             records.append(EvidenceRecord(args.merchant, args.variable, POSITIVE, now))
         for _ in range(args.negative or 0):
@@ -226,6 +231,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if isinstance(r, DirectAssessment) and r.t_scaled > scale:
             raise ValueError(f"merchant {r.merchant!r}, variable {r.variable}: "
                              f"t_scaled must be in [0, {scale}], got {r.t_scaled!r}")
+    # the config's variables, then those of the default twelve it does not list
+    known = tuple(dict.fromkeys(cfg.variable_names() + CANONICAL_VARIABLES))
+    records = [replace(r, variable=normalize_name(r.variable, known, args.allow_unknown))
+               for r in records]
+    tallies = Counter((r.merchant, r.variable) for r in records if isinstance(r, EvidenceRecord))
+    for (merchant, variable), evidence in tallies.items():
+        _check_cap(merchant, variable, evidence, cfg.params.N)
     store.append(*records)
     print(f"Appended {len(records)} record(s) to {store.path}")
     return EXIT_OK
@@ -249,8 +261,6 @@ def _format_report(report: TrustReport) -> str:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     store = _open_store(args)
-    if store is None:
-        return EXIT_USAGE
     cfg = _load_config(args)
     overrides = dict(args.module_trust) if args.module_trust else None
     report = evaluate_merchant(args.merchant, cfg, store=store, module_overrides=overrides)
@@ -264,15 +274,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     merchants = args.merchant
     if len(merchants) < 2:
-        print("error: compare needs at least two --merchant arguments", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("compare needs at least two --merchant arguments")
     repeated = next((m for i, m in enumerate(merchants) if m in merchants[:i]), None)
     if repeated is not None:
-        print(f"error: merchant {repeated!r} is given more than once", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"merchant {repeated!r} is given more than once")
     store = _open_store(args)
-    if store is None:
-        return EXIT_USAGE
     cfg = _load_config(args)
     ordered = compare_merchants([evaluate_merchant(m, cfg, store=store) for m in merchants])
     if args.format == "json":
@@ -289,8 +295,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_rules_generate(args: argparse.Namespace) -> int:
     if args.inputs < 1:
-        print("error: --inputs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--inputs must be at least 1")
     inputs = [make_variable(f"input_{i + 1}", 0.0, 100.0) for i in range(args.inputs)]
     rb = generate_rulebase(inputs, make_variable("output", 0.0, 100.0))
     try:
@@ -341,9 +346,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     try:
         module = normalize_name(args.module, names)
     except UnknownVariable:
-        print(f"error: unknown module {args.module!r} (expected one of: {', '.join(names)})",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown module {args.module!r} (expected one of: {', '.join(names)})")
     if module == MERCHANT_MODULE:
         rb = merchant_rulebase(cfg)
         inputs = cfg.module_names()
@@ -355,14 +358,11 @@ def cmd_surface(args: argparse.Namespace) -> int:
         x_index = inputs.index(normalize_name(args.x, inputs))
         y_index = inputs.index(normalize_name(args.y, inputs))
     except UnknownVariable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc)
     if x_index == y_index:
-        print("error: --x and --y must name different inputs", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--x and --y must name different inputs")
     if args.resolution < 2:
-        print("error: --resolution must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--resolution must be at least 2")
     grid = surface_grid(rb, x_index, y_index, resolution=args.resolution)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -380,6 +380,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (StorageFailure, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_STORAGE

@@ -27,7 +27,7 @@ from .opinion import (
     scale_rating,
     trust_percent,
 )
-from .store import DirectAssessment, EvidenceStore
+from .store import DirectAssessment, EvidenceStore, MerchantProfile
 from .variables import DEFAULT_WIRING, MERCHANT_MODULE, MODULE_NAMES, normalize_name
 
 AVERAGE = "average"
@@ -94,7 +94,7 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 #: keys a config document may hold; ``not_mode`` names a setting that was
 #: removed, and is accepted and ignored so that older files still load
-_CONFIG_KEYS = ("scale", "N", "w", "f", "aggregation", "class_bounds", "modules", "not_mode")
+_CONFIG_KEYS = (*config_to_dict(PipelineConfig()), "not_mode")
 _MODULE_KEYS = ("name", "variables")
 
 
@@ -143,22 +143,12 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
     issues = _config_issues(data)
     if issues:
         raise ValueError("invalid config: " + "; ".join(issues))
-    base = PipelineConfig()
-    params = TrustParams(
-        N=data.get("N", base.params.N),
-        w=data.get("w", base.params.w),
-        f=data.get("f", base.params.f),
-        scale=data.get("scale", base.params.scale),
-    )
-    modules = tuple(
-        ModuleSpec(m["name"], tuple(m["variables"]))
-        for m in data.get("modules", config_to_dict(base)["modules"])
-    )
+    data = {**config_to_dict(PipelineConfig()), **data}
     return PipelineConfig(
-        params=params,
-        aggregation=data.get("aggregation", base.aggregation),
-        modules=modules,
-        class_bounds=tuple(data.get("class_bounds", base.class_bounds)),
+        params=TrustParams(N=data["N"], w=data["w"], f=data["f"], scale=data["scale"]),
+        aggregation=data["aggregation"],
+        modules=tuple(ModuleSpec(m["name"], tuple(m["variables"])) for m in data["modules"]),
+        class_bounds=tuple(data["class_bounds"]),
     )
 
 
@@ -295,9 +285,7 @@ def evaluate_merchant(
     """
     cfg = cfg or PipelineConfig()
     known = cfg.variable_names()
-    supplied: dict[str, TrustSource] = {}
-    for name, source in (variables or {}).items():
-        supplied[normalize_name(name, known)] = source
+    supplied = {normalize_name(name, known): source for name, source in (variables or {}).items()}
 
     overrides: dict[str, float] = {}
     module_names = cfg.module_names()
@@ -307,19 +295,13 @@ def evaluate_merchant(
             raise ValueError(f"module override for {canonical} must be in [0, 100]")
         overrides[canonical] = float(value)
 
-    profile = store.load_profile(merchant) if store is not None else None
-
-    def resolve(name: str) -> TrustSource | None:
-        if name in supplied:
-            return supplied[name]
-        if profile is not None:
-            assessment = profile.assessments.get(name)
-            if assessment is not None:
-                return assessment
-            counts = profile.counts.get(name)
-            if counts is not None and counts.total > 0:
-                return counts
-        return None
+    # each source overrides the one before: evidence, assessments, supplied
+    profile = store.load_profile(merchant) if store is not None else MerchantProfile(merchant)
+    sources: dict[str, TrustSource] = {
+        **{name: counts for name, counts in profile.counts.items() if counts.total > 0},
+        **profile.assessments,
+        **supplied,
+    }
 
     variable_trusts: dict[str, float] = {}
     module_trusts: dict[str, float] = {}
@@ -327,7 +309,7 @@ def evaluate_merchant(
     for spec in cfg.modules:
         member_trusts: list[float] = []
         for name in spec.variables:
-            source = resolve(name)
+            source = sources.get(name)
             if source is None:
                 if spec.name not in overrides:
                     missing.append(name)

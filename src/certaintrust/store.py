@@ -159,22 +159,9 @@ class MerchantProfile:
 
 
 def record_to_dict(record: Record) -> dict:
-    if isinstance(record, EvidenceRecord):
-        return {
-            "kind": EVIDENCE_KIND,
-            "merchant": record.merchant,
-            "variable": record.variable,
-            "outcome": record.outcome,
-            "timestamp": record.timestamp,
-        }
-    return {
-        "kind": ASSESSMENT_KIND,
-        "merchant": record.merchant,
-        "variable": record.variable,
-        "c": record.c,
-        "t_scaled": record.t_scaled,
-        "timestamp": record.timestamp,
-    }
+    """The record as a log line's fields: ``kind``, then its slots in order."""
+    kind = EVIDENCE_KIND if isinstance(record, EvidenceRecord) else ASSESSMENT_KIND
+    return {"kind": kind, **{name: getattr(record, name) for name in record.__slots__}}
 
 
 _scan_once = json.JSONDecoder().scan_once

@@ -16,6 +16,7 @@ from certaintrust import cli as cli_module
 from certaintrust import store as store_module
 from certaintrust.cli import build_parser, main
 from certaintrust.store import DirectAssessment, EvidenceStore
+from certaintrust.variables import DEFAULT_WIRING
 
 import goldens
 
@@ -36,6 +37,17 @@ def seeded(store_path):
     seed_merchant(store_path, "A", goldens.MERCHANT_A)
     seed_merchant(store_path, "B", goldens.MERCHANT_B)
     return store_path
+
+
+@pytest.fixture
+def shop_age_config(tmp_path):
+    """The default wiring with ``Shop Age`` in place of ``Mandatory Registration``."""
+    modules = [{"name": name, "variables": [
+        "Shop Age" if v == "Mandatory Registration" else v for v in DEFAULT_WIRING[name]]}
+        for name in DEFAULT_WIRING]
+    path = tmp_path / "shop_age.json"
+    path.write_text(json.dumps({"modules": modules}), encoding="utf-8")
+    return str(path)
 
 
 class TestIngest:
@@ -157,6 +169,78 @@ class TestIngest:
                 "r+s = 8 exceeds evidence cap N = 7") in err
         assert Path(seeded).read_bytes() == before
         assert main([*flags, "--negative", "2"]) == 0
+
+    def test_file_over_the_evidence_cap_rejects_batch(self, seeded, tmp_path, capsys):
+        before = Path(seeded).read_bytes()
+        src = tmp_path / "batch.jsonl"
+        line = json.dumps({"kind": "evidence", "merchant": "A", "variable": "Delivery",
+                           "outcome": "positive", "timestamp": 5})
+        src.write_text(f"{line}\n" * 101, encoding="utf-8")
+        code = main(["ingest", "--store", seeded, "--from-file", str(src)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: EvidenceExceedsCap: merchant 'A', variable Delivery: "
+                       "r+s = 101 exceeds evidence cap N = 100\n")
+        assert Path(seeded).read_bytes() == before
+        assert main(["evaluate", "--store", seeded, "--merchant", "A"]) == 0
+
+    def test_file_cap_tallies_each_pair_under_its_canonical_name(self, seeded, tmp_path,
+                                                                 capsys):
+        before = Path(seeded).read_bytes()
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({"N": 7}), encoding="utf-8")
+        src = tmp_path / "batch.jsonl"
+
+        def ingest(lines) -> int:
+            src.write_text("".join(
+                json.dumps({"kind": "evidence", "merchant": merchant, "variable": variable,
+                            "outcome": outcome, "timestamp": 5}) + "\n"
+                for merchant, variable, outcome in lines
+            ), encoding="utf-8")
+            return main(["ingest", "--store", seeded, "--config", str(narrow),
+                         "--from-file", str(src)])
+
+        split = [("A", "delivery", "positive")] * 4 + [("A", "Delivery", "negative")] * 4
+        assert ingest(split) == 1
+        assert ("EvidenceExceedsCap: merchant 'A', variable Delivery: "
+                "r+s = 8 exceeds evidence cap N = 7") in capsys.readouterr().err
+        assert Path(seeded).read_bytes() == before
+        assert ingest(split[1:] + [("B", "Delivery", "positive")] * 7) == 0
+        store = EvidenceStore(seeded)
+        assert store.counts("A", "Delivery") == EvidenceCount(3, 4)
+        assert store.counts("B", "Delivery") == EvidenceCount(7, 0)
+
+    def test_config_variable_is_accepted_by_name(self, store_path, shop_age_config, capsys):
+        ingest = ["ingest", "--store", store_path, "--config", shop_age_config, "--merchant", "A"]
+        assert main([*ingest, "--variable", "Shop Age", "--positive", "3"]) == 0
+        assert main([*ingest, "--variable", "mandatory registration", "--positive", "1"]) == 0
+        assert main([*ingest, "--variable", "Shop Aged", "--positive", "1"]) == 1
+        assert ("UnknownVariable: 'Shop Aged' is not a configured variable (expected one of: "
+                "Physical Existence, People Existence, Shop Age, Third Party Endorsement, "
+                "Membership, Portal, Delivery, Payment Methods, Community Comment, "
+                "Customer Satisfaction, Privacy, Warranty, Mandatory Registration)"
+                ) in capsys.readouterr().err
+        lines = Path(store_path).read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["variable"] for line in lines] == [
+            "Shop Age"] * 3 + ["Mandatory Registration"]
+
+    def test_allow_unknown_logs_the_config_spelling(self, store_path, shop_age_config, capsys):
+        ingest = ["ingest", "--store", store_path, "--config", shop_age_config, "--merchant", "A"]
+        assert main([*ingest, "--variable", "shop_age", "--positive", "3",
+                     "--allow-unknown"]) == 0
+        assert EvidenceStore(store_path).load_profile("A").counts["Shop Age"] == EvidenceCount(3, 0)
+        for variable, (c, t_scaled) in goldens.MERCHANT_A.items():
+            if variable != "Mandatory Registration":
+                assert main([*ingest, "--variable", variable,
+                             "--assessment", f"{c},{t_scaled}"]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--store", store_path, "--config", shop_age_config,
+                     "--merchant", "A", "--format", "json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "Mandatory Registration" not in report["variable_trusts"]
+        assert report["variable_trusts"]["Shop Age"] > 0
 
     def test_assessment_over_scale_rejects_batch(self, seeded, tmp_path, capsys):
         before = Path(seeded).read_bytes()
@@ -693,6 +777,71 @@ class TestUsage:
         main(["surface", "--module", "Existence", "--x", "Portal",
               "--y", "People Existence", "--out", str(tmp_path / "s.csv")])
         assert Path(seeded).read_bytes() == before
+
+
+EXISTENCE = "Physical Existence, People Existence, Mandatory Registration"
+
+#: every usage-error site: an id, the argv (``{store}``, ``{batch}`` and
+#: ``{out}`` stand for paths in the test's directory) and the message of the
+#: one stderr line it must print
+USAGE_ERRORS = [
+    ("no_store_ingest",
+     ["ingest", "--merchant", "A", "--variable", "Delivery", "--positive", "1"],
+     "no store given (use --store or $CERTAIN_TRUST_STORE)"),
+    ("no_store_evaluate", ["evaluate", "--merchant", "A"],
+     "no store given (use --store or $CERTAIN_TRUST_STORE)"),
+    ("no_store_compare", ["compare", "--merchant", "A", "--merchant", "B"],
+     "no store given (use --store or $CERTAIN_TRUST_STORE)"),
+    ("from_file_with_flags",
+     ["ingest", "{store}", "--from-file", "{batch}", "--merchant", "A", "--positive", "1"],
+     "--from-file cannot be combined with --merchant, --positive"),
+    ("missing_variable", ["ingest", "{store}", "--merchant", "A", "--positive", "1"],
+     "--merchant and --variable are required"),
+    ("missing_merchant", ["ingest", "{store}", "--variable", "Delivery", "--positive", "1"],
+     "--merchant and --variable are required"),
+    ("nothing_to_ingest", ["ingest", "{store}", "--merchant", "A", "--variable", "Delivery"],
+     "nothing to ingest (use --positive/--negative/--assessment)"),
+    ("compare_one_merchant", ["compare", "{store}", "--merchant", "A"],
+     "compare needs at least two --merchant arguments"),
+    ("compare_repeated_merchant",
+     ["compare", "{store}", "--merchant", "A", "--merchant", "B", "--merchant", "A"],
+     "merchant 'A' is given more than once"),
+    ("rules_zero_inputs", ["rules", "generate", "--inputs", "0", "--out", "{out}"],
+     "--inputs must be at least 1"),
+    ("surface_unknown_module",
+     ["surface", "--module", "Nonsense", "--x", "a", "--y", "b", "--out", "{out}"],
+     "unknown module 'Nonsense' (expected one of: "
+     "Existence, Affiliation, Fulfillment, Policy, Merchant Trust)"),
+    ("surface_unknown_x",
+     ["surface", "--module", "Existence", "--x", "Portal", "--y", "People Existence",
+      "--out", "{out}"],
+     f"'Portal' is not a configured variable (expected one of: {EXISTENCE})"),
+    ("surface_same_input_twice",
+     ["surface", "--module", "Existence", "--x", "People_Existence", "--y", "people existence",
+      "--out", "{out}"],
+     "--x and --y must name different inputs"),
+    ("surface_resolution_one",
+     ["surface", "--module", "Existence", "--x", "Physical Existence", "--y", "People Existence",
+      "--resolution", "1", "--out", "{out}"],
+     "--resolution must be at least 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [case[1:] for case in USAGE_ERRORS],
+                         ids=[case[0] for case in USAGE_ERRORS])
+def test_usage_error_is_exit_2_and_one_stderr_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.delenv("CERTAIN_TRUST_STORE", raising=False)
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps({"kind": "evidence", "merchant": "A", "variable": "Delivery",
+                                 "outcome": "positive", "timestamp": 5}) + "\n",
+                     encoding="utf-8")
+    store, out = tmp_path / "store.jsonl", tmp_path / "out.csv"
+    fills = {"{store}": ["--store", str(store)], "{batch}": [str(batch)], "{out}": [str(out)]}
+    argv = [part for arg in argv for part in fills.get(arg, [arg])]
+    before = sorted(tmp_path.iterdir())
+    code, stdout, stderr = captured_main(capsys, argv)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.fixture

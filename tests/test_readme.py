@@ -1,11 +1,13 @@
-"""The README's examples: the library quickstart runs as printed, and the
-documented pipeline configuration is the default one."""
+"""The README's examples: the library quickstart runs as printed, the CLI
+examples parse, and the documented pipeline configuration is the default one."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from certaintrust import PipelineConfig, config_from_dict
+from certaintrust.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,6 +22,16 @@ def test_python_quickstart_runs(capsys):
     (code,) = blocks("python")
     exec(compile(code, str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_cli_examples_parse():
+    text = "".join(blocks("bash")).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in text.splitlines()
+                if line.startswith("certaintrust ")]
+    assert len(commands) == 8
+    parser = build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv[1:]).func), argv
 
 
 def test_json_config_is_the_default():
