@@ -167,11 +167,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _open_store(args: argparse.Namespace, permissive: bool = False) -> EvidenceStore:
+def _open_store(args: argparse.Namespace) -> EvidenceStore:
     path = args.store or os.environ.get(STORE_ENV_VAR)
     if not path:
         raise UsageError(f"no store given (use --store or ${STORE_ENV_VAR})")
-    return EvidenceStore(path, permissive=permissive)
+    return EvidenceStore(path)
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -187,8 +187,7 @@ def _check_cap(merchant: str, variable: str, evidence: int, cap: int) -> None:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    # names are checked below against the config's, so the store must not reject them
-    store = _open_store(args, permissive=True)
+    store = _open_store(args)
     cfg = _load_config(args)
     now = args.timestamp if args.timestamp is not None else int(time.time())
 

@@ -28,7 +28,7 @@ from .opinion import (
     trust_percent,
 )
 from .store import DirectAssessment, EvidenceStore, MerchantProfile
-from .variables import DEFAULT_WIRING, MERCHANT_MODULE, MODULE_NAMES, normalize_name
+from .variables import DEFAULT_WIRING, MERCHANT_MODULE, MODULE_NAMES, name_key, normalize_name
 
 AVERAGE = "average"
 FUZZY = "fuzzy"
@@ -66,6 +66,11 @@ class PipelineConfig:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
         if len(self.modules) != 4:
             raise ValueError(f"exactly 4 modules required, got {len(self.modules)}")
+        keys = [name_key(name) for name in self.module_names()]
+        twice = next((i for i, key in enumerate(keys) if key in keys[:i]), None)
+        if twice is not None:
+            raise ValueError(f"module {self.modules[twice].name!r}: name matches an earlier "
+                             "module's, ignoring case, '_', '-' and spaces")
         if len(self.class_bounds) != 4:
             raise ValueError("exactly 4 class bounds required")
         if any(b <= a for a, b in zip(self.class_bounds, self.class_bounds[1:])):
@@ -275,11 +280,12 @@ def evaluate_merchant(
     """Produce a full :class:`TrustReport` for one merchant.
 
     Variable inputs are resolved, in order of precedence, from the
-    ``variables`` mapping, then from the store profile (latest assessment
-    first, evidence counts otherwise).  ``module_overrides`` pins a
-    module's trust to a given percentage, e.g. to score from module-level
-    figures when no per-variable breakdown exists; variables under an
-    overridden module become optional.
+    ``variables`` mapping, whose names are matched to the config's, then
+    from the store profile under the config's exact names (latest
+    assessment first, evidence counts otherwise).  ``module_overrides``
+    pins a module's trust to a given percentage, e.g. to score from
+    module-level figures when no per-variable breakdown exists; variables
+    under an overridden module become optional.
 
     Raises :class:`MissingVariable` naming every unresolvable input.
     """
@@ -297,11 +303,7 @@ def evaluate_merchant(
 
     # each source overrides the one before: evidence, assessments, supplied
     profile = store.load_profile(merchant) if store is not None else MerchantProfile(merchant)
-    sources: dict[str, TrustSource] = {
-        **{name: counts for name, counts in profile.counts.items() if counts.total > 0},
-        **profile.assessments,
-        **supplied,
-    }
+    sources: dict[str, TrustSource] = {**profile.counts, **profile.assessments, **supplied}
 
     variable_trusts: dict[str, float] = {}
     module_trusts: dict[str, float] = {}

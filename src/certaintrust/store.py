@@ -40,14 +40,13 @@ import os
 import stat
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import StorageFailure
 from .opinion import EvidenceCount
-from .variables import CANONICAL_VARIABLES, normalize_name
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -151,7 +150,8 @@ Record = EvidenceRecord | DirectAssessment
 
 @dataclass
 class MerchantProfile:
-    """Snapshot derived from the log: counts plus latest assessment per variable."""
+    """One merchant's evidence counts and latest assessment per variable,
+    keyed by the variable names exactly as logged."""
 
     merchant: str
     counts: dict[str, EvidenceCount] = field(default_factory=dict)
@@ -296,9 +296,8 @@ def _column_records(columns: tuple, merchant: str | None = None) -> list[Record]
 class EvidenceStore:
     """Single-writer append-only store over one JSON-lines file."""
 
-    def __init__(self, path: str | os.PathLike, permissive: bool = False) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.permissive = permissive
         # the last validated newline-terminated prefix of the file: its
         # bytes and its records; the records taken from the snapshot stay
         # its checked columns until all of them are asked for
@@ -313,22 +312,18 @@ class EvidenceStore:
     def _snapshot_path(self) -> Path:
         return self.path.with_name(self.path.name + SNAPSHOT_SUFFIX)
 
-    def normalize(self, variable: str) -> str:
-        return normalize_name(variable, CANONICAL_VARIABLES, self.permissive)
+    def append(self, *records: Record) -> None:
+        """Durably append a batch, each record's names exactly as built.
 
-    def append(self, *records: Record) -> tuple[Record, ...]:
-        """Durably append a batch; returns it with the variables canonicalized.
-
-        Every variable is checked before anything is written, so a rejected
-        batch leaves the file as it was.  A file whose last line has no
-        ``"\\n"`` (a torn write) is refused with :class:`StorageFailure`
-        and left as it was, as the batch's first line would join it.  The
-        batch is written with one write and one fsync; an empty batch
-        writes nothing.
+        The store matches no name: a caller that scores under a config
+        passes the config's spellings, as ``ingest`` does.  A file whose
+        last line has no ``"\\n"`` (a torn write) is refused with
+        :class:`StorageFailure` and left as it was, as the batch's first
+        line would join it.  The batch is written with one write and one
+        fsync; an empty batch writes nothing.
         """
-        records = tuple(replace(r, variable=self.normalize(r.variable)) for r in records)
         if not records:
-            return records
+            return
         text = "".join(
             json.dumps(record_to_dict(r), ensure_ascii=False, sort_keys=True) + "\n"
             for r in records
@@ -346,7 +341,6 @@ class EvidenceStore:
                 os.fsync(fh.fileno())
         except OSError as exc:
             raise StorageFailure(f"cannot append to {self.path}: {exc}") from exc
-        return records
 
     def records(self, merchant: str | None = None) -> list[Record]:
         """All records in file order, or those of one ``merchant``, as a new list.
@@ -465,17 +459,16 @@ class EvidenceStore:
         return self._prefix_records
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
-        """Exact (r, s) tally from the log; (0, 0) for never-seen pairs."""
-        variable = self.normalize(variable)
+        """Exact (r, s) tally of the pair, names matched exactly; (0, 0) if never seen."""
         return self.load_profile(merchant).counts.get(variable, EvidenceCount(0, 0))
 
     def load_profile(self, merchant: str) -> MerchantProfile:
-        """Counts for every configured variable plus latest assessments.
+        """Tallies and latest assessment of each variable logged for ``merchant``.
 
         Assessment conflicts resolve latest-timestamp-wins, with later file
         order winning ties.
         """
-        tallies: dict[str, list[int]] = {name: [0, 0] for name in CANONICAL_VARIABLES}
+        tallies: dict[str, list[int]] = {}
         assessments: dict[str, DirectAssessment] = {}
         for record in self.records(merchant):
             if isinstance(record, EvidenceRecord):

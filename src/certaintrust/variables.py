@@ -24,16 +24,17 @@ CANONICAL_VARIABLES: tuple[str, ...] = tuple(
 )
 
 
-def _key(name: str) -> str:
+def name_key(name: str) -> str:
+    """What two names that :func:`normalize_name` matches have in common."""
     return " ".join(name.replace("_", " ").replace("-", " ").split()).casefold()
 
 
 @lru_cache(maxsize=32)
 def _canonical_by_key(known: tuple[str, ...]) -> dict[str, str]:
-    """``{_key(canonical): canonical}``; on a key clash the first name wins."""
+    """``{name_key(canonical): canonical}``; on a key clash the first name wins."""
     by_key: dict[str, str] = {}
     for canonical in known:
-        by_key.setdefault(_key(canonical), canonical)
+        by_key.setdefault(name_key(canonical), canonical)
     return by_key
 
 
@@ -47,7 +48,7 @@ def normalize_name(name: str, known: Sequence[str], permissive: bool = False) ->
     if not isinstance(name, str) or not name.strip():
         raise UnknownVariable(f"variable name must be a non-empty string, got {name!r}")
     known = tuple(known)
-    canonical = _canonical_by_key(known).get(_key(name))
+    canonical = _canonical_by_key(known).get(name_key(name))
     if canonical is not None:
         return canonical
     if permissive:

@@ -242,6 +242,23 @@ class TestIngest:
         assert "Mandatory Registration" not in report["variable_trusts"]
         assert report["variable_trusts"]["Shop Age"] > 0
 
+    def test_config_spelling_of_a_default_name_scores(self, store_path, tmp_path, capsys):
+        modules = [{"name": name, "variables": [
+            "delivery" if v == "Delivery" else v for v in DEFAULT_WIRING[name]]}
+            for name in DEFAULT_WIRING]
+        config = tmp_path / "lower.json"
+        config.write_text(json.dumps({"modules": modules}), encoding="utf-8")
+        for name in PipelineConfig().variable_names():
+            assert main(["ingest", "--store", store_path, "--config", str(config),
+                         "--merchant", "A", "--variable", name, "--assessment", "0.5,3"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--store", store_path, "--config", str(config),
+                     "--merchant", "A"]) == 0
+        assert "Merchant: A" in capsys.readouterr().out
+        text = Path(store_path).read_text(encoding="utf-8")
+        assert '"variable": "delivery"' in text
+        assert "Delivery" not in text
+
     def test_assessment_over_scale_rejects_batch(self, seeded, tmp_path, capsys):
         before = Path(seeded).read_bytes()
         code = main(["ingest", "--store", seeded, "--merchant", "A", "--variable", "Delivery",

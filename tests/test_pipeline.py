@@ -408,3 +408,18 @@ class TestConfig:
             PipelineConfig(modules=(ModuleSpec("Existence", ("a", "b", "c")),))
         with pytest.raises(ValueError):
             ModuleSpec("Existence", ("a", "b"))
+
+    def test_module_names_that_match_are_rejected(self):
+        modules = list(CFG.modules)
+        modules[3] = ModuleSpec("existence", modules[3].variables)
+        with pytest.raises(ValueError, match="^module 'existence': name matches an earlier"):
+            PipelineConfig(modules=tuple(modules))
+        modules[3] = ModuleSpec("Existence", modules[3].variables)
+        with pytest.raises(ValueError, match="^module 'Existence': name matches an earlier"):
+            PipelineConfig(modules=tuple(modules))
+
+    def test_module_names_that_match_are_rejected_from_a_document(self):
+        data = config_to_dict(CFG)
+        data["modules"][2]["name"] = "Affiliation "
+        with pytest.raises(ValueError, match="^module 'Affiliation ': name matches an earlier"):
+            config_from_dict(data)

@@ -24,7 +24,6 @@ from certaintrust import (
     CANONICAL_VARIABLES,
     EvidenceCount,
     StorageFailure,
-    UnknownVariable,
 )
 from certaintrust import store as store_module
 from certaintrust.store import (
@@ -144,32 +143,19 @@ class TestAppendAndCounts:
         assert store.counts("A", "Delivery") == EvidenceCount(2, 0)
         assert store.counts("B", "Delivery") == EvidenceCount(0, 1)
 
-    def test_unknown_variable_rejected_before_writing(self, store):
-        with pytest.raises(UnknownVariable):
-            store.append(EvidenceRecord("A", "Bogus", "positive", 0))
-        assert not store.path.exists()
-
-    def test_batch_with_unknown_variable_writes_nothing(self, store):
-        add_evidence(store, "A", "Delivery", positive=1)
-        before = store.path.read_bytes()
-        with pytest.raises(UnknownVariable):
-            store.append(EvidenceRecord("A", "Portal", "positive", 0),
-                         EvidenceRecord("A", "Bogus", "positive", 0))
-        assert store.path.read_bytes() == before
-
     def test_empty_batch_creates_no_file(self, store):
-        assert store.append() == ()
+        assert store.append() is None
         assert not store.path.exists()
 
-    def test_permissive_store_accepts_unknown(self, tmp_path):
-        store = EvidenceStore(tmp_path / "log.jsonl", permissive=True)
-        store.append(EvidenceRecord("A", "Bespoke Signal", "positive", 0))
-        assert store.counts("A", "Bespoke Signal") == EvidenceCount(1, 0)
-
-    def test_variable_normalization(self, store):
-        (got,) = store.append(EvidenceRecord("A", "physical_existence", "positive", 0))
-        assert got.variable == "Physical Existence"
-        assert store.counts("A", "PHYSICAL EXISTENCE") == EvidenceCount(1, 0)
+    def test_names_logged_as_written(self, store):
+        store.append(EvidenceRecord("A", "physical_existence", "positive", 0),
+                     EvidenceRecord("A", "Bespoke Signal", "negative", 0))
+        fresh = EvidenceStore(store.path)
+        assert [r.variable for r in fresh.records()] == ["physical_existence", "Bespoke Signal"]
+        assert fresh.counts("A", "physical_existence") == EvidenceCount(1, 0)
+        assert fresh.counts("A", "Bespoke Signal") == EvidenceCount(0, 1)
+        assert fresh.counts("A", "Physical Existence") == EvidenceCount(0, 0)
+        assert fresh.counts("A", "bespoke signal") == EvidenceCount(0, 0)
 
 
 class TestAppendOnly:
@@ -353,10 +339,9 @@ class TestTornAndCorruptLines:
 
 
 class TestLoadProfile:
-    def test_empty_store_gives_twelve_zero_counts(self, store):
+    def test_empty_store_gives_empty_profile(self, store):
         profile = store.load_profile("A")
-        assert set(profile.counts) == set(CANONICAL_VARIABLES)
-        assert all(c == EvidenceCount(0, 0) for c in profile.counts.values())
+        assert profile.counts == {}
         assert profile.assessments == {}
 
     def test_latest_assessment_wins(self, store):
@@ -377,7 +362,7 @@ class TestLoadProfile:
         add_evidence(store, "B", "Portal", negative=4)
         profile = store.load_profile("A")
         for name in CANONICAL_VARIABLES:
-            assert profile.counts[name] == store.counts("A", name)
+            assert profile.counts.get(name, EvidenceCount(0, 0)) == store.counts("A", name)
 
     def test_profile_scoped_by_merchant(self, store):
         store.append(DirectAssessment("B", "Privacy", 0.7, 4.5, 10))
