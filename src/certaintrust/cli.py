@@ -16,11 +16,10 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 from typing import Sequence
 
-from .errors import EvidenceExceedsCap, StorageFailure, TrustError, UnknownVariable
+from .errors import StorageFailure, TrustError, UnknownVariable
 from .fuzzy import (
     dump_rulebase,
     generate_rulebase,
@@ -28,6 +27,7 @@ from .fuzzy import (
     surface_grid,
     validate_rulebase_data,
 )
+from .opinion import EvidenceCount
 from .pipeline import (
     PipelineConfig,
     TrustReport,
@@ -36,6 +36,7 @@ from .pipeline import (
     load_config,
     merchant_rulebase,
     module_rulebase,
+    named_variable_trust,
 )
 from .store import (
     STORE_ENV_VAR,
@@ -180,12 +181,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig()
 
 
-def _check_cap(merchant: str, variable: str, evidence: int, cap: int) -> None:
-    if evidence > cap:
-        raise EvidenceExceedsCap(f"merchant {merchant!r}, variable {variable}: "
-                                 f"r+s = {evidence} exceeds evidence cap N = {cap}")
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     store = _open_store(args)
     cfg = _load_config(args)
@@ -215,8 +210,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if args.positive is None and args.negative is None and args.assessment is None:
             raise UsageError("nothing to ingest (use --positive/--negative/--assessment)")
         # before any record is built, so a huge count costs nothing
-        _check_cap(args.merchant, args.variable, (args.positive or 0) + (args.negative or 0),
-                   cfg.params.N)
+        named_variable_trust(args.merchant, args.variable,
+                             EvidenceCount(args.positive or 0, args.negative or 0), cfg.params)
         for _ in range(args.positive or 0):
             records.append(EvidenceRecord(args.merchant, args.variable, POSITIVE, now))
         for _ in range(args.negative or 0):
@@ -225,18 +220,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             c, t_scaled = args.assessment
             records.append(DirectAssessment(args.merchant, args.variable, c, t_scaled, now))
 
-    scale = cfg.params.scale
-    for r in records:
-        if isinstance(r, DirectAssessment) and r.t_scaled > scale:
-            raise ValueError(f"merchant {r.merchant!r}, variable {r.variable}: "
-                             f"t_scaled must be in [0, {scale}], got {r.t_scaled!r}")
     # the config's variables, then those of the default twelve it does not list
     known = tuple(dict.fromkeys(cfg.variable_names() + CANONICAL_VARIABLES))
     records = [replace(r, variable=normalize_name(r.variable, known, args.allow_unknown))
                for r in records]
-    tallies = Counter((r.merchant, r.variable) for r in records if isinstance(r, EvidenceRecord))
-    for (merchant, variable), evidence in tallies.items():
-        _check_cap(merchant, variable, evidence, cfg.params.N)
+    tallies: dict[tuple[str, str], list[int]] = {}
+    for r in records:
+        if isinstance(r, DirectAssessment):
+            named_variable_trust(r.merchant, r.variable, r, cfg.params)
+        else:
+            tallies.setdefault((r.merchant, r.variable), [0, 0])[r.outcome == NEGATIVE] += 1
+    for (merchant, variable), (positive, negative) in tallies.items():
+        named_variable_trust(merchant, variable, EvidenceCount(positive, negative), cfg.params)
     store.append(*records)
     print(f"Appended {len(records)} record(s) to {store.path}")
     return EXIT_OK

@@ -19,7 +19,9 @@ All functions are pure and all values immutable; concurrent use is safe.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import DegenerateBase, EvidenceExceedsCap, ZeroBase
 
@@ -36,6 +38,13 @@ NOT_MODES = (PRESERVE_CERTAINTY, COMPLEMENT_CERTAINTY)
 BELOW_BASE = "below_base"
 BALANCED = "balanced"
 ABOVE_BASE = "above_base"
+
+
+def _is_number(value) -> bool:
+    """The one number test of the config classes: a real, not a bool, and finite
+    as a float (``nan``, ``inf`` and ints past the float range fail)."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -86,13 +95,13 @@ class TrustParams:
     scale: float = 5.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
+        if not (isinstance(self.N, int) and _is_number(self.N) and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if not self.w > 0:
-            raise ValueError(f"w must be positive, got {self.w!r}")
-        _check_unit("f", self.f)
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        for name, value in (("w", self.w), ("scale", self.scale)):
+            if not (_is_number(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if not (_is_number(self.f) and 0.0 <= self.f <= 1.0):
+            raise ValueError(f"f must be a number in [0, 1], got {self.f!r}")
 
 
 @dataclass(frozen=True)

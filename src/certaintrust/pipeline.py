@@ -12,7 +12,6 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
 from typing import Mapping, Sequence
 
 from .errors import EvidenceExceedsCap, MissingVariable
@@ -21,6 +20,7 @@ from .opinion import (
     BehavioralProbability,
     EvidenceCount,
     TrustParams,
+    _is_number,
     average_rating,
     behavioral_probability,
     certainty,
@@ -46,8 +46,10 @@ class ModuleSpec:
     variables: tuple[str, str, str]
 
     def __post_init__(self) -> None:
-        if len(self.variables) != 3:
-            raise ValueError(f"module {self.name}: exactly 3 variables required")
+        if not (isinstance(self.variables, tuple) and len(self.variables) == 3
+                and all(isinstance(n, str) and n.strip() for n in (self.name, *self.variables))):
+            raise ValueError(f"module {self.name!r}: name and variables must be non-empty strings, "
+                             f"3 variables in a tuple, got {self.variables!r}")
 
 
 def default_modules() -> tuple[ModuleSpec, ...]:
@@ -64,19 +66,22 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        if len(self.modules) != 4:
-            raise ValueError(f"exactly 4 modules required, got {len(self.modules)}")
-        keys = [name_key(name) for name in self.module_names()]
-        twice = next((i for i, key in enumerate(keys) if key in keys[:i]), None)
-        if twice is not None:
-            raise ValueError(f"module {self.modules[twice].name!r}: name matches an earlier "
-                             "module's, ignoring case, '_', '-' and spaces")
-        if len(self.class_bounds) != 4:
-            raise ValueError("exactly 4 class bounds required")
-        if any(b <= a for a, b in zip(self.class_bounds, self.class_bounds[1:])):
-            raise ValueError(f"class bounds must be strictly ascending: {self.class_bounds}")
-        if not (0.0 < self.class_bounds[0] and self.class_bounds[-1] < 100.0):
-            raise ValueError("class bounds must lie inside (0, 100)")
+        if not (isinstance(self.modules, tuple) and len(self.modules) == 4
+                and all(isinstance(spec, ModuleSpec) for spec in self.modules)):
+            raise ValueError(f"modules must be a tuple of 4 ModuleSpec, got {self.modules!r}")
+        # one variable may feed several modules, but not under two spellings
+        for kind, names in (("module", self.module_names()),
+                            ("variable", tuple(dict.fromkeys(self.variable_names())))):
+            keys = [name_key(name) for name in names]
+            twice = next((i for i, key in enumerate(keys) if key in keys[:i]), None)
+            if twice is not None:
+                raise ValueError(f"{kind} {names[twice]!r}: name matches an earlier {kind}'s, "
+                                 "ignoring case, '_', '-' and spaces")
+        bounds = self.class_bounds
+        if not (isinstance(bounds, tuple) and len(bounds) == 4 and all(map(_is_number, bounds))
+                and 0.0 < bounds[0] < bounds[1] < bounds[2] < bounds[3] < 100.0):
+            raise ValueError("class bounds must be 4 finite numbers, strictly ascending inside "
+                             f"(0, 100), got {bounds!r}")
 
     def variable_names(self) -> tuple[str, ...]:
         return tuple(name for spec in self.modules for name in spec.variables)
@@ -108,19 +113,12 @@ def _unknown_keys(place: str, entry: Mapping, known: Sequence[str]) -> list[str]
     return [f"{place}: unknown keys {', '.join(unknown)}"] if unknown else []
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 def _config_issues(data: Mapping) -> list[str]:
     """One issue for each place in the document holding unknown keys or a
-    value of the wrong shape; ranges are left to the config classes."""
+    list of the wrong shape; the config classes check every value."""
     issues = _unknown_keys("config", data, _CONFIG_KEYS)
-    issues += [f"{key}: must be a number, got {data[key]!r}"
-               for key in ("scale", "N", "w", "f") if key in data and not _is_number(data[key])]
-    bounds = data.get("class_bounds", [])
-    if not (isinstance(bounds, (list, tuple)) and all(map(_is_number, bounds))):
-        issues.append(f"class_bounds: must be a list of numbers, got {bounds!r}")
+    if not isinstance(data.get("class_bounds", []), (list, tuple)):
+        issues.append(f"class_bounds: must be a list of numbers, got {data['class_bounds']!r}")
     modules = data.get("modules", [])
     if not isinstance(modules, (list, tuple)):
         issues.append(f"modules: must be a list, got {type(modules).__name__}")
@@ -134,15 +132,14 @@ def _config_issues(data: Mapping) -> list[str]:
         missing = [repr(key) for key in _MODULE_KEYS if key not in entry]
         if missing:
             issues.append(f"{place}: missing keys {', '.join(missing)}")
-        elif not (isinstance(entry["name"], str) and isinstance(entry["variables"], (list, tuple))
-                  and all(isinstance(v, str) for v in entry["variables"])):
-            issues.append(f"{place}: name must be a string and variables a list of strings")
+        elif not isinstance(entry["variables"], (list, tuple)):
+            issues.append(f"{place}: variables must be a list, got {entry['variables']!r}")
     return issues
 
 
 def config_from_dict(data: Mapping) -> PipelineConfig:
-    """Build a config from a document; unknown keys and malformed values
-    are an error naming each key or ``modules[i]`` entry."""
+    """Build a config from a document; each unknown key, misshapen list and
+    bad value is an error naming its key, ``modules[i]`` entry or module."""
     if not isinstance(data, Mapping):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     issues = _config_issues(data)
@@ -213,6 +210,15 @@ def variable_trust(source: TrustSource, params: TrustParams) -> float:
     else:
         c, t_scaled = source
     return trust_percent(c, t_scaled, params)
+
+
+def named_variable_trust(merchant: str, name: str, source: TrustSource,
+                         params: TrustParams) -> float:
+    """:func:`variable_trust`, with any error prefixed by the merchant and variable."""
+    try:
+        return variable_trust(source, params)
+    except (EvidenceExceedsCap, ValueError) as exc:
+        raise type(exc)(f"merchant {merchant!r}, variable {name}: {exc}") from exc
 
 
 def module_trust_average(trusts: Sequence[float]) -> float:
@@ -296,9 +302,10 @@ def evaluate_merchant(
     overrides: dict[str, float] = {}
     module_names = cfg.module_names()
     for name, value in (module_overrides or {}).items():
-        canonical = normalize_name(name, module_names)
-        if not 0.0 <= float(value) <= 100.0:
-            raise ValueError(f"module override for {canonical} must be in [0, 100]")
+        canonical = normalize_name(name, module_names, kind="module")
+        if not (_is_number(value) and 0.0 <= value <= 100.0):
+            raise ValueError(f"module override for {canonical} must be a number in [0, 100], "
+                             f"got {value!r}")
         overrides[canonical] = float(value)
 
     # each source overrides the one before: evidence, assessments, supplied
@@ -316,10 +323,7 @@ def evaluate_merchant(
                 if spec.name not in overrides:
                     missing.append(name)
                 continue
-            try:
-                trust = variable_trust(source, cfg.params)
-            except (EvidenceExceedsCap, ValueError) as exc:
-                raise type(exc)(f"merchant {merchant!r}, variable {name}: {exc}") from exc
+            trust = named_variable_trust(merchant, name, source, cfg.params)
             variable_trusts[name] = trust
             member_trusts.append(trust)
         if spec.name in overrides:

@@ -38,15 +38,17 @@ def _canonical_by_key(known: tuple[str, ...]) -> dict[str, str]:
     return by_key
 
 
-def normalize_name(name: str, known: Sequence[str], permissive: bool = False) -> str:
+def normalize_name(name: str, known: Sequence[str], permissive: bool = False,
+                   kind: str = "variable") -> str:
     """Map a loosely written name onto its canonical spelling.
 
     Matching is case-insensitive and ignores underscore/hyphen/extra-space
     differences.  Unknown names raise :class:`UnknownVariable` unless
     ``permissive`` is set, in which case the trimmed input is kept as-is.
+    ``kind`` names what the names are in the messages.
     """
     if not isinstance(name, str) or not name.strip():
-        raise UnknownVariable(f"variable name must be a non-empty string, got {name!r}")
+        raise UnknownVariable(f"{kind} name must be a non-empty string, got {name!r}")
     known = tuple(known)
     canonical = _canonical_by_key(known).get(name_key(name))
     if canonical is not None:
@@ -54,5 +56,5 @@ def normalize_name(name: str, known: Sequence[str], permissive: bool = False) ->
     if permissive:
         return name.strip()
     raise UnknownVariable(
-        f"{name!r} is not a configured variable (expected one of: {', '.join(known)})"
+        f"{name!r} is not a configured {kind} (expected one of: {', '.join(known)})"
     )

@@ -15,7 +15,13 @@ from certaintrust import EvidenceCount, PipelineConfig, evaluate_merchant
 from certaintrust import cli as cli_module
 from certaintrust import store as store_module
 from certaintrust.cli import build_parser, main
-from certaintrust.store import DirectAssessment, EvidenceStore
+from certaintrust.store import (
+    NEGATIVE,
+    POSITIVE,
+    DirectAssessment,
+    EvidenceRecord,
+    EvidenceStore,
+)
 from certaintrust.variables import DEFAULT_WIRING
 
 import goldens
@@ -464,6 +470,43 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "EvidenceExceedsCap" in err
         assert "merchant 'A'" in err and "variable Delivery" in err
+
+    def test_ingest_refuses_what_evaluate_refuses_in_the_same_words(self, store_path, tmp_path,
+                                                                   capsys):
+        batch = [POSITIVE] * 5 + [NEGATIVE] * 3
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({"N": 7}), encoding="utf-8")
+        EvidenceStore(store_path).append(*[EvidenceRecord("A", "Delivery", outcome, 5)
+                                           for outcome in batch])
+        assert main(["evaluate", "--store", store_path, "--config", str(narrow),
+                     "--merchant", "A"]) == 1
+        refused = capsys.readouterr().err
+        src = tmp_path / "batch.jsonl"
+        src.write_text("".join(json.dumps({"kind": "evidence", "merchant": "A",
+                                           "variable": "delivery", "outcome": outcome,
+                                           "timestamp": 5}) + "\n" for outcome in batch),
+                       encoding="utf-8")
+        fresh = str(tmp_path / "fresh.jsonl")
+        assert main(["ingest", "--store", fresh, "--config", str(narrow),
+                     "--from-file", str(src)]) == 1
+        assert capsys.readouterr().err == refused == (
+            "error: EvidenceExceedsCap: merchant 'A', variable Delivery: "
+            "r+s = 8 exceeds evidence cap N = 7\n")
+
+    def test_unknown_module_override_names_a_module(self, seeded, capsys):
+        assert main(["evaluate", "--store", seeded, "--merchant", "A",
+                     "--module-trust", "Bogus=3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: UnknownVariable: 'Bogus' is not a configured module "
+            "(expected one of: Existence, Affiliation, Fulfillment, Policy)\n")
+
+    def test_non_finite_config_number_is_domain_error(self, seeded, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"class_bounds": [10, NaN, 60, 80], "w": Infinity}', encoding="utf-8")
+        assert main(["evaluate", "--store", seeded, "--merchant", "A",
+                     "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: w must be a positive finite number, got inf\n")
 
     def test_assessment_over_scale_names_merchant_and_variable(self, seeded, tmp_path, capsys):
         wide = tmp_path / "wide.json"

@@ -1,8 +1,11 @@
 """Pipeline tests: golden scenarios, aggregation, classification, reports."""
 
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certaintrust import (
     EvidenceCount,
@@ -221,11 +224,13 @@ class TestEvaluateMerchant:
         assert "Physical Existence" not in report.variable_trusts
 
     def test_override_range_checked(self):
-        with pytest.raises(ValueError):
-            report_for(goldens.MERCHANT_A, module_overrides={"Existence": 120.0})
+        for value in (120.0, "abc", None, "50", math.nan):
+            with pytest.raises(ValueError, match="^module override for Existence must be a "
+                                                 r"number in \[0, 100\], got "):
+                report_for(goldens.MERCHANT_A, module_overrides={"existence": value})
 
     def test_unknown_override_module_rejected(self):
-        with pytest.raises(UnknownVariable):
+        with pytest.raises(UnknownVariable, match="^'Bogus' is not a configured module "):
             report_for(goldens.MERCHANT_A, module_overrides={"Bogus": 50.0})
 
     def test_variable_names_normalized(self):
@@ -386,16 +391,48 @@ class TestConfig:
          "modules[0]: must be an object, got int; modules[1]: must be an object, got int"),
         ({"class_bounds": 5}, "class_bounds: must be a list of numbers, got 5"),
         ({"modules": "Existence"}, "modules: must be a list, got str"),
-        ({"modules": [{"name": 7, "variables": ["a", "b", "c"]}]},
-         "modules[0]: name must be a string and variables a list of strings"),
-        ({"class_bounds": [20, "40", 60, 80]},
-         "class_bounds: must be a list of numbers, got [20, '40', 60, 80]"),
-        ({"w": "1.0", "N": True}, "N: must be a number, got True; w: must be a number, got '1.0'"),
+        ({"modules": [{"name": "X", "variables": "abc"}]},
+         "modules[0]: variables must be a list, got 'abc'"),
     ])
     def test_malformed_values_are_named(self, data, message):
         with pytest.raises(ValueError) as excinfo:
             config_from_dict(data)
         assert str(excinfo.value) == "invalid config: " + message
+
+    @pytest.mark.parametrize("data, message", [
+        ({"modules": [{"name": 7, "variables": ["a", "b", "c"]}]},
+         "module 7: name and variables must be non-empty strings, 3 variables in a tuple, "
+         "got ('a', 'b', 'c')"),
+        ({"class_bounds": [20, "40", 60, 80]},
+         "class bounds must be 4 finite numbers, strictly ascending inside (0, 100), "
+         "got (20, '40', 60, 80)"),
+        ({"w": "1.0", "N": True}, "N must be a positive integer, got True"),
+    ], ids=["module-name-int", "class-bounds-str", "N-bool"])
+    def test_bad_values_are_named_by_their_class(self, data, message):
+        with pytest.raises(ValueError) as excinfo:
+            config_from_dict(data)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("route", ["document", "code"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("w", math.inf, "w must be a positive finite number, got inf"),
+        ("scale", math.inf, "scale must be a positive finite number, got inf"),
+        ("f", math.nan, "f must be a number in [0, 1], got nan"),
+        ("N", 10 ** 400, "N must be a positive integer, got "),
+        ("class_bounds", [10, math.nan, 60, 80], "class bounds must be 4 finite numbers"),
+        ("class_bounds", [10, 40, 60, math.inf], "class bounds must be 4 finite numbers"),
+        ("class_bounds", [10, 40, 60, 10 ** 400], "class bounds must be 4 finite numbers"),
+    ], ids=["w-inf", "scale-inf", "f-nan", "N-huge", "bounds-nan", "bounds-inf", "bounds-huge"])
+    def test_non_finite_numbers_are_rejected(self, route, key, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            if route == "document":
+                # json reads NaN and Infinity, as a config file may hold them
+                config_from_dict(json.loads(json.dumps({key: value})))
+            elif key == "class_bounds":
+                PipelineConfig(class_bounds=tuple(value))
+            else:
+                TrustParams(**{key: value})
+        assert str(excinfo.value).startswith(message)
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -406,8 +443,18 @@ class TestConfig:
             PipelineConfig(class_bounds=(0.0, 40.0, 60.0, 80.0))
         with pytest.raises(ValueError):
             PipelineConfig(modules=(ModuleSpec("Existence", ("a", "b", "c")),))
-        with pytest.raises(ValueError):
-            ModuleSpec("Existence", ("a", "b"))
+        for build in (lambda: ModuleSpec("Existence", ("a", "b")),
+                      lambda: TrustParams(w="1"), lambda: TrustParams(f=True),
+                      lambda: TrustParams(scale=None), lambda: ModuleSpec(7, ("a", "b", "c")),
+                      lambda: ModuleSpec("X", "abc"), lambda: ModuleSpec("X", ["a", "b", "c"]),
+                      lambda: ModuleSpec(" ", ("a", "b", "c")),
+                      lambda: ModuleSpec("X", ("a", "", "c")),
+                      lambda: PipelineConfig(modules=list(CFG.modules)),
+                      lambda: PipelineConfig(modules=(*CFG.modules[:3], "Policy")),
+                      lambda: PipelineConfig(class_bounds=(20, "40", 60, 80)),
+                      lambda: PipelineConfig(class_bounds=[20, 40, 60, 80])):
+            with pytest.raises(ValueError):
+                build()
 
     def test_module_names_that_match_are_rejected(self):
         modules = list(CFG.modules)
@@ -423,3 +470,126 @@ class TestConfig:
         data["modules"][2]["name"] = "Affiliation "
         with pytest.raises(ValueError, match="^module 'Affiliation ': name matches an earlier"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("module, variables, clash", [
+        (2, ("Delivery", "delivery", "Community Comment"), "delivery"),
+        (3, ("Customer Satisfaction", "Privacy", "payment_methods"), "payment_methods"),
+        (0, ("Physical Existence", "People Existence", "Third-Party Endorsement"),
+         "Third Party Endorsement"),
+    ])
+    def test_variable_names_that_match_are_rejected(self, module, variables, clash):
+        modules = list(CFG.modules)
+        modules[module] = ModuleSpec(modules[module].name, variables)
+        with pytest.raises(ValueError, match=f"^variable '{clash}': name matches an earlier "
+                                             "variable's, ignoring case"):
+            PipelineConfig(modules=tuple(modules))
+        data = config_to_dict(CFG)
+        data["modules"][module]["variables"] = list(variables)
+        with pytest.raises(ValueError, match=f"^variable '{clash}': name matches"):
+            config_from_dict(data)
+
+    def test_one_variable_in_two_modules_scores(self):
+        modules = list(CFG.modules)
+        modules[3] = ModuleSpec("Policy", ("Customer Satisfaction", "Privacy", "Delivery"))
+        cfg = PipelineConfig(modules=tuple(modules))
+        variables = {name: goldens.MERCHANT_A[name] for name in cfg.variable_names()}
+        report = evaluate_merchant("A", cfg, variables=variables)
+        trusts = report.variable_trusts
+        assert report.module_trusts["Policy"] == pytest.approx(module_trust_average(
+            [trusts["Customer Satisfaction"], trusts["Privacy"], trusts["Delivery"]]))
+        assert report.module_trusts["Fulfillment"] == report_for(
+            goldens.MERCHANT_A).module_trusts["Fulfillment"]
+
+
+#: the keys a config document may hold, and a few it may not
+DOCUMENT_KEYS = ["scale", "N", "w", "f", "aggregation", "class_bounds", "modules", "not_mode",
+                 "name", "variables", "weight", "aggregaton"]
+#: names that clash under name matching, and two that are no names at all
+NAMES = ["Delivery", "delivery", "Portal", "Existence", "existence", "Policy", "X", "", " "]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(NAMES),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(DOCUMENT_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+numbers = st.integers() | st.floats() | st.just(10 ** 400)
+ascending_bounds = st.lists(st.floats(1.0, 99.0), min_size=4, max_size=4, unique=True).map(sorted)
+#: ascending bounds with one replaced by a number that is not finite as a float
+unbounded_bounds = st.builds(lambda bounds, i, value: [*bounds[:i], value, *bounds[i + 1:]],
+                             ascending_bounds, st.integers(0, 3),
+                             st.sampled_from([math.nan, math.inf, 10 ** 400]))
+module_entries = st.fixed_dictionaries({
+    "name": st.sampled_from(NAMES) | json_values,
+    "variables": st.lists(st.sampled_from(NAMES) | json_values, min_size=2, max_size=4)
+    | json_values,
+})
+#: near-valid documents, which reach the config classes, and documents of
+#: any keys and values, which mostly stop at the document screen
+documents = st.fixed_dictionaries({}, optional={
+    "scale": numbers | json_values, "N": numbers | json_values, "w": numbers | json_values,
+    "f": numbers | json_values, "aggregation": st.sampled_from(["average", "fuzzy"]) | json_values,
+    "class_bounds": ascending_bounds | unbounded_bounds
+    | st.lists(numbers | json_values, max_size=5) | json_values,
+    "modules": st.lists(module_entries, min_size=4, max_size=4)
+    | st.lists(module_entries | json_values, max_size=5) | json_values,
+    "not_mode": json_values,
+}) | st.dictionaries(st.sampled_from(DOCUMENT_KEYS) | st.text(max_size=4), json_values,
+                     max_size=4)
+
+#: how every config error begins: it names a key, a ``modules[i]`` entry,
+#: a module or a variable
+NAMED = re.compile(
+    r"invalid config: (config|class_bounds|modules(\[\d+\])?): "
+    r"|(N|w|f|scale|aggregation|modules|class bounds) must be "
+    r"|(module|variable) .+: "
+)
+
+
+def assert_named(build):
+    """``build()`` returns or raises a ValueError that names what is wrong;
+    any other exception fails the test."""
+    try:
+        return build()
+    except ValueError as exc:
+        assert NAMED.match(str(exc)), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_config_from_dict_returns_a_config_or_names_the_place(data):
+    cfg = assert_named(lambda: config_from_dict(data))
+    if cfg is not None:
+        # an accepted config survives a save and a load unchanged
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[numbers | st.fractions() | json_values] * 4)
+def test_trust_params_in_code_returns_or_names_the_field(n, w, f, scale):
+    assert_named(lambda: TrustParams(N=n, w=w, f=f, scale=scale))
+
+
+names_in_code = st.sampled_from(NAMES) | json_values
+variables_in_code = (st.tuples(names_in_code, names_in_code, names_in_code)
+                     | st.lists(names_in_code, max_size=4) | json_values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names_in_code, variables_in_code)
+def test_module_spec_in_code_returns_or_names_the_module(name, variables):
+    assert_named(lambda: ModuleSpec(name, variables))
+
+
+valid_names = st.sampled_from([name for name in NAMES if name.strip()])
+module_specs = st.builds(ModuleSpec, valid_names, st.tuples(valid_names, valid_names, valid_names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["average", "fuzzy"]) | json_values,
+       st.lists(module_specs, min_size=3, max_size=5).map(tuple) | json_values,
+       st.lists(numbers | json_values, min_size=3, max_size=5).map(tuple) | json_values)
+def test_pipeline_config_in_code_returns_or_names_the_field(aggregation, modules, class_bounds):
+    assert_named(lambda: PipelineConfig(aggregation=aggregation, modules=modules,
+                                        class_bounds=class_bounds))
