@@ -256,7 +256,11 @@ def _format_report(report: TrustReport) -> str:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     store = _open_store(args)
     cfg = _load_config(args)
-    overrides = dict(args.module_trust) if args.module_trust else None
+    try:
+        overrides = {normalize_name(name, cfg.module_names(), kind="module"): value
+                     for name, value in args.module_trust or ()}
+    except UnknownVariable as exc:
+        raise UsageError(exc)
     report = evaluate_merchant(args.merchant, cfg, store=store, module_overrides=overrides)
     if args.format == "json":
         print(report.to_json())
@@ -336,19 +340,15 @@ def cmd_rules_validate(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    names = cfg.module_names() + (MERCHANT_MODULE,)
     try:
-        module = normalize_name(args.module, names)
-    except UnknownVariable:
-        raise UsageError(f"unknown module {args.module!r} (expected one of: {', '.join(names)})")
-    if module == MERCHANT_MODULE:
-        rb = merchant_rulebase(cfg)
-        inputs = cfg.module_names()
-    else:
-        spec = next(m for m in cfg.modules if m.name == module)
-        rb = module_rulebase(spec)
-        inputs = spec.variables
-    try:
+        module = normalize_name(args.module, cfg.module_names() + (MERCHANT_MODULE,), kind="module")
+        if module == MERCHANT_MODULE:
+            rb = merchant_rulebase(cfg)
+            inputs = cfg.module_names()
+        else:
+            spec = next(m for m in cfg.modules if m.name == module)
+            rb = module_rulebase(spec)
+            inputs = spec.variables
         x_index = inputs.index(normalize_name(args.x, inputs))
         y_index = inputs.index(normalize_name(args.y, inputs))
     except UnknownVariable as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -149,50 +150,65 @@ class RuleBase:
     # fields: equality and hash ignore it.
     @cached_property
     def kernel(self) -> _Kernel:
-        """The tables :func:`infer` evaluates this rulebase from."""
-        n = len(self.inputs)
+        """The memberships and the shared rule table :func:`infer` evaluates this rulebase from."""
         inputs = tuple(
             (v.name, float(v.lo), float(v.hi),
              tuple((float(mf.center), float(2.0 * mf.sigma * mf.sigma)) for _, mf in v.terms))
             for v in self.inputs
         )
-        # rules grouped by consequent, in rule order within a group (the sort
-        # is stable), each group opened by a sentinel column that reads the
-        # trailing 0.0 of the degree vector, so every term has a strength, 0
-        # when it concludes no rule
-        rules = sorted(self.rules, key=lambda r: r.consequent)
-        counts = np.bincount([r.consequent for r in rules], minlength=TERM_COUNT)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat = np.array([r.antecedent for r in rules], dtype=np.intp).reshape(len(rules), n)
-        flat += TERM_COUNT * np.arange(n)
-        index = np.ascontiguousarray(np.insert(flat, offsets, n * TERM_COUNT, axis=0).T)
-        starts = offsets + np.arange(TERM_COUNT)
+        n = len(self.inputs)
+        key = (n, self.output.lo, self.output.hi, self.output.terms, self.rules)
+        table = _Table.by_content.get(key)
+        if table is None:
+            # rules grouped by consequent, in rule order within a group (the
+            # sort is stable), each group opened by a sentinel column that
+            # reads the trailing 0.0 of the degree vector, so every term has
+            # a strength, 0 when it concludes no rule
+            rules = sorted(self.rules, key=lambda r: r.consequent)
+            counts = np.bincount([r.consequent for r in rules], minlength=TERM_COUNT)
+            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            flat = np.array([r.antecedent for r in rules], dtype=np.intp).reshape(len(rules), n)
+            flat += TERM_COUNT * np.arange(n)
+            index = np.ascontiguousarray(np.insert(flat, offsets, n * TERM_COUNT, axis=0).T)
+            starts = offsets + np.arange(TERM_COUNT)
 
-        grid = np.linspace(self.output.lo, self.output.hi, CENTROID_SAMPLES)
-        curves = np.empty((TERM_COUNT, CENTROID_SAMPLES))
-        for k, (_, mf) in enumerate(self.output.terms):
-            curves[k] = np.exp(-((grid - mf.center) ** 2) / (2.0 * mf.sigma * mf.sigma))
-        for array in (index, starts, grid, curves):
-            array.setflags(write=False)
-        return _Kernel(inputs, index, starts, grid, curves)
+            grid = np.linspace(self.output.lo, self.output.hi, CENTROID_SAMPLES)
+            curves = np.empty((TERM_COUNT, CENTROID_SAMPLES))
+            for k, (_, mf) in enumerate(self.output.terms):
+                curves[k] = np.exp(-((grid - mf.center) ** 2) / (2.0 * mf.sigma * mf.sigma))
+            for array in (index, starts, grid, curves):
+                array.setflags(write=False)
+            table = _Table.by_content[key] = _Table(index, starts, grid, curves)
+        return _Kernel(inputs, table)
 
 
 @dataclass(frozen=True, eq=False)
-class _Kernel:
-    """A rulebase's rule table laid out for single-point Mamdani inference."""
+class _Table:
+    """A rule table laid out for Mamdani inference, shared by equal rulebases."""
 
-    #: per input: its name, ``lo``, ``hi`` and five ``(center, 2 sigma^2)`` pairs
-    inputs: tuple[tuple[str, float, float, tuple[tuple[float, float], ...]], ...]
-    #: ``(n, R + 5)`` positions in the :meth:`degrees` vector, rules grouped by consequent
+    #: ``(n, R + 5)`` positions in the :meth:`_Kernel.degrees` vector, rules grouped by consequent
     index: np.ndarray
     #: first column of each consequent group, for ``np.maximum.reduceat``
     starts: np.ndarray
     #: sampled output domain and the five output term curves over it
     grid: np.ndarray
     curves: np.ndarray
+    #: every live table by its content, so a batch checks with ``is`` (a class attribute)
+    by_content = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """A rulebase's input memberships and its rule table."""
+
+    #: per input: its name, ``lo``, ``hi`` and five ``(center, 2 sigma^2)`` pairs
+    inputs: tuple[tuple[str, float, float, tuple[tuple[float, float], ...]], ...]
+    table: _Table
 
     def degrees(self, xs: Sequence[float]) -> list[float]:
         """Every input's five degrees, as :func:`fuzzify` computes them, then 0.0."""
+        if len(xs) != len(self.inputs):
+            raise ArityMismatch(f"expected {len(self.inputs)} inputs, got {len(xs)}")
         exp = math.exp
         out = []
         for (name, lo, hi, terms), x in zip(self.inputs, xs):
@@ -228,12 +244,24 @@ def generate_rulebase(inputs: Sequence[LinguisticVariable], output: LinguisticVa
     return RuleBase(tuple(inputs), output, rules)
 
 
-def _centroid(xs: np.ndarray, mu: np.ndarray) -> float:
-    """Discretized centroid of the sampled membership ``mu`` over ``xs``."""
-    total = float(mu.sum())
+def _mamdani(table: _Table, per_input: np.ndarray, tnorm: str) -> tuple[np.ndarray, np.ndarray]:
+    """The centroid's weighted and plain sums, from degrees gathered as ``(..., n, R + 5)``."""
+    if tnorm not in TNORMS:
+        raise ValueError(f"tnorm must be one of {TNORMS}, got {tnorm!r}")
+    # ufunc reductions, as ndarray.min/prod/max/sum make them, without the wrappers
+    firings = (np.minimum if tnorm == "min" else np.multiply).reduce(per_input, axis=-2)
+    # max of min(firing, curve) over rules sharing a consequent equals
+    # min(max firing, curve), so one strength per output term suffices
+    strengths = np.maximum.reduceat(firings, table.starts, axis=-1)
+    agg = np.maximum.reduce(np.minimum(strengths[..., None], table.curves), axis=-2)
+    return np.add.reduce(table.grid * agg, axis=-1), np.add.reduce(agg, axis=-1)
+
+
+def _centroid(weighted: float, total: float) -> float:
+    """Discretized centroid from the two sums of :func:`_mamdani`."""
     if total <= 0.0:
         raise EmptyAggregate("membership has no mass on the domain")
-    return float((xs * mu).sum() / total)
+    return float(weighted / total)
 
 
 def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> float:
@@ -242,19 +270,21 @@ def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> float:
     Gaussian memberships never vanish, so with a generated rulebase every
     rule fires with positive strength and the aggregate is never empty.
     """
-    if tnorm not in TNORMS:
-        raise ValueError(f"tnorm must be one of {TNORMS}, got {tnorm!r}")
-    if len(xs) != len(rb.inputs):
-        raise ArityMismatch(f"expected {len(rb.inputs)} inputs, got {len(xs)}")
     kernel = rb.kernel
-    per_input = np.array(kernel.degrees(xs))[kernel.index]
-    firings = per_input.min(axis=0) if tnorm == "min" else per_input.prod(axis=0)
+    per_input = np.array(kernel.degrees(xs))[kernel.table.index]
+    return rb.output.clamp(_centroid(*_mamdani(kernel.table, per_input, tnorm)))
 
-    # max of min(firing, curve) over rules sharing a consequent equals
-    # min(max firing, curve), so one strength per output term suffices
-    strengths = np.maximum.reduceat(firings, kernel.starts)
-    agg = np.minimum(strengths[:, None], kernel.curves).max(axis=0)
-    return rb.output.clamp(_centroid(kernel.grid, agg))
+
+def infer_batch(rbs: Sequence[RuleBase], rows: Sequence[Sequence[float]],
+                tnorm: str = "min") -> list[float]:
+    """Each row's :func:`infer` under its rulebase, bit for bit, in one call over a shared table."""
+    table = rbs[0].kernel.table if rbs else None
+    degrees = [rb.kernel.degrees(xs) for rb, xs in zip(rbs, rows) if rb.kernel.table is table]
+    if not len(degrees) == len(rbs) == len(rows) > 0:
+        raise ValueError("need one rulebase per row, all sharing one rule table")
+    weighted, total = _mamdani(table, np.take(np.array(degrees), table.index, axis=1), tnorm)
+    return [rb.output.clamp(_centroid(w, t))
+            for rb, w, t in zip(rbs, weighted.tolist(), total.tolist())]
 
 
 @dataclass(frozen=True)

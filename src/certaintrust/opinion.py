@@ -97,6 +97,8 @@ class TrustParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.N, int) and _is_number(self.N) and self.N >= 1):
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
+        if self.N > 2 ** 53:
+            raise ValueError(f"N must be at most 2**53, so certainty stays a float, got {self.N!r}")
         for name, value in (("w", self.w), ("scale", self.scale)):
             if not (_is_number(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")

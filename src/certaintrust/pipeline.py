@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import EvidenceExceedsCap, MissingVariable
-from .fuzzy import RuleBase, generate_rulebase, infer, make_variable
+from .fuzzy import RuleBase, generate_rulebase, infer, infer_batch, make_variable
 from .opinion import (
     BehavioralProbability,
     EvidenceCount,
@@ -66,6 +66,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+        if self.params.f == 0:
+            raise ValueError(f"f must be above 0 to score, as every report divides by it, "
+                             f"got {self.params.f!r}")
         if not (isinstance(self.modules, tuple) and len(self.modules) == 4
                 and all(isinstance(spec, ModuleSpec) for spec in self.modules)):
             raise ValueError(f"modules must be a tuple of 4 ModuleSpec, got {self.modules!r}")
@@ -249,23 +252,18 @@ def module_trust_fuzzy(trusts: Sequence[float], rb: RuleBase) -> float:
     return infer(rb, list(trusts))
 
 
-def _aggregate(
-    trusts: Sequence[float], cfg: PipelineConfig, input_names: tuple[str, ...], output_name: str
-) -> float:
-    """Average or infer over ``trusts``, as ``cfg.aggregation`` says.
-
-    The rulebase over ``input_names`` is only built on the fuzzy route.
-    """
+def _aggregate(module_trusts: Sequence[float], cfg: PipelineConfig) -> float:
+    """Average or infer over the module trusts, as ``cfg.aggregation`` says."""
     if cfg.aggregation == AVERAGE:
-        return module_trust_average(trusts)
-    return module_trust_fuzzy(trusts, _percent_rulebase(input_names, output_name))
+        return module_trust_average(module_trusts)
+    return module_trust_fuzzy(module_trusts, merchant_rulebase(cfg))
 
 
 def merchant_trust(module_trusts: Sequence[float], cfg: PipelineConfig) -> float:
     """Combine the four module trusts into the final merchant trust."""
     if len(module_trusts) != len(cfg.modules):
         raise ValueError(f"expected {len(cfg.modules)} module trusts, got {len(module_trusts)}")
-    return _aggregate(module_trusts, cfg, cfg.module_names(), MERCHANT_MODULE)
+    return _aggregate(module_trusts, cfg)
 
 
 def classify_trust(trust: float, cfg: PipelineConfig | None = None) -> str:
@@ -313,7 +311,7 @@ def evaluate_merchant(
     sources: dict[str, TrustSource] = {**profile.counts, **profile.assessments, **supplied}
 
     variable_trusts: dict[str, float] = {}
-    module_trusts: dict[str, float] = {}
+    rows: dict[str, list[float]] = {}  # the variable trusts of each module not overridden
     missing: list[str] = []
     for spec in cfg.modules:
         member_trusts: list[float] = []
@@ -326,14 +324,19 @@ def evaluate_merchant(
             trust = named_variable_trust(merchant, name, source, cfg.params)
             variable_trusts[name] = trust
             member_trusts.append(trust)
-        if spec.name in overrides:
-            module_trusts[spec.name] = overrides[spec.name]
-        elif len(member_trusts) == len(spec.variables):
-            module_trusts[spec.name] = _aggregate(member_trusts, cfg, spec.variables, spec.name)
+        if spec.name not in overrides:
+            rows[spec.name] = member_trusts
     if missing:
         raise MissingVariable(f"unresolved variables for {merchant}: {', '.join(missing)}")
 
-    overall = merchant_trust([module_trusts[name] for name in module_names], cfg)
+    if cfg.aggregation == FUZZY and rows:  # the generated module bases share one rule table
+        rbs = [module_rulebase(spec) for spec in cfg.modules if spec.name in rows]
+        scored = dict(zip(rows, infer_batch(rbs, list(rows.values()))))
+    else:
+        scored = {name: module_trust_average(trusts) for name, trusts in rows.items()}
+    module_trusts = {name: scored[name] if name in scored else overrides[name]
+                     for name in module_names}
+    overall = merchant_trust(list(module_trusts.values()), cfg)
     return TrustReport(
         merchant=merchant,
         variable_trusts=variable_trusts,

@@ -495,9 +495,9 @@ class TestEvaluate:
 
     def test_unknown_module_override_names_a_module(self, seeded, capsys):
         assert main(["evaluate", "--store", seeded, "--merchant", "A",
-                     "--module-trust", "Bogus=3"]) == 1
+                     "--module-trust", "Bogus=3"]) == 2
         assert capsys.readouterr().err == (
-            "error: UnknownVariable: 'Bogus' is not a configured module "
+            "error: 'Bogus' is not a configured module "
             "(expected one of: Existence, Affiliation, Fulfillment, Policy)\n")
 
     def test_non_finite_config_number_is_domain_error(self, seeded, tmp_path, capsys):
@@ -507,6 +507,16 @@ class TestEvaluate:
                      "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: ValueError: w must be a positive finite number, got inf\n")
+
+    def test_zero_base_rate_config_fails_at_load(self, seeded, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"f": 0}', encoding="utf-8")
+        for argv in (["evaluate", "--merchant", "A"],
+                     ["compare", "--merchant", "A", "--merchant", "B"]):
+            assert main([*argv, "--store", seeded, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: ValueError: f must be above 0 to score, "
+                "as every report divides by it, got 0\n")
 
     def test_assessment_over_scale_names_merchant_and_variable(self, seeded, tmp_path, capsys):
         wide = tmp_path / "wide.json"
@@ -870,7 +880,7 @@ USAGE_ERRORS = [
      "--inputs must be at least 1"),
     ("surface_unknown_module",
      ["surface", "--module", "Nonsense", "--x", "a", "--y", "b", "--out", "{out}"],
-     "unknown module 'Nonsense' (expected one of: "
+     "'Nonsense' is not a configured module (expected one of: "
      "Existence, Affiliation, Fulfillment, Policy, Merchant Trust)"),
     ("surface_unknown_x",
      ["surface", "--module", "Existence", "--x", "Portal", "--y", "People Existence",

@@ -28,7 +28,13 @@ from certaintrust import (
     mean_consequent,
     surface_grid,
 )
-from certaintrust.fuzzy import TNORMS, dump_rulebase, rulebase_from_dict, validate_rulebase_data
+from certaintrust.fuzzy import (
+    TNORMS,
+    dump_rulebase,
+    infer_batch,
+    rulebase_from_dict,
+    validate_rulebase_data,
+)
 
 import oracle
 
@@ -321,6 +327,17 @@ def infer_digest():
     return h.hexdigest()
 
 
+def batch_digest():
+    """:func:`infer_digest`, with each ``(rulebase, tnorm)`` group of :func:`digest_cases`
+    passed to :func:`infer_batch` as one call."""
+    h = hashlib.sha256()
+    for (rb, tnorm), group in itertools.groupby(digest_cases(), key=lambda c: (c[0], c[2])):
+        rows = [xs for _, xs, _ in group]
+        for y in infer_batch([rb] * len(rows), rows, tnorm=tnorm):
+            h.update(y.hex().encode() + b"\n")
+    return h.hexdigest()
+
+
 class TestKernelAgainstOracle:
     @pytest.mark.parametrize("n", sorted(KERNEL_EXAMPLES))
     def test_infer_matches_oracle(self, n):
@@ -342,6 +359,9 @@ class TestKernelAgainstOracle:
     def test_results_are_bit_identical_to_the_recorded_digest(self):
         assert infer_digest() == INFER_DIGEST
 
+    def test_batch_results_are_bit_identical_to_the_recorded_digest(self):
+        assert batch_digest() == INFER_DIGEST
+
     def test_kernel_degrees_equal_fuzzify_bit_for_bit(self):
         for rb, xs, _ in digest_cases():
             want = [d for v, x in zip(rb.inputs, xs) for d in fuzzify(v, x)]
@@ -354,6 +374,82 @@ class TestKernelAgainstOracle:
         assert "kernel" in vars(a) and "kernel" not in vars(b)
         assert a == b
         assert hash(a) == hash(b)
+
+
+@st.composite
+def batch_cases(draw):
+    """1-8 rows, each under its own rulebase over 1-4 inputs, all of one content.
+
+    Each row's rulebase names its inputs ``row<r>_x<i>``; the table is the
+    full rounded-mean one or a random partial one; both t-norms; points
+    up to 30% of the domain width outside it.
+    """
+    n = draw(st.integers(1, 4))
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.0, 100.0), (-3.0, 7.5)]))
+    terms = range(len(TERM_LABELS))
+    antecedents = list(itertools.product(terms, repeat=n))
+    partial = st.dictionaries(st.sampled_from(antecedents), st.sampled_from(terms),
+                              min_size=1, max_size=min(len(antecedents), 40))
+    table = draw(st.one_of(st.just(oracle.mean_rule_table(n)), partial))
+    rules = tuple(Rule(ante, cons) for ante, cons in table.items())
+    margin = 0.3 * (hi - lo)
+    rows = draw(st.lists(st.lists(st.floats(lo - margin, hi + margin), min_size=n, max_size=n),
+                         min_size=1, max_size=8))
+    rbs = [RuleBase(tuple(make_variable(f"row{r}_x{i}", lo, hi) for i in range(n)),
+                    make_variable(f"row{r}_y", lo, hi), rules) for r in range(len(rows))]
+    return rbs, rows, draw(st.sampled_from(TNORMS))
+
+
+class TestInferBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(batch_cases())
+    def test_equals_infer_bit_for_bit(self, case):
+        rbs, rows, tnorm = case
+        want = [infer(rb, xs, tnorm=tnorm).hex() for rb, xs in zip(rbs, rows)]
+        assert [y.hex() for y in infer_batch(rbs, rows, tnorm=tnorm)] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch_cases(), st.data())
+    def test_nan_names_the_input_of_its_row(self, case, data):
+        rbs, rows, tnorm = case
+        r = data.draw(st.integers(0, len(rows) - 1))
+        i = data.draw(st.integers(0, len(rows[r]) - 1))
+        rows[r][i] = math.nan
+        with pytest.raises(InvalidDomain, match=f"^row{r}_x{i}: input is NaN$"):
+            infer_batch(rbs, rows, tnorm=tnorm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch_cases(), st.data())
+    def test_row_of_wrong_arity_is_refused(self, case, data):
+        rbs, rows, tnorm = case
+        r = data.draw(st.integers(0, len(rows) - 1))
+        rows[r] = data.draw(st.sampled_from([rows[r][:-1], rows[r] + [0.0]]))
+        with pytest.raises(ArityMismatch):
+            infer_batch(rbs, rows, tnorm=tnorm)
+
+    def test_equal_content_shares_one_table(self):
+        a, b = unit_rulebase(3), unit_rulebase(3)
+        renamed = generate_rulebase([make_variable(f"v{i}", 0.0, 1.0) for i in range(3)],
+                                    make_variable("z", 0.0, 1.0))
+        assert a.kernel.table is b.kernel.table is renamed.kernel.table
+        assert unit_rulebase(2).kernel.table is not a.kernel.table
+        wider = generate_rulebase(unit_inputs(3), make_variable("y", 0.0, 2.0))
+        assert wider.kernel.table is not a.kernel.table
+
+    def test_misshapen_batches_are_refused(self):
+        rb = unit_rulebase(3)
+        other = generate_rulebase(unit_inputs(3), make_variable("y", 0.0, 2.0))
+        for rbs, rows in (([], []), ([rb], []), ([rb, rb], [[0.5] * 3]),
+                          ([rb, other], [[0.5] * 3] * 2)):
+            with pytest.raises(ValueError, match="one rulebase per row, all sharing one"):
+                infer_batch(rbs, rows)
+        with pytest.raises(ValueError, match="tnorm"):
+            infer_batch([rb], [[0.5] * 3], tnorm="lukasiewicz")
+
+    def test_empty_aggregate_is_refused(self):
+        rb = RuleBase(tuple(unit_inputs(1)), make_variable("y", 0.0, 1.0), ())
+        with pytest.raises(EmptyAggregate):
+            infer_batch([rb, rb], [[0.2], [0.7]])
 
 
 def one_input_rulebase(*rules):

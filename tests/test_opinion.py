@@ -68,6 +68,12 @@ class TestCertainty:
         with pytest.raises(EvidenceExceedsCap):
             certainty(EvidenceCount(6, 2), P)
 
+    def test_largest_cap_stays_a_float(self):
+        assert certainty(EvidenceCount(2 ** 53, 0), TrustParams(N=2 ** 53)) == 1.0
+        message = r"^N must be at most 2\*\*53, .* got 9007199254740993$"
+        with pytest.raises(ValueError, match=message):
+            TrustParams(N=2 ** 53 + 1)
+
     def test_monotone_in_total_evidence(self):
         p = TrustParams(N=20, w=2.0)
         values = [certainty(EvidenceCount(k, 0), p) for k in range(21)]

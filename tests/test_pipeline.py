@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from certaintrust import pipeline
 from certaintrust import (
     EvidenceCount,
     MissingVariable,
@@ -19,6 +20,7 @@ from certaintrust import (
     config_from_dict,
     config_to_dict,
     evaluate_merchant,
+    infer,
     load_config,
     merchant_trust,
     module_rulebase,
@@ -253,6 +255,58 @@ class TestEvaluateMerchant:
         assert report.module_trusts["Existence"] == pytest.approx(module_ref, abs=1e-6)
 
 
+class TestModuleBatch:
+    """The fuzzy route scores a merchant's modules in one kernel call."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The output names of the rulebases in each :func:`infer_batch` call."""
+        calls = []
+        batch = pipeline.infer_batch
+
+        def spy(rbs, rows, *args, **kwargs):
+            calls.append([rb.output.name for rb in rbs])
+            return batch(rbs, rows, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "infer_batch", spy)
+        return calls
+
+    def test_one_call_over_the_modules_not_overridden(self, batches):
+        cfg = PipelineConfig(aggregation="fuzzy")
+        report = evaluate_merchant("A", cfg, variables=dict(goldens.MERCHANT_A),
+                                   module_overrides={"affiliation": 55.0})
+        assert batches == [["Existence", "Fulfillment", "Policy"]]
+        assert list(report.module_trusts) == list(cfg.module_names())
+        assert report.module_trusts["Affiliation"] == 55.0
+        for spec in cfg.modules:
+            if spec.name != "Affiliation":
+                xs = [report.variable_trusts[v] for v in spec.variables]
+                want = infer(module_rulebase(spec), xs)
+                assert report.module_trusts[spec.name].hex() == want.hex()
+
+    def test_one_call_per_merchant(self, batches):
+        cfg = PipelineConfig(aggregation="fuzzy")
+        for merchant in (goldens.MERCHANT_A, goldens.MERCHANT_B):
+            evaluate_merchant("M", cfg, variables=dict(merchant))
+        assert batches == [list(cfg.module_names())] * 2
+
+    def test_no_call_on_the_average_route(self, batches):
+        report_for(goldens.MERCHANT_A)
+        assert batches == []
+
+    def test_no_call_when_every_module_is_overridden(self, batches):
+        cfg = PipelineConfig(aggregation="fuzzy")
+        pinned = dict(zip(cfg.module_names(), (10.0, 20.0, 30.0, 40.0)))
+        report = evaluate_merchant("A", cfg, module_overrides=pinned)
+        assert batches == []
+        assert report.module_trusts == pinned
+
+    def test_module_rulebases_share_one_table(self):
+        rbs = [module_rulebase(spec) for spec in PipelineConfig(aggregation="fuzzy").modules]
+        assert len({id(rb) for rb in rbs}) == 4
+        assert all(rb.kernel.table is rbs[0].kernel.table for rb in rbs)
+
+
 class TestEvaluateFromStore:
     @pytest.fixture
     def store(self, tmp_path):
@@ -455,6 +509,14 @@ class TestConfig:
                       lambda: PipelineConfig(class_bounds=[20, 40, 60, 80])):
             with pytest.raises(ValueError):
                 build()
+
+    @pytest.mark.parametrize("f", [0, 0.0])
+    def test_zero_base_rate_is_refused(self, f):
+        message = r"^f must be above 0 to score, as every report divides by it, got 0"
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(params=TrustParams(f=f))
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({"f": f})
 
     def test_module_names_that_match_are_rejected(self):
         modules = list(CFG.modules)
