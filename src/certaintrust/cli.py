@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import replace
@@ -298,7 +299,7 @@ def cmd_rules_generate(args: argparse.Namespace) -> int:
     rb = generate_rulebase(inputs, make_variable("output", 0.0, 100.0))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_rulebase(rb, policy="mean"))
+            fh.write(dump_rulebase(rb))
     except OSError as exc:
         raise StorageFailure(f"cannot write {args.out}: {exc}") from exc
     print(f"Wrote {len(rb.rules)} rules to {args.out}")
@@ -306,8 +307,8 @@ def cmd_rules_generate(args: argparse.Namespace) -> int:
 
 
 def _rule_lines(text: str) -> list[int]:
-    """1-based line number of each rule entry in a rulebase file."""
-    return [i for i, line in enumerate(text.splitlines(), start=1) if '"if"' in line]
+    """1-based line number of each rule's ``"if"`` key in a rulebase file."""
+    return [text.count("\n", 0, m.start()) + 1 for m in re.finditer(r'"if"\s*:', text)]
 
 
 def cmd_rules_validate(args: argparse.Namespace) -> int:
@@ -333,8 +334,7 @@ def cmd_rules_validate(args: argparse.Namespace) -> int:
             print(f"{location}: {issue}", file=sys.stderr)
         print(f"error: {len(issues)} issue(s) found", file=sys.stderr)
         return EXIT_DOMAIN
-    rules = data.get("rules", [])
-    print(f"OK: {len(rules)} rules over {len(data['inputs'])} inputs")
+    print(f"OK: {len(data['rules'])} rules over {len(data['inputs'])} inputs")
     return EXIT_OK
 
 

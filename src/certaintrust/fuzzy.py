@@ -18,13 +18,14 @@ import itertools
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, EmptyAggregate, IndexOutOfRange, InvalidDomain
+from .errors import ArityMismatch, EmptyAggregate, IndexOutOfRange, InvalidDomain, TrustError
+from .opinion import _is_number
 
 TERM_LABELS = ("Very_Low", "Low", "Medium", "High", "Very_High")
 TERM_COUNT = len(TERM_LABELS)
@@ -61,23 +62,34 @@ def gaussian_mf(x: float, mf: MembershipFunction) -> float:
 
 @dataclass(frozen=True)
 class LinguisticVariable:
-    """A named domain ``[lo, hi]`` with five ordered Gaussian terms."""
+    """A named finite domain ``[lo, hi]`` with five Gaussian terms: centers
+    evenly spaced from ``lo`` to ``hi``, and a shared sigma that makes
+    adjacent terms cross at membership 0.5 and ``2 sigma^2`` a positive float."""
 
     name: str
     lo: float
     hi: float
-    terms: tuple[tuple[str, MembershipFunction], ...]
+    #: five ``(label, MembershipFunction)`` pairs, built from ``lo`` and ``hi``
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise InvalidDomain(f"{self.name}: need lo < hi, got [{self.lo}, {self.hi}]")
-        if len(self.terms) != TERM_COUNT:
-            raise ValueError(f"{self.name}: exactly {TERM_COUNT} terms required")
-        centers = [mf.center for _, mf in self.terms]
-        if any(b <= a for a, b in zip(centers, centers[1:])):
-            raise ValueError(f"{self.name}: term centers must be strictly increasing")
-        if centers[0] < self.lo or centers[-1] > self.hi:
-            raise ValueError(f"{self.name}: term centers must lie within the domain")
+        if not (isinstance(self.name, str) and self.name.strip()):
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+        lo, hi = self.lo, self.hi
+        if not (_is_number(lo) and _is_number(hi)):
+            raise InvalidDomain(f"{self.name}: need finite lo and hi, got [{lo!r}, {hi!r}]")
+        if not lo < hi:
+            raise InvalidDomain(f"{self.name}: need lo < hi, got [{lo}, {hi}]")
+        width = hi - lo
+        sigma = SIGMA_FACTOR * width
+        two_var = 2.0 * sigma * sigma
+        if not (_is_number(two_var) and two_var > 0):
+            raise InvalidDomain(f"{self.name}: domain width {width!r} gives 2 sigma^2 = "
+                                f"{two_var!r}, need a positive finite value")
+        object.__setattr__(self, "terms", tuple(
+            (label, MembershipFunction(lo + i * width / 4.0, sigma))
+            for i, label in enumerate(TERM_LABELS)
+        ))
 
     @property
     def midpoint(self) -> float:
@@ -90,21 +102,7 @@ class LinguisticVariable:
         return min(max(x, self.lo), self.hi)
 
 
-def make_variable(name: str, lo: float, hi: float) -> LinguisticVariable:
-    """Build the standard five-term variable over ``[lo, hi]``.
-
-    Centers are evenly spaced from ``lo`` to ``hi``; the shared sigma makes
-    adjacent terms cross at membership 0.5.
-    """
-    if not lo < hi:
-        raise InvalidDomain(f"{name}: need lo < hi, got [{lo}, {hi}]")
-    width = hi - lo
-    sigma = SIGMA_FACTOR * width
-    terms = tuple(
-        (label, MembershipFunction(lo + i * width / 4.0, sigma))
-        for i, label in enumerate(TERM_LABELS)
-    )
-    return LinguisticVariable(name, lo, hi, terms)
+make_variable = LinguisticVariable  #: the standard five-term variable over ``[lo, hi]``
 
 
 def fuzzify(v: LinguisticVariable, x: float) -> tuple[float, ...]:
@@ -126,6 +124,20 @@ class Rule:
                 raise IndexOutOfRange(f"term index {idx!r} out of range 0..{TERM_COUNT - 1}")
 
 
+def _rule_problems(arity: int, numbered: Iterable[tuple[int, Rule]]) -> Iterator[Exception]:
+    """Each rule, of ``(number, rule)`` pairs, whose antecedent has the wrong
+    length or repeats an earlier one, as the error it makes."""
+    seen: dict[tuple[int, ...], int] = {}
+    for i, rule in numbered:
+        ante = rule.antecedent
+        if len(ante) != arity:
+            yield ArityMismatch(f"rule {i}: antecedent length {len(ante)} != arity {arity}")
+        elif ante in seen:
+            yield ValueError(f"rule {i}: duplicate antecedent {ante} (first at rule {seen[ante]})")
+        else:
+            seen[ante] = i
+
+
 @dataclass(frozen=True)
 class RuleBase:
     inputs: tuple[LinguisticVariable, ...]
@@ -135,16 +147,8 @@ class RuleBase:
     def __post_init__(self) -> None:
         if not self.inputs:
             raise ValueError("a rulebase needs at least one input variable")
-        arity = len(self.inputs)
-        seen: set[tuple[int, ...]] = set()
-        for i, rule in enumerate(self.rules):
-            if len(rule.antecedent) != arity:
-                raise ArityMismatch(
-                    f"rule {i + 1}: antecedent length {len(rule.antecedent)} != arity {arity}"
-                )
-            if rule.antecedent in seen:
-                raise ValueError(f"rule {i + 1}: duplicate antecedent {rule.antecedent}")
-            seen.add(rule.antecedent)
+        for problem in _rule_problems(len(self.inputs), enumerate(self.rules, start=1)):
+            raise problem
 
     # Built on first use.  A cached property sits outside the dataclass
     # fields: equality and hash ignore it.
@@ -157,7 +161,7 @@ class RuleBase:
             for v in self.inputs
         )
         n = len(self.inputs)
-        key = (n, self.output.lo, self.output.hi, self.output.terms, self.rules)
+        key = (n, self.output.lo, self.output.hi, self.rules)
         table = _Table.by_content.get(key)
         if table is None:
             # rules grouped by consequent, in rule order within a group (the
@@ -351,93 +355,85 @@ def surface_grid(
 # rulebase file format
 
 
-def rulebase_to_dict(rb: RuleBase, policy: str = EXPLICIT_POLICY) -> dict:
-    return {
-        "inputs": [{"name": v.name, "lo": v.lo, "hi": v.hi} for v in rb.inputs],
-        "output": {"name": rb.output.name, "lo": rb.output.lo, "hi": rb.output.hi},
-        "policy": policy,
-        "rules": [{"if": list(r.antecedent), "then": r.consequent} for r in rb.rules],
-    }
+def _parse_rulebase(data: object) -> tuple[list[str], RuleBase | None]:
+    """Every problem in a rulebase document, and its rulebase when it has none.
 
-
-def validate_rulebase_data(data: object) -> list[str]:
-    """Collect every schema problem in a rulebase document.
-
-    Returns human-readable issue strings (empty when the document is
-    valid); rule-level issues are prefixed ``rule N:`` with 1-based N.
+    The parser checks only the document's shape.  The variables, rules and
+    base are built by their constructors, whose messages are collected
+    under ``inputs[i]:``, ``output:`` and ``rule N:`` (1-based N).
     """
-    issues: list[str] = []
     if not isinstance(data, dict):
-        return ["document must be a JSON object"]
+        return ["document must be a JSON object"], None
+    issues: list[str] = []
 
-    def check_var(entry: object, label: str) -> None:
-        if not isinstance(entry, dict):
-            issues.append(f"{label} must be an object with name/lo/hi")
-            return
-        if not isinstance(entry.get("name"), str) or not entry["name"].strip():
-            issues.append(f"{label}: name must be a non-empty string")
-        lo, hi = entry.get("lo"), entry.get("hi")
-        if not isinstance(lo, (int, float)) or not isinstance(hi, (int, float)):
-            issues.append(f"{label}: lo and hi must be numbers")
-        elif not lo < hi:
-            issues.append(f"{label}: need lo < hi, got [{lo}, {hi}]")
+    def build(label: str, make, *args):
+        try:
+            return make(*args)
+        except (TrustError, ValueError) as exc:
+            issues.append(f"{label}: {exc}")
 
-    inputs = data.get("inputs")
-    if not isinstance(inputs, list) or not inputs:
+    def variable(entry: object, label: str) -> LinguisticVariable | None:
+        if isinstance(entry, dict):
+            return build(label, LinguisticVariable, entry.get("name"), entry.get("lo"),
+                         entry.get("hi"))
+        issues.append(f"{label} must be an object with name/lo/hi")
+
+    input_entries = data.get("inputs")
+    if not isinstance(input_entries, list) or not input_entries:
         issues.append("inputs must be a non-empty list")
-        inputs = []
-    for i, entry in enumerate(inputs):
-        check_var(entry, f"inputs[{i}]")
-    check_var(data.get("output"), "output")
+        input_entries = []
+    inputs = tuple(variable(entry, f"inputs[{i}]") for i, entry in enumerate(input_entries))
+    output = variable(data.get("output"), "output")
 
     policy = data.get("policy")
     if policy not in (MEAN_POLICY, EXPLICIT_POLICY):
         issues.append(f"policy must be 'mean' or 'explicit', got {policy!r}")
 
-    rules = data.get("rules")
-    if not isinstance(rules, list):
+    rule_entries = data.get("rules")
+    if not isinstance(rule_entries, list):
         issues.append("rules must be a list")
-        rules = []
-    arity = len(inputs)
-    seen: dict[tuple, int] = {}
-    for i, rule in enumerate(rules, start=1):
-        if not isinstance(rule, dict) or "if" not in rule or "then" not in rule:
-            issues.append(f"rule {i}: must be an object with 'if' and 'then'")
-            continue
-        ante, cons = rule["if"], rule["then"]
-        if not isinstance(ante, list) or len(ante) != arity:
-            issues.append(f"rule {i}: 'if' must list {arity} term indices")
-            continue
-        bad = [k for k in (*ante, cons) if not isinstance(k, int) or isinstance(k, bool)
-               or not 0 <= k < TERM_COUNT]
-        if bad:
-            issues.append(f"rule {i}: term indices {bad} out of range 0..{TERM_COUNT - 1}")
-            continue
-        key = tuple(ante)
-        if key in seen:
-            issues.append(f"rule {i}: duplicate antecedent {key} (first at rule {seen[key]})")
-        else:
-            seen[key] = i
-    return issues
+        rule_entries = []
+    numbered = []
+    for i, entry in enumerate(rule_entries, start=1):
+        if not (isinstance(entry, dict) and isinstance(entry.get("if"), list) and "then" in entry):
+            issues.append(f"rule {i}: must be an object with an 'if' list and a 'then'")
+        elif (rule := build(f"rule {i}", Rule, tuple(entry["if"]), entry["then"])) is not None:
+            numbered.append((i, rule))
+    issues.extend(map(str, _rule_problems(len(inputs), numbered)))
+
+    if issues:
+        return issues, None
+    if policy == MEAN_POLICY and not numbered:
+        return issues, generate_rulebase(inputs, output)
+    return issues, RuleBase(inputs, output, tuple(rule for _, rule in numbered))
 
 
-def rulebase_from_dict(data: dict) -> RuleBase:
-    issues = validate_rulebase_data(data)
+def validate_rulebase_data(data: object) -> list[str]:
+    """Every problem :func:`load_rulebase` finds in a document; empty when it loads."""
+    return _parse_rulebase(data)[0]
+
+
+def rulebase_from_dict(data: object) -> RuleBase:
+    issues, rb = _parse_rulebase(data)
     if issues:
         raise ValueError("invalid rulebase document:\n" + "\n".join(issues))
-    inputs = tuple(make_variable(d["name"], d["lo"], d["hi"]) for d in data["inputs"])
-    output = make_variable(data["output"]["name"], data["output"]["lo"], data["output"]["hi"])
-    if data["policy"] == MEAN_POLICY and not data["rules"]:
-        return generate_rulebase(inputs, output)
-    rules = tuple(Rule(tuple(r["if"]), r["then"]) for r in data["rules"])
-    return RuleBase(inputs, output, rules)
+    return rb
 
 
-def dump_rulebase(rb: RuleBase, policy: str = EXPLICIT_POLICY) -> str:
-    """Serialize with one rule per line so reports can cite line numbers."""
-    doc = rulebase_to_dict(rb, policy)
-    head = json.dumps({k: doc[k] for k in ("inputs", "output", "policy")}, indent=2)
-    rule_lines = ",\n".join("    " + json.dumps(r) for r in doc["rules"])
+def dump_rulebase(rb: RuleBase) -> str:
+    """Serialize with one rule per line so reports can cite line numbers.
+
+    ``policy`` reads ``mean`` exactly when the rules are those
+    :func:`generate_rulebase` makes, in its order, and ``explicit`` otherwise.
+    """
+    generated = rb.rules == generate_rulebase(rb.inputs, rb.output).rules
+    head = json.dumps({
+        "inputs": [{"name": v.name, "lo": v.lo, "hi": v.hi} for v in rb.inputs],
+        "output": {"name": rb.output.name, "lo": rb.output.lo, "hi": rb.output.hi},
+        "policy": MEAN_POLICY if generated else EXPLICIT_POLICY,
+    }, indent=2)
+    rule_lines = ",\n".join("    " + json.dumps({"if": list(r.antecedent), "then": r.consequent})
+                            for r in rb.rules)
     return head[:-2] + ',\n  "rules": [\n' + rule_lines + "\n  ]\n}\n"
 
 

@@ -76,7 +76,8 @@ def _check_number(name: str, value: float, upper: float, bounds: str) -> None:
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, not bool, got {value!r}")
     try:
-        valid = 0.0 <= value <= upper
+        # no bound admits inf, which a log line would hold as the non-JSON Infinity
+        valid = 0.0 <= value <= upper and value != math.inf
     except TypeError:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not valid:
@@ -126,10 +127,11 @@ class DirectAssessment:
         if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
                 and merchant.strip() and variable.strip()
                 and (type(c) is float or type(c) is int) and 0.0 <= c <= 1.0
-                and (type(t_scaled) is float or type(t_scaled) is int) and t_scaled >= 0.0):
+                and (type(t_scaled) is float or type(t_scaled) is int)
+                and 0.0 <= t_scaled < math.inf):
             _check_common(merchant, variable, timestamp)
             _check_number("c", c, 1.0, "in [0, 1]")
-            _check_number("t_scaled", t_scaled, math.inf, "non-negative")
+            _check_number("t_scaled", t_scaled, math.inf, "non-negative and finite")
         set_merchant, set_variable, set_c, set_t_scaled, set_timestamp = self._setters
         set_merchant(self, merchant)
         set_variable(self, variable)
@@ -266,7 +268,7 @@ def _snapshot_columns(payload: bytes) -> tuple:
             and (mids < len(names)).all() and (vids < len(variables)).all()
             and set(map(type, cs)) | set(map(type, ts)) <= {int, float}
             and all(map(0.0.__le__, cs)) and all(map(1.0.__ge__, cs))
-            and all(map(0.0.__le__, ts))):
+            and all(map(0.0.__le__, ts)) and all(map(math.inf.__gt__, ts))):
         raise ValueError("snapshot holds a record the checks reject")
     kinds = np.frombuffer(kinds, np.uint8)
     assessed = np.cumsum(kinds == _ASSESSED) - 1

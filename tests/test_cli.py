@@ -732,6 +732,42 @@ class TestRules:
                     if '"then": 9' in ln)
         assert f":{line}:" in err
 
+    def test_validate_line_numbers_ignore_an_input_named_if(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
+        text = out.read_text(encoding="utf-8").replace('"input_1"', '"if"')
+        text = text.replace('{"if": [0, 3], "then": 2}', '{"if": [0, 3], "then": 9}')
+        out.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["rules", "validate", str(out)]) == 1
+        line = next(i for i, ln in enumerate(text.splitlines(), start=1) if '"then": 9' in ln)
+        assert f"{out}:{line}: rule 4: term index 9 out of range 0..4" in capsys.readouterr().err
+
+    def test_validate_line_numbers_in_a_one_line_file(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        data["rules"][3]["then"] = 9
+        data["rules"][20]["then"] = 9
+        out.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["rules", "validate", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out}:1: rule 4: " in err and f"{out}:1: rule 21: " in err
+
+    @pytest.mark.parametrize("domain", ['"lo": -1e308, "hi": 1e308',
+                                        '"lo": -Infinity, "hi": Infinity',
+                                        '"lo": 0, "hi": 1e-320'])
+    def test_validate_refuses_a_domain_that_cannot_load(self, tmp_path, capsys, domain):
+        out = tmp_path / "rules.json"
+        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
+        text = out.read_text(encoding="utf-8")
+        text = text.replace('"lo": 0.0,\n      "hi": 100.0', domain, 1)
+        out.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["rules", "validate", str(out)]) == 1
+        assert f"{out}: inputs[0]: input_1: " in capsys.readouterr().err
+
     def test_validate_rejects_non_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope", encoding="utf-8")

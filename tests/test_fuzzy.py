@@ -1,5 +1,6 @@
 """Fuzzy engine tests: membership, rulebases, inference, surfaces, files."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -7,7 +8,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from certaintrust import (
     ArityMismatch,
@@ -97,6 +98,33 @@ class TestMakeVariable:
         with pytest.raises(InvalidDomain):
             make_variable("v", 2.0, -1.0)
 
+    def test_make_variable_is_the_class(self):
+        assert make_variable is LinguisticVariable
+        v = LinguisticVariable("v", 0, 100)
+        assert v == make_variable("v", 0.0, 100.0)
+        assert [mf.center for _, mf in v.terms] == [0.0, 25.0, 50.0, 75.0, 100.0]
+        with pytest.raises(TypeError):
+            LinguisticVariable("v", 0.0, 1.0, v.terms)
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-math.inf, math.inf, "need finite lo and hi"),
+        (0.0, math.nan, "need finite lo and hi"),
+        (False, 1.0, "need finite lo and hi"),
+        (0, 2 ** 1100, "need finite lo and hi"),
+        (0.0, "1", "need finite lo and hi"),
+        (-1e308, 1e308, r"domain width inf gives 2 sigma\^2 = inf"),
+        (-1e200, 1e200, r"domain width 2e\+200 gives 2 sigma\^2 = inf"),
+        (0.0, 1e-320, r"domain width 1e-320 gives 2 sigma\^2 = 0.0"),
+    ])
+    def test_domain_must_give_finite_positive_memberships(self, lo, hi, message):
+        with pytest.raises(InvalidDomain, match=f"^v: {message}"):
+            make_variable("v", lo, hi)
+
+    @pytest.mark.parametrize("name", ["", "  ", None, 3])
+    def test_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(ValueError, match="^name must be a non-empty string"):
+            make_variable(name, 0.0, 1.0)
+
 
 class TestFuzzify:
     def test_center_has_full_membership(self):
@@ -165,9 +193,9 @@ class TestRulebaseGeneration:
 
     def test_duplicate_antecedents_rejected(self):
         v = unit_inputs(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rule 3: duplicate antecedent \(2,\) \(first at rule 1\)$"):
             RuleBase(tuple(v), make_variable("y", 0.0, 1.0),
-                     (Rule((2,), 2), Rule((2,), 3)))
+                     (Rule((2,), 2), Rule((1,), 1), Rule((2,), 3)))
 
     def test_arity_mismatch_rejected(self):
         v = unit_inputs(2)
@@ -548,10 +576,9 @@ class TestRulebaseFiles:
     def test_round_trip(self, tmp_path):
         rb = unit_rulebase(2)
         path = tmp_path / "rules.json"
-        path.write_text(dump_rulebase(rb, policy="mean"), encoding="utf-8")
+        path.write_text(dump_rulebase(rb), encoding="utf-8")
         loaded = load_rulebase(str(path))
-        assert loaded.rules == rb.rules
-        assert [v.name for v in loaded.inputs] == [v.name for v in rb.inputs]
+        assert loaded == rb
 
     def test_generated_document_is_valid(self):
         data = json.loads(dump_rulebase(unit_rulebase(3)))
@@ -572,16 +599,149 @@ class TestRulebaseFiles:
         assert any(issue.startswith("rule 4:") for issue in issues)
         assert any(issue.startswith("rule 5:") for issue in issues)
 
+    def test_every_problem_reported_under_its_place(self):
+        data = json.loads(dump_rulebase(unit_rulebase(2)))
+        data["inputs"][1]["hi"] = True
+        data["output"] = {"name": "", "lo": 0.0, "hi": 1.0}
+        data["rules"][0] = {"if": 0, "then": 0}
+        data["rules"][3]["then"] = 9
+        data["rules"][4]["if"] = [0]
+        data["rules"].append(dict(data["rules"][7]))
+        assert validate_rulebase_data(data) == [
+            "inputs[1]: x1: need finite lo and hi, got [0.0, True]",
+            "output: name must be a non-empty string, got ''",
+            "rule 1: must be an object with an 'if' list and a 'then'",
+            "rule 4: term index 9 out of range 0..4",
+            "rule 5: antecedent length 1 != arity 2",
+            "rule 26: duplicate antecedent (1, 2) (first at rule 8)",
+        ]
+
     def test_mean_policy_without_rules_generates(self):
-        data = json.loads(dump_rulebase(unit_rulebase(3), policy="mean"))
+        data = json.loads(dump_rulebase(unit_rulebase(3)))
+        assert data["policy"] == "mean"
         data["rules"] = []
         rb = rulebase_from_dict(data)
-        assert len(rb.rules) == 125
+        assert rb == unit_rulebase(3)
+
+    def test_policy_is_mean_only_for_the_generated_rules(self):
+        rb = unit_rulebase(2)
+        assert json.loads(dump_rulebase(rb))["policy"] == "mean"
+        for rules in (rb.rules[:-1], rb.rules[::-1],
+                      rb.rules[:3] + (Rule(rb.rules[3].antecedent, 4),) + rb.rules[4:]):
+            explicit = RuleBase(rb.inputs, rb.output, rules)
+            data = json.loads(dump_rulebase(explicit))
+            assert data["policy"] == "explicit"
+            assert rulebase_from_dict(data) == explicit
 
     def test_one_rule_per_line(self):
         text = dump_rulebase(unit_rulebase(2))
         rule_lines = [ln for ln in text.splitlines() if '"if"' in ln]
         assert len(rule_lines) == 25
+
+
+#: domains a rulebase document may give a variable: sound ones, then ones no variable has
+SOUND_DOMAINS = [(0, 1), (0.0, 100.0), (-3.0, 7.5), (-1e150, 1e150), (0.0, 1e-160)]
+ODD_DOMAINS = [
+    (-1e308, 1e308), (-1e200, 1e200), (-math.inf, math.inf), (0.0, math.inf), (0, 1e-320),
+    (0.0, 5e-324), (1.0, 0.0), (1.0, 1.0), (math.nan, 1.0), (0, 2 ** 1100), (True, 2),
+    (0.0, False), (None, 1.0), ("0", "1"), ([0], 1),
+]
+#: values a document may hold in place of a term index, a name, a list or an entry
+ODD_VALUES = [-1, 5, 2.0, True, None, "1", "", " ", [], [1], {}, math.inf]
+
+
+def places(value):
+    """Every ``(container, key)`` inside a JSON-like value, outermost first."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return
+    for key, item in items:
+        yield value, key
+        yield from places(item)
+
+
+@st.composite
+def rulebase_documents(draw):
+    """JSON-like rulebase documents: valid ones, then up to three odd edits."""
+    n = draw(st.integers(1, 3))
+
+    def variable(name):
+        lo, hi = draw(st.sampled_from(SOUND_DOMAINS))
+        return {"name": name, "lo": lo, "hi": hi}
+
+    antecedents = draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                                max_size=6, unique_by=tuple))
+    doc = {
+        "inputs": [variable(f"x{i}") for i in range(n)],
+        "output": variable("y"),
+        "policy": draw(st.sampled_from(["mean", "explicit"])),
+        "rules": [{"if": ante, "then": draw(st.integers(0, 4))} for ante in antecedents],
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["value", "drop", "domain", "duplicate"]))
+        container, key = draw(st.sampled_from(list(places(doc))))
+        if edit == "value":
+            container[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif edit == "drop":
+            del container[key]
+        elif edit == "domain" and isinstance(container, dict) and {"lo", "hi"} <= container.keys():
+            container["lo"], container["hi"] = draw(st.sampled_from(ODD_DOMAINS))
+        elif edit == "duplicate" and isinstance(container, list):
+            container.append(copy.deepcopy(container[key]))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(rulebase_documents())
+def test_validation_accepts_exactly_what_loads(doc):
+    issues = validate_rulebase_data(doc)
+    try:
+        rb = rulebase_from_dict(doc)
+    except ValueError as exc:
+        assert issues and str(exc) == "invalid rulebase document:\n" + "\n".join(issues)
+        return
+    assert issues == []
+    if rb.rules:  # every membership is a number, so inference runs
+        out = infer(rb, [v.lo for v in rb.inputs])
+        assert rb.output.lo <= out <= rb.output.hi
+
+
+@st.composite
+def finite_variables(draw, name):
+    lo, hi = sorted(draw(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2,
+                                  unique=True)))
+    try:
+        return make_variable(draw(st.one_of(st.just(name), st.text(min_size=1))), lo, hi)
+    except (InvalidDomain, ValueError):
+        assume(False)
+
+
+@st.composite
+def rulebases(draw):
+    """Generated rulebases and random explicit ones, arity 1-4, random finite domains."""
+    n = draw(st.integers(1, 4))
+    inputs = [draw(finite_variables(f"x{i}")) for i in range(n)]
+    output = draw(finite_variables("y"))
+    if draw(st.booleans()):
+        return generate_rulebase(inputs, output), True
+    antecedent = st.tuples(*[st.integers(0, 4)] * n)
+    rules = draw(st.lists(st.builds(Rule, antecedent, st.integers(0, 4)), max_size=12,
+                          unique_by=lambda rule: rule.antecedent))
+    return RuleBase(tuple(inputs), output, tuple(rules)), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(rulebases())
+def test_dump_round_trips(case):
+    rb, generated = case
+    data = json.loads(dump_rulebase(rb))
+    assert rulebase_from_dict(data) == rb
+    assert validate_rulebase_data(data) == []
+    mean = generated or rb.rules == generate_rulebase(rb.inputs, rb.output).rules
+    assert data["policy"] == ("mean" if mean else "explicit")
 
 
 class TestSurfaceRippleByTnorm:

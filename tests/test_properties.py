@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from certaintrust import (
     EvidenceCount,
     Opinion,
+    PipelineConfig,
     TrustParams,
     average_rating,
     behavioral_probability,
     certainty,
+    evaluate_merchant,
     expectation,
     op_and,
     op_not,
@@ -152,3 +154,34 @@ def test_behavioral_direction_matches_sign(trust, f):
     else:
         assert got.direction == "balanced"
         assert got.value == 0
+
+
+@st.composite
+def tallies_and_one_more(draw):
+    """A config with a random cap ``N``, evidence within it for its twelve
+    variables, and one variable that has room for one more record."""
+    cfg = PipelineConfig(TrustParams(N=draw(st.integers(1, 200)),
+                                     w=draw(st.floats(0.1, 5.0, allow_nan=False))))
+    name = draw(st.sampled_from(cfg.variable_names()))
+    counts = {}
+    for each in cfg.variable_names():
+        room = cfg.params.N - (each == name)
+        r = draw(st.integers(0, room))
+        counts[each] = EvidenceCount(r, draw(st.integers(0, room - r)))
+    return cfg, counts, name
+
+
+@given(tallies_and_one_more())
+def test_one_more_positive_record_never_lowers_trust(case):
+    """Variable trust ``c * r / (r + s)`` rises with each positive record,
+    as certainty and the rating both rise; on the average route (the
+    default) the module and merchant means pass that on."""
+    cfg, counts, name = case
+    more = dict(counts)
+    more[name] = EvidenceCount(counts[name].r + 1, counts[name].s)
+    before = evaluate_merchant("m", cfg, variables=counts)
+    after = evaluate_merchant("m", cfg, variables=more)
+    assert after.variable_trusts[name] >= before.variable_trusts[name]
+    for module in cfg.modules:
+        assert after.module_trusts[module.name] >= before.module_trusts[module.name]
+    assert after.merchant_trust >= before.merchant_trust

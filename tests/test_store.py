@@ -106,6 +106,7 @@ class TestRecords:
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", True),
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", "x"),
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", [3.0]),
+        (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", math.inf),
     ])
     def test_dict_with_a_bad_value_rejected(self, record, field, value):
         data = record_to_dict(record)
@@ -146,6 +147,13 @@ class TestAppendAndCounts:
     def test_empty_batch_creates_no_file(self, store):
         assert store.append() is None
         assert not store.path.exists()
+
+    def test_an_infinite_assessment_is_refused_before_the_log(self, store):
+        add_evidence(store, "A", "Delivery", positive=1)
+        before = store.path.read_bytes()
+        with pytest.raises(ValueError, match="^t_scaled must be non-negative and finite, got inf"):
+            store.append(DirectAssessment("A", "Privacy", 0.5, math.inf, 1))
+        assert store.path.read_bytes() == before
 
     def test_names_logged_as_written(self, store):
         store.append(EvidenceRecord("A", "physical_existence", "positive", 0),
@@ -223,6 +231,14 @@ class TestTornAndCorruptLines:
             fh.write(json.dumps(line) + "\n")
         add_evidence(store, "A", "Delivery", positive=1)
         with pytest.raises(StorageFailure, match="invalid record on line 2: .*not bool"):
+            store.records()
+
+    def test_infinite_assessment_line_is_fatal(self, store):
+        add_evidence(store, "A", "Delivery", positive=1)
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"kind": "assessment", "merchant": "A", "variable": "Delivery", '
+                     '"c": 0.5, "t_scaled": Infinity, "timestamp": 0}\n')
+        with pytest.raises(StorageFailure, match="invalid record on line 2: .*finite, got inf"):
             store.records()
 
     def test_torn_line_warns_on_every_read(self, store):
@@ -611,7 +627,7 @@ class TestSnapshot:
     def test_values_and_types_survive_the_round_trip(self, store, decoded):
         records = [
             EvidenceRecord("\ud800 lone", "Delivery", "positive", 10**30),
-            DirectAssessment("A", "Privacy", 1, float("inf"), -(10**25)),
+            DirectAssessment("A", "Privacy", 1, 5e-324, -(10**25)),
             DirectAssessment("\udfff", "Portal", -0.0, 3, 0),
             DirectAssessment("Café \u2028", "Privacy", 0.1 + 0.2, 1e308, 7),
             EvidenceRecord("Z\u0085", "Portal", "negative", 0),
@@ -696,6 +712,7 @@ class TestSnapshot:
         pytest.param({"c": [True]}, None, id="c-value8"),
         pytest.param({"t_scaled": [-1]}, None, id="t_scaled-value9"),
         pytest.param({"t_scaled": ["2.5"]}, None, id="t_scaled-value10"),
+        pytest.param({"t_scaled": [math.inf]}, None, id="t_scaled-infinite"),
         pytest.param(None, {"merchant": [0, 1]}, id="merchant-value11"),  # a short column
         pytest.param({"c": []}, None, id="c-value12"),
         pytest.param({"merchant": {"A": 0, "B": 1}}, None, id="merchant-value13"),
@@ -1100,13 +1117,13 @@ json_values = st.recursive(
 
 valid_records_st = records_st | st.builds(
     DirectAssessment, st.sampled_from(MERCHANTS), st.just("Privacy"),
-    st.floats(0.0, 1.0), st.floats(min_value=0.0), st.integers(0, 9),
+    st.floats(0.0, 1.0), st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 9),
 )
 
 
 @st.composite
 def good_lines(draw) -> bytes:
-    """A valid record (escaped or not, maybe ``Infinity``) inside JSON whitespace."""
+    """A valid record (escaped or not) inside JSON whitespace."""
     body = json.dumps(record_to_dict(draw(valid_records_st)),
                       ensure_ascii=draw(st.booleans()), sort_keys=draw(st.booleans()))
     space = st.text(alphabet=" \t\r", max_size=2)
@@ -1185,7 +1202,8 @@ def snapshot_records(stamps):
                   st.sampled_from(("positive", "negative")), stamps),
         st.builds(DirectAssessment, snapshot_names, snapshot_names,
                   st.sampled_from((0, 1, -0.0)) | st.floats(0.0, 1.0),
-                  st.sampled_from((0, 7, -0.0, float("inf"))) | st.floats(min_value=0.0),
+                  st.sampled_from((0, 7, -0.0, 1e308))
+                  | st.floats(min_value=0.0, allow_infinity=False),
                   stamps),
     ), min_size=1, max_size=12)
 
@@ -1206,7 +1224,7 @@ def typed(records: list) -> list:
 def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
     """Names with any characters, lone surrogates included; timestamps that
     fit int64 (kept as binary) or not (kept in the table); int ``c``,
-    ``-0.0`` and ``inf``: a hit, a miss and a plain reader agree exactly."""
+    ``-0.0`` and ``1e308``: a hit, a miss and a plain reader agree exactly."""
     records = data.draw(snapshot_records(st.integers(*INT64)))
     if wide:
         records += data.draw(snapshot_records(
