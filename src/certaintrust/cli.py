@@ -25,6 +25,7 @@ from .fuzzy import (
     dump_rulebase,
     generate_rulebase,
     make_variable,
+    rulebase_from_dict,
     surface_grid,
     validate_rulebase_data,
 )
@@ -279,7 +280,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError(f"merchant {repeated!r} is given more than once")
     store = _open_store(args)
     cfg = _load_config(args)
-    ordered = compare_merchants([evaluate_merchant(m, cfg, store=store) for m in merchants])
+    with store.pinned():  # every merchant is scored from one read of the log
+        reports = [evaluate_merchant(m, cfg, store=store) for m in merchants]
+    ordered = compare_merchants(reports)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in ordered], indent=2, sort_keys=True))
     else:
@@ -334,7 +337,8 @@ def cmd_rules_validate(args: argparse.Namespace) -> int:
             print(f"{location}: {issue}", file=sys.stderr)
         print(f"error: {len(issues)} issue(s) found", file=sys.stderr)
         return EXIT_DOMAIN
-    print(f"OK: {len(data['rules'])} rules over {len(data['inputs'])} inputs")
+    rb = rulebase_from_dict(data)
+    print(f"OK: {len(rb.rules)} rules over {len(rb.inputs)} inputs")
     return EXIT_OK
 
 

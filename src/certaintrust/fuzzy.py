@@ -358,13 +358,18 @@ def surface_grid(
 def _parse_rulebase(data: object) -> tuple[list[str], RuleBase | None]:
     """Every problem in a rulebase document, and its rulebase when it has none.
 
-    The parser checks only the document's shape.  The variables, rules and
-    base are built by their constructors, whose messages are collected
-    under ``inputs[i]:``, ``output:`` and ``rule N:`` (1-based N).
+    The parser checks only the document's shape and its keys.  The
+    variables, rules and base are built by their constructors, whose
+    messages are collected under ``inputs[i]:``, ``output:`` and ``rule N:``
+    (1-based N), as is each unknown key of those entries.
     """
     if not isinstance(data, dict):
         return ["document must be a JSON object"], None
-    issues: list[str] = []
+    issues = [f"unknown key {key!r}" for key in data
+              if key not in ("inputs", "output", "policy", "rules")]
+
+    def unknown(label: str, entry: dict, known: tuple[str, ...]) -> None:
+        issues.extend(f"{label}: unknown key {key!r}" for key in entry if key not in known)
 
     def build(label: str, make, *args):
         try:
@@ -374,6 +379,7 @@ def _parse_rulebase(data: object) -> tuple[list[str], RuleBase | None]:
 
     def variable(entry: object, label: str) -> LinguisticVariable | None:
         if isinstance(entry, dict):
+            unknown(label, entry, ("name", "lo", "hi"))
             return build(label, LinguisticVariable, entry.get("name"), entry.get("lo"),
                          entry.get("hi"))
         issues.append(f"{label} must be an object with name/lo/hi")
@@ -395,6 +401,8 @@ def _parse_rulebase(data: object) -> tuple[list[str], RuleBase | None]:
         rule_entries = []
     numbered = []
     for i, entry in enumerate(rule_entries, start=1):
+        if isinstance(entry, dict):
+            unknown(f"rule {i}", entry, ("if", "then"))
         if not (isinstance(entry, dict) and isinstance(entry.get("if"), list) and "then" in entry):
             issues.append(f"rule {i}: must be an object with an 'if' list and a 'then'")
         elif (rule := build(f"rule {i}", Rule, tuple(entry["if"]), entry["then"])) is not None:

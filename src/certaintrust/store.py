@@ -13,7 +13,11 @@ write) is skipped with a warning; corruption anywhere else raises
 :class:`StorageFailure`, and so does an append to a log whose last line
 is unterminated.  A store object keeps the prefix it validated and, on
 the next read, compares it with the file one chunk at a time, in place,
-before it reads the bytes after it.
+before it reads the bytes after it.  Inside ``with store.pinned():`` the
+log is read once, on entry, and every read in the block returns the
+records of that state; ``compare`` scores all its merchants in one such
+block, so one ``compare`` is one read of the log and every merchant is
+scored against the log as it stood when the block was entered.
 
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
 prefix of it, so that a new store object parses only the lines after
@@ -40,6 +44,7 @@ import os
 import stat
 import tempfile
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -236,30 +241,32 @@ def _snapshot_payload(records) -> bytes:
     return b"\n".join([line, b"".join(columns)])
 
 
-def _snapshot_columns(payload: bytes) -> tuple:
-    """The checked columns of a snapshot payload: kinds, merchant ids,
-    variable ids, timestamps, the position of each record's assessment
-    among the assessments, merchant names, variable names, ``c``,
-    ``t_scaled`` and the id of each merchant name.  A blob whose length
-    does not fit the table, an id outside its table, a duplicate merchant
-    name, or any record that the record constructors would reject raise
-    ValueError or TypeError, so a snapshot is taken or ignored whole
-    without building its records."""
-    line, _, blob = payload.partition(b"\n")
-    table = json.loads(line)
+def _snapshot_columns(data: bytes, start: int) -> tuple:
+    """The checked columns of the snapshot payload at ``data[start:]``:
+    kinds, merchant ids, variable ids, timestamps, the position of each
+    record's assessment among the assessments, merchant names, variable
+    names, ``c``, ``t_scaled`` and the id of each merchant name.  The
+    fixed-width columns are views of ``data``; only the table line and
+    the kind bytes are copied.  A blob whose length does not fit the
+    table, an id outside its table, a duplicate merchant name, or any
+    record that the record constructors would reject raise ValueError or
+    TypeError, so a snapshot is taken or ignored whole without building
+    its records."""
+    at = data.find(b"\n", start) + 1 or len(data)  # where the blob starts
+    table = json.loads(data[start:at])
     names, variables, cs, ts, stamps = (
         table[key] for key in ("merchant", "variable", "c", "t_scaled", "timestamp"))
-    n, rest = divmod(len(blob), 17 if stamps is None else 9)
+    n, rest = divmod(len(data) - at, 17 if stamps is None else 9)
     if not (type(names) is type(variables) is type(cs) is type(ts) is list and not rest
             and (stamps is None or type(stamps) is list and len(stamps) == n
                  and set(map(type, stamps)) <= {int})):
         raise ValueError("snapshot tables are not lists that fit the blob")
     if stamps is None:
-        stamps, at = np.frombuffer(blob, "<i8", n), 8 * n
+        stamps, at = np.frombuffer(data, "<i8", n, at), at + 8 * n
     else:
-        stamps, at = np.array(stamps, dtype=object), 0
-    mids, vids = np.frombuffer(blob, "<u4", n, at), np.frombuffer(blob, "<u4", n, at + 4 * n)
-    kinds = blob[at + 8 * n:]
+        stamps = np.array(stamps, dtype=object)
+    mids, vids = np.frombuffer(data, "<u4", n, at), np.frombuffer(data, "<u4", n, at + 4 * n)
+    kinds = data[at + 8 * n:]
     index = dict(zip(names, range(len(names))))
     # str.strip raises TypeError for a name that is not a string
     if not (all(map(str.strip, names)) and all(map(str.strip, variables))
@@ -309,6 +316,8 @@ class EvidenceStore:
         # how many records the snapshot holds, as far as this object knows:
         # those it loaded, or those it last wrote or tried to write
         self._snapshot_records = 0
+        # inside pinned(): the records of the part not kept at entry
+        self._pinned: list[Record] | None = None
 
     @property
     def _snapshot_path(self) -> Path:
@@ -367,7 +376,37 @@ class EvidenceStore:
         all of them, once, on ``records()``.  After a read that parsed more
         records from the log than the snapshot holds, the kept prefix is
         written as the new snapshot.
+
+        Inside :meth:`pinned`, the file is not read: the records are those
+        of the read on entry, which alone warns of a torn last line.
         """
+        tail = self._read(stacklevel=3) if self._pinned is None else self._pinned
+        if merchant is None:
+            return [*self._built_prefix(), *tail]
+        picked = [] if self._columns is None else _column_records(self._columns, merchant)
+        picked += [r for r in self._prefix_records if r.merchant == merchant]
+        picked += [r for r in tail if r.merchant == merchant]
+        return picked
+
+    @contextlib.contextmanager
+    def pinned(self) -> Iterator[None]:
+        """A read scope: the log is read once, on entry, and every
+        :meth:`records` call inside returns what it would have returned
+        then, without touching the file.  The entry read is a normal one:
+        it validates every byte, warns and raises as :meth:`records` does
+        and may write the snapshot.  Appends made inside the scope are seen
+        by the first read after it."""
+        self._pinned = self._read(stacklevel=4)  # past contextlib, to the with statement
+        try:
+            yield
+        finally:
+            self._pinned = None
+
+    def _read(self, stacklevel: int) -> list[Record]:
+        """Read and validate the log as :meth:`records` describes, update
+        the kept prefix and the snapshot, and return the records of the
+        part not kept: those of an unterminated last line, if valid.  A
+        torn-line warning names the frame ``stacklevel`` calls up."""
         try:
             with self.path.open("rb") as fh:
                 warm = self._read_past_prefix(fh)
@@ -410,7 +449,7 @@ class EvidenceStore:
                     warnings.warn(
                         f"{self.path}: skipping torn final line ({exc})",
                         RuntimeWarning,
-                        stacklevel=2,
+                        stacklevel=stacklevel,
                     )
                     keep, kept_records = i, len(out)
                     break
@@ -433,12 +472,7 @@ class EvidenceStore:
         if held > 2 * self._snapshot_records:
             self._snapshot_records = held
             self._save_snapshot()
-        if merchant is None:
-            return [*self._built_prefix(), *out[kept_records:]]
-        picked = [] if self._columns is None else _column_records(self._columns, merchant)
-        picked += [r for r in self._prefix_records if r.merchant == merchant]
-        picked += [r for r in out[kept_records:] if r.merchant == merchant]
-        return picked
+        return out[kept_records:]
 
     def _read_past_prefix(self, fh) -> bool:
         """Whether ``fh`` starts with the kept prefix, compared one chunk at
@@ -487,17 +521,18 @@ class EvidenceStore:
         """The length and checked columns of the snapshot when it holds a
         prefix of ``data``, else ``(0, None)``."""
         try:
-            head, _, payload = self._snapshot_path.read_bytes().partition(b"\n")
-            header = json.loads(head)
+            snapshot = self._snapshot_path.read_bytes()
+            start = snapshot.find(b"\n") + 1 or len(snapshot)  # where the payload starts
+            header = json.loads(snapshot[:start])
             length = header["length"]
             if not (header["version"] == SNAPSHOT_VERSION and type(length) is int
                     and 0 < length <= len(data) and data[length - 1] == ord("\n")):
                 return 0, None
             digest = hashlib.sha256(memoryview(data)[:length])
-            digest.update(payload)
+            digest.update(memoryview(snapshot)[start:])
             if digest.hexdigest() != header["digest"]:
                 return 0, None
-            return length, _snapshot_columns(payload)
+            return length, _snapshot_columns(snapshot, start)
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
             return 0, None
 

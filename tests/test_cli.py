@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -655,6 +656,28 @@ class TestCompare:
         data = json.loads(capsys.readouterr().out)
         assert [r["merchant"] for r in data] == ["alpha", "zeta"]
 
+    def test_one_read_of_a_log_with_a_torn_last_line(self, seeded, monkeypatch, capsys):
+        seed_merchant(seeded, "C", goldens.MERCHANT_B)
+        with open(seeded, "ab") as fh:
+            fh.write(b'{"kind": "evid')
+        opened = []
+        real_open = Path.open
+
+        def counting(self, *args, **kwargs):
+            if self == Path(seeded):
+                opened.append(args)
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["compare", "--store", seeded, "--merchant", "A",
+                         "--merchant", "B", "--merchant", "C"])
+        assert code == 0
+        assert len(opened) == 1
+        assert ["torn final line" in str(w.message) for w in caught] == [True]
+        assert len(capsys.readouterr().out.splitlines()) == 4  # a header and three ranks
+
     def test_unevaluable_merchant_is_domain_error(self, seeded, capsys):
         code = main(["compare", "--store", seeded,
                      "--merchant", "A", "--merchant", "ghost"])
@@ -767,6 +790,30 @@ class TestRules:
         capsys.readouterr()
         assert main(["rules", "validate", str(out)]) == 1
         assert f"{out}: inputs[0]: input_1: " in capsys.readouterr().err
+
+    def test_validate_counts_the_rules_that_load(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        main(["rules", "generate", "--inputs", "3", "--out", str(out)])
+        data = json.loads(out.read_text(encoding="utf-8"))
+        assert data["policy"] == "mean"
+        data["rules"] = []
+        out.write_text(json.dumps(data, indent=2), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["rules", "validate", str(out)]) == 0
+        assert capsys.readouterr().out == "OK: 125 rules over 3 inputs\n"
+
+    def test_validate_names_unknown_keys(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
+        text = out.read_text(encoding="utf-8").replace('"policy"', '"extra": 1, "policy"')
+        text = text.replace('{"if": [0, 2], "then": 1}', '{"if": [0, 2], "then": 1, "weight": 0.5}')
+        out.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["rules", "validate", str(out)]) == 1
+        err = capsys.readouterr().err
+        line = next(i for i, ln in enumerate(text.splitlines(), start=1) if '"weight"' in ln)
+        assert f"{out}: unknown key 'extra'" in err
+        assert f"{out}:{line}: rule 3: unknown key 'weight'" in err
 
     def test_validate_rejects_non_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -616,6 +616,19 @@ class TestRulebaseFiles:
             "rule 26: duplicate antecedent (1, 2) (first at rule 8)",
         ]
 
+    def test_unknown_keys_reported_under_their_place(self):
+        data = json.loads(dump_rulebase(unit_rulebase(2)))
+        data["extra"] = 1
+        data["inputs"][1]["hgih"] = 1.0
+        data["output"]["unit"] = "%"
+        data["rules"][2]["weight"] = 0.5
+        assert validate_rulebase_data(data) == [
+            "unknown key 'extra'",
+            "inputs[1]: unknown key 'hgih'",
+            "output: unknown key 'unit'",
+            "rule 3: unknown key 'weight'",
+        ]
+
     def test_mean_policy_without_rules_generates(self):
         data = json.loads(dump_rulebase(unit_rulebase(3)))
         assert data["policy"] == "mean"
