@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import replace
 from typing import Sequence
 
@@ -309,9 +310,49 @@ def cmd_rules_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_scan_json = json.JSONDecoder().scan_once
+_json_space = re.compile(r"[ \t\n\r]*")
+
+
+def _members(text: str, at: int) -> Iterator[tuple[str | None, int]]:
+    """The key (None in an array) and value index of each member of the
+    JSON object or array that starts at ``text[at]``, in a valid document."""
+    close = "}" if text[at] == "{" else "]"
+    at = _json_space.match(text, at + 1).end()
+    while text[at] != close:
+        key = None
+        if close == "}":
+            key, at = _scan_json(text, at)
+            at = _json_space.match(text, _json_space.match(text, at).end() + 1).end()  # past ":"
+        yield key, at
+        at = _json_space.match(text, _scan_json(text, at)[1]).end()
+        if text[at] == ",":
+            at = _json_space.match(text, at + 1).end()
+
+
+def _member(text: str, at: int, name: str) -> int | None:
+    """The value index of the last member ``name`` (the one json.loads
+    keeps) of the JSON object at ``text[at]``; None if it has none or is
+    not an object."""
+    found = None
+    if text[at] == "{":
+        for key, value in _members(text, at):
+            if key == name:
+                found = value
+    return found
+
+
 def _rule_lines(text: str) -> list[int]:
-    """1-based line number of each rule's ``"if"`` key in a rulebase file."""
-    return [text.count("\n", 0, m.start()) + 1 for m in re.finditer(r'"if"\s*:', text)]
+    """1-based line number of each entry of a rulebase file's ``rules``
+    array: of its ``"if"`` value, or of the entry if it has no such key."""
+    rules = _member(text, _json_space.match(text).end(), "rules")
+    if rules is None or text[rules] != "[":
+        return []
+    lines = []
+    for _, entry in _members(text, rules):
+        at = _member(text, entry, "if")
+        lines.append(text.count("\n", 0, entry if at is None else at) + 1)
+    return lines
 
 
 def cmd_rules_validate(args: argparse.Namespace) -> int:

@@ -32,6 +32,10 @@ positive and negative evidence, ``a`` for an assessment):
     {"digest": "<sha256 of the prefix bytes, then the rest>", "length": 230, "version": 2}
     {"merchant":["A"],"variable":["Delivery","Privacy"],"c":[0.6],"t_scaled":[3.5],"timestamp":null}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a
+
+The digest is never skipped.  A new store object computes it on one
+worker thread while the calling thread checks the columns, and takes the
+snapshot only when both pass.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import math
 import os
 import stat
 import tempfile
+import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -243,15 +248,14 @@ def _snapshot_payload(records) -> bytes:
 
 def _snapshot_columns(data: bytes, start: int) -> tuple:
     """The checked columns of the snapshot payload at ``data[start:]``:
-    kinds, merchant ids, variable ids, timestamps, the position of each
-    record's assessment among the assessments, merchant names, variable
-    names, ``c``, ``t_scaled`` and the id of each merchant name.  The
-    fixed-width columns are views of ``data``; only the table line and
-    the kind bytes are copied.  A blob whose length does not fit the
-    table, an id outside its table, a duplicate merchant name, or any
-    record that the record constructors would reject raise ValueError or
-    TypeError, so a snapshot is taken or ignored whole without building
-    its records."""
+    kinds, merchant ids, variable ids, timestamps, the rows of the
+    assessments, merchant names, variable names, ``c``, ``t_scaled`` and
+    the id of each merchant name.  The fixed-width columns are views of
+    ``data``; only the table line and the kind bytes are copied.  A blob
+    whose length does not fit the table, an id outside its table, a
+    duplicate merchant name, or any record that the record constructors
+    would reject raise ValueError or TypeError, so a snapshot is taken or
+    ignored whole without building its records."""
     at = data.find(b"\n", start) + 1 or len(data)  # where the blob starts
     table = json.loads(data[start:at])
     names, variables, cs, ts, stamps = (
@@ -278,7 +282,7 @@ def _snapshot_columns(data: bytes, start: int) -> tuple:
             and all(map(0.0.__le__, ts)) and all(map(math.inf.__gt__, ts))):
         raise ValueError("snapshot holds a record the checks reject")
     kinds = np.frombuffer(kinds, np.uint8)
-    assessed = np.cumsum(kinds == _ASSESSED) - 1
+    assessed = np.flatnonzero(kinds == _ASSESSED)
     return kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index
 
 
@@ -287,14 +291,15 @@ def _column_records(columns: tuple, merchant: str | None = None) -> list[Record]
     merchant's, in order, built by the same constructors as log lines."""
     kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index = columns
     if merchant is None:
-        rows = slice(None)
+        rows = np.arange(len(kinds))
     elif merchant in index:
         rows = np.flatnonzero(mids == index[merchant])
     else:
         return []
+    # an assessment row's position among the assessment rows indexes c and t_scaled
     out = []
     for kind, m, v, t, a in zip(kinds[rows].tolist(), mids[rows].tolist(), vids[rows].tolist(),
-                                stamps[rows].tolist(), assessed[rows].tolist()):
+                                stamps[rows].tolist(), assessed.searchsorted(rows).tolist()):
         if kind == _ASSESSED:
             out.append(DirectAssessment(names[m], variables[v], cs[a], ts[a], t))
         else:
@@ -519,7 +524,11 @@ class EvidenceStore:
 
     def _load_snapshot(self, data: bytes) -> tuple[int, tuple | None]:
         """The length and checked columns of the snapshot when it holds a
-        prefix of ``data``, else ``(0, None)``."""
+        prefix of ``data``, else ``(0, None)``.  The digest is computed on
+        one worker thread while this one checks the columns (hashlib
+        releases the GIL over large buffers); what the worker raises is
+        raised here, before any error of the column checks, as if the
+        digest had been computed first."""
         try:
             snapshot = self._snapshot_path.read_bytes()
             start = snapshot.find(b"\n") + 1 or len(snapshot)  # where the payload starts
@@ -528,11 +537,27 @@ class EvidenceStore:
             if not (header["version"] == SNAPSHOT_VERSION and type(length) is int
                     and 0 < length <= len(data) and data[length - 1] == ord("\n")):
                 return 0, None
-            digest = hashlib.sha256(memoryview(data)[:length])
-            digest.update(memoryview(snapshot)[start:])
-            if digest.hexdigest() != header["digest"]:
+            digest: list = []  # the hex digest, or what computing it raised
+
+            def compute_digest() -> None:
+                try:
+                    sha = hashlib.sha256(memoryview(data)[:length])
+                    sha.update(memoryview(snapshot)[start:])
+                    digest.append(sha.hexdigest())
+                except BaseException as exc:
+                    digest.append(exc)
+
+            worker = threading.Thread(target=compute_digest)
+            worker.start()
+            try:
+                columns = _snapshot_columns(snapshot, start)
+            finally:
+                worker.join()
+                if isinstance(digest[0], BaseException):
+                    raise digest[0]
+            if digest[0] != header["digest"]:
                 return 0, None
-            return length, _snapshot_columns(snapshot, start)
+            return length, columns
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
             return 0, None
 

@@ -766,6 +766,21 @@ class TestRules:
         line = next(i for i, ln in enumerate(text.splitlines(), start=1) if '"then": 9' in ln)
         assert f"{out}:{line}: rule 4: term index 9 out of range 0..4" in capsys.readouterr().err
 
+    def test_validate_line_numbers_ignore_an_if_key_outside_the_rules(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
+        text = out.read_text(encoding="utf-8").replace('"name": "input_1",',
+                                                       '"name": "input_1", "if": 0,')
+        text = text.replace('{"if": [0, 3], "then": 2}', '{"if": [0, 3], "then": 9}')
+        out.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["rules", "validate", str(out)]) == 1
+        err = capsys.readouterr().err
+        line = next(i for i, ln in enumerate(text.splitlines(), start=1) if '"then": 9' in ln)
+        assert line == 24
+        assert f"{out}: inputs[0]: unknown key 'if'" in err
+        assert f"{out}:24: rule 4: term index 9 out of range 0..4" in err
+
     def test_validate_line_numbers_in_a_one_line_file(self, tmp_path, capsys):
         out = tmp_path / "rules.json"
         main(["rules", "generate", "--inputs", "2", "--out", str(out)])
