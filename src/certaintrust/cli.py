@@ -14,10 +14,8 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import time
-from collections.abc import Iterator
 from dataclasses import replace
 from typing import Sequence
 
@@ -310,48 +308,42 @@ def cmd_rules_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_scan_json = json.JSONDecoder().scan_once
-_json_space = re.compile(r"[ \t\n\r]*")
-
-
-def _members(text: str, at: int) -> Iterator[tuple[str | None, int]]:
-    """The key (None in an array) and value index of each member of the
-    JSON object or array that starts at ``text[at]``, in a valid document."""
-    close = "}" if text[at] == "{" else "]"
-    at = _json_space.match(text, at + 1).end()
-    while text[at] != close:
-        key = None
-        if close == "}":
-            key, at = _scan_json(text, at)
-            at = _json_space.match(text, _json_space.match(text, at).end() + 1).end()  # past ":"
-        yield key, at
-        at = _json_space.match(text, _scan_json(text, at)[1]).end()
-        if text[at] == ",":
-            at = _json_space.match(text, at + 1).end()
-
-
-def _member(text: str, at: int, name: str) -> int | None:
-    """The value index of the last member ``name`` (the one json.loads
-    keeps) of the JSON object at ``text[at]``; None if it has none or is
-    not an object."""
-    found = None
-    if text[at] == "{":
-        for key, value in _members(text, at):
-            if key == name:
-                found = value
-    return found
-
-
 def _rule_lines(text: str) -> list[int]:
     """1-based line number of each entry of a rulebase file's ``rules``
-    array: of its ``"if"`` value, or of the entry if it has no such key."""
-    rules = _member(text, _json_space.match(text).end(), "rules")
-    if rules is None or text[rules] != "[":
+    list: of its ``"if"`` list, or of the entry if it has none.  The text
+    is decoded again by the json module's Python scanner, which keeps the
+    last of repeated keys as ``json.loads`` does, with each list noting
+    where it and each of its items start."""
+    # by id: each decoded list, held so that no other value takes its id,
+    # where it starts and where its items start
+    lists: dict[int, tuple[list, int, list[int]]] = {}
+
+    def parse_array(s_and_end, scan_once):
+        items: list[int] = []
+
+        def scan_item(string, at):
+            items.append(at)
+            return scan_once(string, at)
+
+        value, end = json.decoder.JSONArray(s_and_end, scan_item)
+        lists[id(value)] = value, s_and_end[1] - 1, items
+        return value, end
+
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    try:
+        data = decoder.decode(text)
+    except RecursionError:  # nested deeper than the Python scanner reaches
+        return []
+    rules = data.get("rules") if isinstance(data, dict) else None
+    if id(rules) not in lists:
         return []
     lines = []
-    for _, entry in _members(text, rules):
-        at = _member(text, entry, "if")
-        lines.append(text.count("\n", 0, entry if at is None else at) + 1)
+    for entry, at in zip(rules, lists[id(rules)][2]):
+        if isinstance(entry, dict) and id(entry.get("if")) in lists:
+            at = lists[id(entry["if"])][1]
+        lines.append(text.count("\n", 0, at) + 1)
     return lines
 
 

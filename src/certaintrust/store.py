@@ -11,31 +11,31 @@ The log is never rewritten.  Appends are serialized through one writer;
 readers always see a consistent prefix.  A torn final line (interrupted
 write) is skipped with a warning; corruption anywhere else raises
 :class:`StorageFailure`, and so does an append to a log whose last line
-is unterminated.  A store object keeps the prefix it validated and, on
-the next read, compares it with the file one chunk at a time, in place,
-before it reads the bytes after it.  Inside ``with store.pinned():`` the
-log is read once, on entry, and every read in the block returns the
-records of that state; ``compare`` scores all its merchants in one such
-block, so one ``compare`` is one read of the log and every merchant is
-scored against the log as it stood when the block was entered.
+is unterminated.  Every read outside ``with store.pinned():`` reads the
+file afresh.  Inside that block the log is read once, on entry, and every
+read in the block returns the records of that state; ``compare`` scores
+all its merchants in one such block, so one ``compare`` is one read of
+the log and every merchant is scored against the log as it stood when
+the block was entered.
 
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
-prefix of it, so that a new store object parses only the lines after
-that prefix.  Its first line is a JSON header.  A JSON table line follows:
-the distinct merchant and variable names in first-seen order, ``c`` and
-``t_scaled`` per assessment, and the timestamps only when one falls
-outside int64.  Then come fixed-width little-endian columns: the
-timestamps (``<i8``, unless the table holds them), merchant ids and
-variable ids (``<u4``), and a kind byte per record (``+`` and ``-`` for
-positive and negative evidence, ``a`` for an assessment):
+prefix of it, so that a read parses only the lines after that prefix.
+Its first line is a JSON header.  A JSON table line follows: the distinct
+merchant and variable names in first-seen order, ``c`` and ``t_scaled``
+per assessment, and the timestamps only when one falls outside int64.
+Then come fixed-width little-endian columns: the timestamps (``<i8``,
+unless the table holds them), merchant ids and variable ids (``<u4``), and
+a kind byte per record (``+`` and ``-`` for positive and negative
+evidence, ``a`` for an assessment):
 
     {"digest": "<sha256 of the prefix bytes, then the rest>", "length": 230, "version": 2}
     {"merchant":["A"],"variable":["Delivery","Privacy"],"c":[0.6],"t_scaled":[3.5],"timestamp":null}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a
 
-The digest is never skipped.  A new store object computes it on one
-worker thread while the calling thread checks the columns, and takes the
-snapshot only when both pass.
+The digest is never skipped.  A read computes it on one worker thread
+while the calling thread checks the columns, or on the calling thread
+when no thread can be started, and takes the snapshot only when both
+pass.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
 SNAPSHOT_VERSION = 2
-
-#: bytes of the kept prefix compared against the file per read call
-_CHUNK = 1 << 16
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> None:
@@ -312,17 +309,12 @@ class EvidenceStore:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        # the last validated newline-terminated prefix of the file: its
-        # bytes and its records; the records taken from the snapshot stay
-        # its checked columns until all of them are asked for
-        self._prefix = b""
+        # what the last read found: the checked columns of the snapshot it
+        # took, until all their records are asked for, and the records
+        # built so far, the snapshot's first
         self._columns: tuple | None = None
-        self._prefix_records: tuple[Record, ...] = ()
-        # how many records the snapshot holds, as far as this object knows:
-        # those it loaded, or those it last wrote or tried to write
-        self._snapshot_records = 0
-        # inside pinned(): the records of the part not kept at entry
-        self._pinned: list[Record] | None = None
+        self._records: list[Record] = []
+        self._pinned = False
 
     @property
     def _snapshot_path(self) -> Path:
@@ -367,30 +359,25 @@ class EvidenceStore:
         the physical line.  Every byte is validated whichever records are
         asked for, so ``records(m)`` warns and fails as ``records()`` does.
 
-        The store keeps the newline-terminated prefix it last validated,
-        with that prefix's records: when the file still starts with exactly
-        those bytes, compared chunk by chunk without a copy of the file,
-        only the bytes after them are read and parsed.  A torn or
-        unterminated final line is never kept, so it is checked again on
-        every read.  A missing log reads as empty and drops what was kept.
-        A store object without a kept prefix takes it from the
-        snapshot file when the snapshot's length fits, its digest matches
-        the file's first bytes and its columns pass the record checks;
+        Each call reads the file afresh, and a missing log reads as empty.
+        The read takes the snapshot file when the snapshot's length fits,
+        its digest matches the file's first bytes and its columns pass the
+        record checks, and then parses only the lines after that prefix;
         otherwise the snapshot is ignored.  The records of a snapshot are
         built when first asked for: one merchant's on each ``records(m)``,
-        all of them, once, on ``records()``.  After a read that parsed more
-        records from the log than the snapshot holds, the kept prefix is
-        written as the new snapshot.
+        all of them on ``records()``.  When the lines after the snapshot
+        hold more newline-terminated records than the snapshot does, the
+        log's newline-terminated prefix is written as the new snapshot.
 
         Inside :meth:`pinned`, the file is not read: the records are those
         of the read on entry, which alone warns of a torn last line.
         """
-        tail = self._read(stacklevel=3) if self._pinned is None else self._pinned
+        if not self._pinned:
+            self._read(stacklevel=3)
         if merchant is None:
-            return [*self._built_prefix(), *tail]
+            return list(self._built())
         picked = [] if self._columns is None else _column_records(self._columns, merchant)
-        picked += [r for r in self._prefix_records if r.merchant == merchant]
-        picked += [r for r in tail if r.merchant == merchant]
+        picked += [r for r in self._records if r.merchant == merchant]
         return picked
 
     @contextlib.contextmanager
@@ -401,30 +388,27 @@ class EvidenceStore:
         it validates every byte, warns and raises as :meth:`records` does
         and may write the snapshot.  Appends made inside the scope are seen
         by the first read after it."""
-        self._pinned = self._read(stacklevel=4)  # past contextlib, to the with statement
+        self._read(stacklevel=4)  # past contextlib, to the with statement
+        self._pinned = True
         try:
             yield
         finally:
-            self._pinned = None
+            self._pinned = False
 
-    def _read(self, stacklevel: int) -> list[Record]:
-        """Read and validate the log as :meth:`records` describes, update
-        the kept prefix and the snapshot, and return the records of the
-        part not kept: those of an unterminated last line, if valid.  A
-        torn-line warning names the frame ``stacklevel`` calls up."""
+    def _read(self, stacklevel: int) -> None:
+        """Read and validate the log as :meth:`records` describes, keep
+        what it found, and rewrite the snapshot when the lines after it
+        outnumber it.  A torn-line warning names the frame ``stacklevel``
+        calls up."""
+        self._columns, self._records = None, []  # never hold two reads at once
         try:
             with self.path.open("rb") as fh:
-                warm = self._read_past_prefix(fh)
-                data = fh.read()  # the file after the kept prefix, or all of it
+                data = fh.read()
         except (FileNotFoundError, NotADirectoryError):
-            warm, data = False, b""  # a missing log reads as empty
+            data = b""  # a missing log reads as empty
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
-        start = 0  # data[:start] is covered by the snapshot
-        if not warm:
-            self._prefix, self._columns, self._prefix_records = b"", None, ()
-            start, self._columns = self._load_snapshot(data)
-            self._snapshot_records = len(self._columns[0]) if self._columns else 0
+        start, columns = self._load_snapshot(data)  # data[:start] is covered by the snapshot
         tail = data[start:]
         try:
             lines: list[str | None] = tail.decode("utf-8").split("\n")
@@ -439,10 +423,10 @@ class EvidenceStore:
         while final >= 0 and lines[final] is not None and not lines[final].strip():
             final -= 1
         out = []  # the records of the tail
-        keep = len(lines) - 1  # lines[:keep] end with "\n" and join the kept prefix
+        terminated = len(lines) - 1  # lines[:terminated] end with "\n"
         for i, line in enumerate(lines):
-            if i == keep:
-                kept_records = len(out)
+            if i == terminated:
+                kept = len(out)  # the records of those lines
             if line is not None and not line.strip():
                 continue
             try:
@@ -456,48 +440,30 @@ class EvidenceStore:
                         RuntimeWarning,
                         stacklevel=stacklevel,
                     )
-                    keep, kept_records = i, len(out)
+                    terminated, kept = i, len(out)
                     break
-                number = self._prefix.count(b"\n") + data.count(b"\n", 0, start) + i + 1
+                number = data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
             try:
                 out.append(record_from_dict(fields))
             except (ValueError, RecursionError) as exc:
-                number = self._prefix.count(b"\n") + data.count(b"\n", 0, start) + i + 1
+                number = data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
-        # the kept prefix ends where line ``keep`` of the tail starts
-        end = len(tail)
-        for _ in range(len(lines) - keep):
-            end = tail.rfind(b"\n", 0, end)
-        # slicing all of data or adding it to an empty prefix copies nothing,
-        # so only a torn last line or a re-read's new lines cost a copy here
-        self._prefix += data[: start + end + 1]
-        self._prefix_records += tuple(out[:kept_records])
-        held = len(self._prefix_records) + (len(self._columns[0]) if self._columns else 0)
-        if held > 2 * self._snapshot_records:
-            self._snapshot_records = held
-            self._save_snapshot()
-        return out[kept_records:]
+        held = len(columns[0]) if columns else 0  # the records of the snapshot
+        self._columns, self._records = columns, out
+        if kept > held:
+            end = len(tail)  # the newline that ends line ``terminated - 1`` of the tail
+            for _ in range(len(lines) - terminated):
+                end = tail.rfind(b"\n", 0, end)
+            self._save_snapshot(memoryview(data)[: start + end + 1], self._built()[: held + kept])
 
-    def _read_past_prefix(self, fh) -> bool:
-        """Whether ``fh`` starts with the kept prefix, compared one chunk at
-        a time; then ``fh`` is past it, else back at its start."""
-        prefix = self._prefix
-        for at in range(0, len(prefix), _CHUNK):
-            size = min(_CHUNK, len(prefix) - at)
-            piece = fh.read(size)
-            if len(piece) < size or not prefix.startswith(piece, at):
-                fh.seek(0)
-                return False
-        return bool(prefix)
-
-    def _built_prefix(self) -> tuple[Record, ...]:
-        """The kept prefix's records, building those of the snapshot columns
-        the first time."""
+    def _built(self) -> list[Record]:
+        """The records of the last read, building those of the snapshot
+        columns the first time."""
         if self._columns is not None:
-            self._prefix_records = (*_column_records(self._columns), *self._prefix_records)
+            self._records[:0] = _column_records(self._columns)
             self._columns = None
-        return self._prefix_records
+        return self._records
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
         """Exact (r, s) tally of the pair, names matched exactly; (0, 0) if never seen."""
@@ -526,9 +492,10 @@ class EvidenceStore:
         """The length and checked columns of the snapshot when it holds a
         prefix of ``data``, else ``(0, None)``.  The digest is computed on
         one worker thread while this one checks the columns (hashlib
-        releases the GIL over large buffers); what the worker raises is
-        raised here, before any error of the column checks, as if the
-        digest had been computed first."""
+        releases the GIL over large buffers), or first on this one when no
+        thread can be started; what computing it raises is raised here,
+        before any error of the column checks, as if it had been computed
+        first."""
         try:
             snapshot = self._snapshot_path.read_bytes()
             start = snapshot.find(b"\n") + 1 or len(snapshot)  # where the payload starts
@@ -547,12 +514,17 @@ class EvidenceStore:
                 except BaseException as exc:
                     digest.append(exc)
 
-            worker = threading.Thread(target=compute_digest)
-            worker.start()
+            worker: threading.Thread | None = threading.Thread(target=compute_digest)
+            try:
+                worker.start()
+            except RuntimeError:  # no thread can be started: hash on this one, first
+                worker = None
+                compute_digest()
             try:
                 columns = _snapshot_columns(snapshot, start)
             finally:
-                worker.join()
+                if worker is not None:
+                    worker.join()
                 if isinstance(digest[0], BaseException):
                     raise digest[0]
             if digest[0] != header["digest"]:
@@ -561,16 +533,17 @@ class EvidenceStore:
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
             return 0, None
 
-    def _save_snapshot(self) -> None:
-        """Atomically replace the snapshot with the kept prefix; a failed
-        write leaves the old snapshot, or none, and is not reported.  The
-        snapshot gets the log's permission bits, as it holds the same data."""
+    def _save_snapshot(self, prefix: memoryview, records: list[Record]) -> None:
+        """Atomically replace the snapshot with one of ``prefix``, the log's
+        first bytes, which hold ``records``; a failed write leaves the old
+        snapshot, or none, and is not reported.  The snapshot gets the
+        log's permission bits, as it holds the same data."""
         target = self._snapshot_path
         try:
-            payload = _snapshot_payload(self._built_prefix())
-            digest = hashlib.sha256(self._prefix)
+            payload = _snapshot_payload(records)
+            digest = hashlib.sha256(prefix)
             digest.update(payload)
-            header = json.dumps({"digest": digest.hexdigest(), "length": len(self._prefix),
+            header = json.dumps({"digest": digest.hexdigest(), "length": len(prefix),
                                  "version": SNAPSHOT_VERSION}, sort_keys=True)
             fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
                                         dir=target.parent)

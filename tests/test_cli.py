@@ -422,6 +422,21 @@ class TestEvaluate:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_a_thread_that_cannot_start_still_scores(self, seeded, monkeypatch, capsys):
+        argv = ["evaluate", "--store", seeded, "--merchant", "A", "--format", "json"]
+        assert main(argv) == 0  # a miss, which writes the snapshot
+        expected = capsys.readouterr().out
+        refused = []
+
+        def refuse(thread):
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(store_module.threading.Thread, "start", refuse)
+        assert main(argv) == 0  # a hit, whose digest is computed on the calling thread
+        assert len(refused) == 1
+        assert capsys.readouterr().out == expected
+
     def test_module_trust_overrides(self, seeded, capsys):
         code = main([
             "evaluate", "--store", seeded, "--merchant", "A", "--format", "json",
@@ -792,6 +807,21 @@ class TestRules:
         assert main(["rules", "validate", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{out}:1: rule 4: " in err and f"{out}:1: rule 21: " in err
+
+    def test_validate_cites_the_entry_line_of_a_rule_without_an_if_list(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        out.write_text('{"rules": [\n  5,\n  {\n    "if":\n      7, "then": 2}]}',
+                       encoding="utf-8")
+        assert main(["rules", "validate", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out}:2: rule 1: must be an object" in err
+        assert f"{out}:3: rule 2: must be an object" in err
+
+    def test_validate_reports_a_rule_nested_deeper_than_the_line_search(self, tmp_path, capsys):
+        out = tmp_path / "rules.json"
+        out.write_text('{"rules": [' + "[" * 400 + "]" * 400 + "]}", encoding="utf-8")
+        assert main(["rules", "validate", str(out)]) == 1
+        assert "rule 1: must be an object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("domain", ['"lo": -1e308, "hi": 1e308',
                                         '"lo": -Infinity, "hi": Infinity',

@@ -202,6 +202,12 @@ class TestRulebaseGeneration:
         with pytest.raises(ArityMismatch):
             RuleBase(tuple(v), make_variable("y", 0.0, 1.0), (Rule((1,), 1),))
 
+    def test_term_index_endpoints(self):
+        assert Rule((0, 4), 4).antecedent == (0, 4)
+        for antecedent, consequent in (((5, 0), 0), ((0, 5), 0), ((0, 0), 5), ((-1, 0), 0)):
+            with pytest.raises(IndexOutOfRange, match=r"^term index -?[15] out of range 0\.\.4$"):
+                Rule(antecedent, consequent)
+
 
 class TestInfer:
     def test_all_medium_is_midpoint(self):
@@ -562,8 +568,9 @@ class TestSurfaceGrid:
         rb = unit_rulebase(3)
         with pytest.raises(IndexOutOfRange):
             surface_grid(rb, 0, 0)
-        with pytest.raises(IndexOutOfRange):
-            surface_grid(rb, 0, 7)
+        for x, y in ((0, 7), (0, 3), (3, 0)):
+            with pytest.raises(IndexOutOfRange, match=r"^input index [37] out of range 0\.\.2$"):
+                surface_grid(rb, x, y)
         with pytest.raises(InvalidDomain):
             surface_grid(rb, 0, 1, resolution=1)
         with pytest.raises(ArityMismatch):

@@ -226,10 +226,16 @@ class TestEvaluateMerchant:
         assert "Physical Existence" not in report.variable_trusts
 
     def test_override_range_checked(self):
-        for value in (120.0, "abc", None, "50", math.nan):
+        for value in (120.0, "abc", None, "50", math.nan, math.nextafter(100.0, math.inf),
+                      math.nextafter(0.0, -math.inf)):
             with pytest.raises(ValueError, match="^module override for Existence must be a "
                                                  r"number in \[0, 100\], got "):
                 report_for(goldens.MERCHANT_A, module_overrides={"existence": value})
+
+    @pytest.mark.parametrize("value", [0, -0.0, 100, 100.0])
+    def test_override_endpoints_are_accepted(self, value):
+        report = report_for(goldens.MERCHANT_A, module_overrides={"existence": value})
+        assert report.module_trusts["Existence"] == value
 
     def test_unknown_override_module_rejected(self):
         with pytest.raises(UnknownVariable, match="^'Bogus' is not a configured module "):
@@ -493,8 +499,10 @@ class TestConfig:
             PipelineConfig(aggregation="median")
         with pytest.raises(ValueError):
             PipelineConfig(class_bounds=(20.0, 40.0, 40.0, 80.0))
-        with pytest.raises(ValueError):
-            PipelineConfig(class_bounds=(0.0, 40.0, 60.0, 80.0))
+        for bounds in ((0.0, 40.0, 60.0, 80.0), (20.0, 40.0, 60.0, 100.0),
+                       (20.0, 20.0, 60.0, 80.0), (20.0, 40.0, 80.0, 80.0)):
+            with pytest.raises(ValueError, match="^class bounds must be 4 finite numbers"):
+                PipelineConfig(class_bounds=bounds)
         with pytest.raises(ValueError):
             PipelineConfig(modules=(ModuleSpec("Existence", ("a", "b", "c")),))
         for build in (lambda: ModuleSpec("Existence", ("a", "b")),
@@ -509,6 +517,13 @@ class TestConfig:
                       lambda: PipelineConfig(class_bounds=[20, 40, 60, 80])):
             with pytest.raises(ValueError):
                 build()
+
+    @pytest.mark.parametrize("bounds", [
+        (math.nextafter(0.0, 1.0), 40.0, 60.0, math.nextafter(100.0, 0.0)),
+        (20.0, math.nextafter(20.0, 100.0), math.nextafter(80.0, 0.0), 80.0),
+    ])
+    def test_class_bounds_just_inside_are_accepted(self, bounds):
+        assert PipelineConfig(class_bounds=bounds).class_bounds == bounds
 
     @pytest.mark.parametrize("f", [0, 0.0])
     def test_zero_base_rate_is_refused(self, f):

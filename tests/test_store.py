@@ -1,6 +1,6 @@
 """Evidence store tests: round trips, torn lines, latest-wins, counting,
-the reuse of an unchanged prefix against a fresh store, and the on-disk
-snapshot of that prefix."""
+re-reads of a changed log against a fresh store, and the on-disk snapshot
+of a validated prefix."""
 
 import hashlib
 import json
@@ -29,6 +29,8 @@ from certaintrust import (
 )
 from certaintrust import store as store_module
 from certaintrust.store import (
+    NEGATIVE,
+    POSITIVE,
     DirectAssessment,
     EvidenceRecord,
     EvidenceStore,
@@ -40,6 +42,10 @@ from certaintrust.store import (
 @pytest.fixture
 def store(tmp_path):
     return EvidenceStore(tmp_path / "log.jsonl")
+
+
+class Name(str):
+    """A name that is a str, but not exactly one."""
 
 
 def add_evidence(store, merchant, variable, positive=0, negative=0, ts=0):
@@ -81,9 +87,6 @@ class TestRecords:
     @pytest.mark.parametrize("bad", ["", " \u3000", None, b"A", 7])
     @pytest.mark.parametrize("field", ["merchant", "variable"])
     def test_names_must_be_non_blank_strings(self, field, bad):
-        class Name(str):
-            pass
-
         for record in (EvidenceRecord("A", "Delivery", "positive", 0),
                        DirectAssessment("A", "Delivery", 0.5, 3.0, 0)):
             with pytest.raises(ValueError, match=f"{field} must be a non-empty string"):
@@ -495,14 +498,14 @@ class TestPinned:
 
 
 class TestChunkedPrefixCheck:
-    """A long-lived store compares its kept prefix with the file one chunk
-    at a time; a change next to a chunk boundary must still be seen."""
+    """A long-lived store that has read a log of a few 64 KiB blocks sees a
+    change next to a block boundary on its next read."""
 
     @pytest.fixture
     def log(self, store):
-        """A log of several chunks that ``store`` has read and kept."""
+        """A log of about 192 KiB that ``store`` has read."""
         records = [EvidenceRecord(f"m{i % 97:03d}", "Delivery", "positive", i)
-                   for i in range(3 * store_module._CHUNK // 80)]
+                   for i in range(3 * 65_536 // 80)]
         write_lines(store.path, records)
         assert store.records() == records
         return records
@@ -510,7 +513,7 @@ class TestChunkedPrefixCheck:
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_a_changed_byte_is_seen(self, store, log, offset):
         data = store.path.read_bytes()
-        at = len(data) - 1 if offset is None else store_module._CHUNK + offset
+        at = len(data) - 1 if offset is None else 65_536 + offset
         store.path.write_bytes(data[:at] + b"#" + data[at + 1:])
         expected = observe(reference_records, store.path)
         assert expected != (log, [])
@@ -536,7 +539,8 @@ def allocated(read, *args) -> int:
 
 class TestReadAllocation:
     """Reading a log of about 1 MB whose snapshot covers all but its last
-    line copies only what it parses."""
+    line copies only what it parses, in a new store object and in one that
+    has read the log before."""
 
     @pytest.fixture(scope="class")
     def log(self, tmp_path_factory):
@@ -552,25 +556,26 @@ class TestReadAllocation:
         store.append(EvidenceRecord("m00001", "Delivery", "positive", 0))
         return path
 
+    @staticmethod
+    def readers(log: Path) -> list:
+        """A new store object, and one that has read ``log`` once already."""
+        again = EvidenceStore(log)
+        again.load_profile("m00001")
+        return [EvidenceStore(log), again]
+
     def test_a_cold_snapshot_hit_copies_the_log_less_than_twice(self, log):
-        store = EvidenceStore(log)
-        assert allocated(store.load_profile, "m00001") < 2 * log.stat().st_size
+        for store in self.readers(log):
+            assert allocated(store.load_profile, "m00001") < 2 * log.stat().st_size
 
     def test_a_cold_snapshot_hit_holds_one_copy_of_the_snapshot(self, log):
         # the log and the snapshot file once each, plus the table and the
         # column checks' temporaries, which take under one snapshot size
         # more (0.85 on this log); a second copy of the payload would pass
         # the bound
-        store = EvidenceStore(log)
         snapshot = log.with_name(log.name + ".snapshot").stat().st_size
-        over = allocated(store.load_profile, "m00001") - log.stat().st_size
-        assert over < 2 * snapshot
-
-    def test_a_re_read_copies_less_than_half_the_log(self, log):
-        store = EvidenceStore(log)
-        profile = store.load_profile("m00001")
-        assert allocated(store.load_profile, "m00001") < 0.5 * log.stat().st_size
-        assert store.load_profile("m00001") == profile
+        for store in self.readers(log):
+            over = allocated(store.load_profile, "m00001") - log.stat().st_size
+            assert over < 2 * snapshot
 
 
 class TestLineDecoding:
@@ -860,15 +865,16 @@ class TestSnapshot:
         write_lines(store.path, SAMPLE)
         store.records()
         reader = EvidenceStore(store.path)
-        reader.load_profile("A")
-        built.clear()
-        assert reader.records() == SAMPLE
-        assert len(built) == 3
-        built.clear()
-        assert reader.records() == SAMPLE
-        assert reader.records("B") == SAMPLE[1:2]
-        assert reader.load_profile("A").counts["Portal"] == EvidenceCount(0, 1)
-        assert built == []
+        with reader.pinned():
+            reader.load_profile("A")
+            built.clear()
+            assert reader.records() == SAMPLE
+            assert len(built) == 3
+            built.clear()
+            assert reader.records() == SAMPLE
+            assert reader.records("B") == SAMPLE[1:2]
+            assert reader.load_profile("A").counts["Portal"] == EvidenceCount(0, 1)
+            assert built == []
 
     @pytest.mark.parametrize("table, columns", [
         pytest.param({"c": [1.5]}, None, id="c-value0"),
@@ -1094,6 +1100,25 @@ class TestSnapshotDigestWorker:
             EvidenceStore(log).records()
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("damage", [None, "digest"])
+    def test_a_thread_that_cannot_start_hashes_on_the_caller(self, log, decoded, monkeypatch,
+                                                              damage):
+        refused = []
+
+        def refuse(thread):
+            refused.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        if damage:
+            head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
+            header = {**json.loads(head), "digest": hashlib.sha256(b"").hexdigest()}
+            snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        threads = self.hash_in_worker(monkeypatch)
+        decoded.clear()
+        assert self.read_joins_the_worker(log) == SAMPLE
+        assert (len(refused), threads, len(decoded)) == (1, [], 3 if damage else 0)
+
 
 MERCHANTS = ("A", "Café", "Z\u0085", "\u2028B")
 
@@ -1219,15 +1244,6 @@ def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
     all records and on one merchant's; a second long-lived store reads
     only that merchant's, so it may keep snapshot columns across steps."""
     check_long_lived_store(steps, merchant)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(steps_st, max_size=25), st.sampled_from(MERCHANTS))
-def test_long_lived_store_reads_like_a_fresh_one_in_small_chunks(steps, merchant):
-    """The same, with the kept prefix compared three bytes at a time, so
-    that even these small logs span many chunks."""
-    with mock.patch.object(store_module, "_CHUNK", 3):
-        check_long_lived_store(steps, merchant)
 
 
 def check_long_lived_store(steps, merchant) -> None:
@@ -1516,6 +1532,49 @@ def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
         assert (got, decode.call_count) == ([logged], 1)
     else:
         assert (repr(got), decode.call_count) == (repr([record]), 0)
+
+
+def accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+#: each endpoint of ``c`` and ``t_scaled`` and the floats either side of it
+AT_THE_ENDPOINTS = [x for end in (0.0, 1.0, sys.float_info.max)
+                    for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
+endpoint_numbers = (st.sampled_from(AT_THE_ENDPOINTS + [-0.0, math.nan]).flatmap(
+    lambda x: st.sampled_from((x, np.float64(x)))) | st.sampled_from((0, 1, -1, 2, True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("A", " ", "", "\u3000", Name("B"), 7, None)),
+       st.sampled_from(("Delivery", "\x85", Name("Privacy"), b"Portal")),
+       st.sampled_from((POSITIVE, NEGATIVE, "neutral", None)),
+       endpoint_numbers, endpoint_numbers,
+       st.sampled_from((0, -1, 2**70, True, 1.0, np.int64(3), None)))
+def test_the_inline_test_accepts_exactly_what_the_checks_accept(merchant, variable, outcome, c,
+                                                                t_scaled, timestamp):
+    """Each record constructor accepts exactly the values that
+    ``_check_common`` and ``_check_number`` accept, and takes plain values
+    that they accept (exact str and int, int or float numbers) on its
+    inline test alone, without calling them."""
+    common = accepts(store_module._check_common, merchant, variable, timestamp)
+    for cls, args, valid in (
+        (EvidenceRecord, (merchant, variable, outcome, timestamp),
+         common and outcome in (POSITIVE, NEGATIVE)),
+        (DirectAssessment, (merchant, variable, c, t_scaled, timestamp),
+         common and accepts(store_module._check_number, "c", c, 1.0, "in [0, 1]")
+         and accepts(store_module._check_number, "t_scaled", t_scaled, math.inf,
+                     "non-negative and finite")),
+    ):
+        with mock.patch.object(store_module, "_check_common",
+                               wraps=store_module._check_common) as explained:
+            assert accepts(cls, *args) == valid
+        if valid and all(type(value) in (str, int, float) for value in args):
+            assert not explained.called
 
 
 def profiles(path: Path) -> list:
