@@ -252,18 +252,13 @@ def module_trust_fuzzy(trusts: Sequence[float], rb: RuleBase) -> float:
     return infer(rb, list(trusts))
 
 
-def _aggregate(module_trusts: Sequence[float], cfg: PipelineConfig) -> float:
-    """Average or infer over the module trusts, as ``cfg.aggregation`` says."""
+def merchant_trust(module_trusts: Sequence[float], cfg: PipelineConfig) -> float:
+    """The merchant trust from the four module trusts, by ``cfg.aggregation``."""
+    if len(module_trusts) != len(cfg.modules):
+        raise ValueError(f"expected {len(cfg.modules)} module trusts, got {len(module_trusts)}")
     if cfg.aggregation == AVERAGE:
         return module_trust_average(module_trusts)
     return module_trust_fuzzy(module_trusts, merchant_rulebase(cfg))
-
-
-def merchant_trust(module_trusts: Sequence[float], cfg: PipelineConfig) -> float:
-    """Combine the four module trusts into the final merchant trust."""
-    if len(module_trusts) != len(cfg.modules):
-        raise ValueError(f"expected {len(cfg.modules)} module trusts, got {len(module_trusts)}")
-    return _aggregate(module_trusts, cfg)
 
 
 def classify_trust(trust: float, cfg: PipelineConfig | None = None) -> str:

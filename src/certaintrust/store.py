@@ -12,11 +12,11 @@ readers always see a consistent prefix.  A torn final line (interrupted
 write) is skipped with a warning; corruption anywhere else raises
 :class:`StorageFailure`, and so does an append to a log whose last line
 is unterminated.  Every read outside ``with store.pinned():`` reads the
-file afresh.  Inside that block the log is read once, on entry, and every
-read in the block returns the records of that state; ``compare`` scores
-all its merchants in one such block, so one ``compare`` is one read of
-the log and every merchant is scored against the log as it stood when
-the block was entered.
+file afresh and leaves nothing in the store object.  Inside that block,
+and any block nested in it, the log is read once, on entry, and every
+read returns the records of that state; ``compare`` scores all its
+merchants in one such block, so one ``compare`` is one read of the log
+and every merchant is scored against the log as it stood then.
 
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
 prefix of it, so that a read parses only the lines after that prefix.
@@ -283,9 +283,12 @@ def _snapshot_columns(data: bytes, start: int) -> tuple:
     return kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index
 
 
-def _column_records(columns: tuple, merchant: str | None = None) -> list[Record]:
+def _column_records(columns: tuple | None, merchant: str | None = None) -> list[Record]:
     """The records of checked snapshot columns, all of them or one
-    merchant's, in order, built by the same constructors as log lines."""
+    merchant's, in order, built by the same constructors as log lines;
+    none for no columns."""
+    if columns is None:
+        return []
     kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index = columns
     if merchant is None:
         rows = np.arange(len(kinds))
@@ -309,12 +312,8 @@ class EvidenceStore:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        # what the last read found: the checked columns of the snapshot it
-        # took, until all their records are asked for, and the records
-        # built so far, the snapshot's first
-        self._columns: tuple | None = None
-        self._records: list[Record] = []
-        self._pinned = False
+        # the read of the open pinned() scope, as _read returns it
+        self._held: tuple[tuple | None, list[Record]] | None = None
 
     @property
     def _snapshot_path(self) -> Path:
@@ -370,15 +369,15 @@ class EvidenceStore:
         log's newline-terminated prefix is written as the new snapshot.
 
         Inside :meth:`pinned`, the file is not read: the records are those
-        of the read on entry, which alone warns of a torn last line.
+        of the read on entry, which alone warns of a torn last line, and
+        the first ``records()`` builds all of them for the whole scope.
         """
-        if not self._pinned:
-            self._read(stacklevel=3)
-        if merchant is None:
-            return list(self._built())
-        picked = [] if self._columns is None else _column_records(self._columns, merchant)
-        picked += [r for r in self._records if r.merchant == merchant]
-        return picked
+        columns, rest = self._held or self._read(stacklevel=3)
+        if merchant is not None:
+            return _column_records(columns, merchant) + [r for r in rest if r.merchant == merchant]
+        if self._held and columns is not None:  # in pinned(): build them once for the scope
+            columns, rest = self._held = None, _column_records(columns) + rest
+        return _column_records(columns) + rest
 
     @contextlib.contextmanager
     def pinned(self) -> Iterator[None]:
@@ -387,20 +386,22 @@ class EvidenceStore:
         then, without touching the file.  The entry read is a normal one:
         it validates every byte, warns and raises as :meth:`records` does
         and may write the snapshot.  Appends made inside the scope are seen
-        by the first read after it."""
-        self._read(stacklevel=4)  # past contextlib, to the with statement
-        self._pinned = True
+        by the first read after it.  A scope nested in another reads
+        nothing and shares the outer read, which the outer exit drops."""
+        if self._held is not None:  # nested: share the outer scope's read
+            yield
+            return
+        self._held = self._read(stacklevel=4)  # past contextlib, to the with statement
         try:
             yield
         finally:
-            self._pinned = False
+            self._held = None
 
-    def _read(self, stacklevel: int) -> None:
-        """Read and validate the log as :meth:`records` describes, keep
-        what it found, and rewrite the snapshot when the lines after it
-        outnumber it.  A torn-line warning names the frame ``stacklevel``
-        calls up."""
-        self._columns, self._records = None, []  # never hold two reads at once
+    def _read(self, stacklevel: int) -> tuple[tuple | None, list[Record]]:
+        """Read and validate the log as :meth:`records` describes, rewrite
+        the snapshot when the lines after it outnumber it, and return the
+        checked snapshot columns, or None, and the records not in them.
+        A torn-line warning names the frame ``stacklevel`` calls up."""
         try:
             with self.path.open("rb") as fh:
                 data = fh.read()
@@ -450,20 +451,13 @@ class EvidenceStore:
                 number = data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
         held = len(columns[0]) if columns else 0  # the records of the snapshot
-        self._columns, self._records = columns, out
         if kept > held:
             end = len(tail)  # the newline that ends line ``terminated - 1`` of the tail
             for _ in range(len(lines) - terminated):
                 end = tail.rfind(b"\n", 0, end)
-            self._save_snapshot(memoryview(data)[: start + end + 1], self._built()[: held + kept])
-
-    def _built(self) -> list[Record]:
-        """The records of the last read, building those of the snapshot
-        columns the first time."""
-        if self._columns is not None:
-            self._records[:0] = _column_records(self._columns)
-            self._columns = None
-        return self._records
+            columns, out = None, _column_records(columns) + out
+            self._save_snapshot(memoryview(data)[: start + end + 1], out[: held + kept])
+        return columns, out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
         """Exact (r, s) tally of the pair, names matched exactly; (0, 0) if never seen."""

@@ -201,6 +201,26 @@ class TestOr:
             op_or(Opinion(0.5, 0.5, 0.0), Opinion(0.5, 0.5, 0.0))
 
 
+class TestFloatDrift:
+    """Inputs whose raw ``c`` or ``t`` drifts just outside [0, 1]; without
+    the clip each would raise ValueError when the result is built."""
+
+    @pytest.mark.parametrize("op, a, b, expected", [
+        # raw c is -1.39e-17
+        (op_and, Opinion(0, 0, 0.2), Opinion(1, 0.1, 1.0), Opinion(0.5, 0.0, 0.2)),
+        (op_or, Opinion(0, 0, 0.1), Opinion(0, 0.1, 0.0), Opinion(0.5, 0.0, 0.1)),
+    ])
+    def test_a_certainty_just_below_zero_is_zero(self, op, a, b, expected):
+        assert op(a, b) == expected
+
+    @pytest.mark.parametrize("op, a, b", [
+        (op_and, Opinion(0, 0, 1.0), Opinion(1, 0.1, 0.2)),  # raw t is 1.0000000000000002
+        (op_or, Opinion(0, 0, 1.0), Opinion(0.5, 1.0, 0.9)),
+    ])
+    def test_a_rating_just_above_one_is_one(self, op, a, b):
+        assert op(a, b).t == 1.0
+
+
 class TestScaleRating:
     def test_benchmark_point(self):
         assert scale_rating(0.714, P) == pytest.approx(3.57, abs=1e-12)

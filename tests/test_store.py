@@ -2,6 +2,7 @@
 re-reads of a changed log against a fresh store, and the on-disk snapshot
 of a validated prefix."""
 
+import gc
 import hashlib
 import json
 import math
@@ -496,6 +497,19 @@ class TestPinned:
         store.path.write_bytes(b"")
         assert store.records() == []
 
+    def test_a_nested_scope_shares_the_outer_read(self, store, monkeypatch):
+        add_evidence(store, "A", "Delivery", positive=2)
+        other = EvidenceStore(store.path)
+        opened = count_log_opens(monkeypatch, store.path)
+        with store.pinned():
+            with store.pinned():
+                assert store.counts("A", "Delivery") == EvidenceCount(2, 0)
+            assert len(opened) == 1
+            add_evidence(other, "A", "Delivery", negative=1)
+            assert store.counts("A", "Delivery") == EvidenceCount(2, 0)
+        assert len(opened) == 2  # the entry read and the append
+        assert store.counts("A", "Delivery") == EvidenceCount(2, 1)
+
 
 class TestChunkedPrefixCheck:
     """A long-lived store that has read a log of a few 64 KiB blocks sees a
@@ -576,6 +590,23 @@ class TestReadAllocation:
         for store in self.readers(log):
             over = allocated(store.load_profile, "m00001") - log.stat().st_size
             assert over < 2 * snapshot
+
+    @pytest.mark.parametrize("read", [lambda s: s.load_profile("m00001"), EvidenceStore.records],
+                             ids=["load_profile", "records"])
+    def test_a_read_outside_a_scope_leaves_nothing_in_the_store(self, log, read):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            store = EvidenceStore(log)
+            read(store)
+            gc.collect()
+            with_store = tracemalloc.get_traced_memory()[0]
+            del store
+            gc.collect()
+            held = with_store - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * 1024
 
 
 class TestLineDecoding:
