@@ -28,14 +28,16 @@ unless the table holds them), merchant ids and variable ids (``<u4``), and
 a kind byte per record (``+`` and ``-`` for positive and negative
 evidence, ``a`` for an assessment):
 
-    {"digest": "<sha256 of the prefix bytes, then the rest>", "length": 230, "version": 2}
+    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230, "version": 3}
     {"merchant":["A"],"variable":["Delivery","Privacy"],"c":[0.6],"t_scaled":[3.5],"timestamp":null}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a
 
-The digest is never skipped.  A read computes it on one worker thread
-while the calling thread checks the columns, or on the calling thread
-when no thread can be started, and takes the snapshot only when both
-pass.
+The two SHA-256 digests are never skipped: the head's covers the prefix's
+first ``cut`` bytes, and the rest's the other prefix bytes and then the
+snapshot after its header.  A read hashes the head on one worker thread
+while the calling thread checks the columns and then hashes the rest, or
+hashes both on the calling thread when no thread can be started, and
+takes the snapshot only when both digests match and the columns pass.
 """
 
 from __future__ import annotations
@@ -67,7 +69,12 @@ ASSESSMENT_KIND = "assessment"
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
+#: one record's column checks, in bytes of SHA-256 time: the writer cuts the
+#: digest so that the worker's head and the reading thread's checks and rest
+#: take as long (on 2 shared cores with SHA-NI, 1.36 GB/s, a cold hit of a
+#: 25k- or 10k-line log was fastest at 48 of 0-96; the checks alone cost 37)
+_CHECK_BYTES = 48
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> None:
@@ -360,7 +367,7 @@ class EvidenceStore:
 
         Each call reads the file afresh, and a missing log reads as empty.
         The read takes the snapshot file when the snapshot's length fits,
-        its digest matches the file's first bytes and its columns pass the
+        its digests match the file's first bytes and its columns pass the
         record checks, and then parses only the lines after that prefix;
         otherwise the snapshot is ignored.  The records of a snapshot are
         built when first asked for: one merchant's on each ``records(m)``,
@@ -484,44 +491,47 @@ class EvidenceStore:
 
     def _load_snapshot(self, data: bytes) -> tuple[int, tuple | None]:
         """The length and checked columns of the snapshot when it holds a
-        prefix of ``data``, else ``(0, None)``.  The digest is computed on
-        one worker thread while this one checks the columns (hashlib
-        releases the GIL over large buffers), or first on this one when no
-        thread can be started; what computing it raises is raised here,
-        before any error of the column checks, as if it had been computed
-        first."""
+        prefix of ``data``, else ``(0, None)``.  One worker thread hashes
+        the log's first ``cut`` bytes in one call (hashlib releases the GIL
+        over large buffers) while this one checks the columns and then
+        hashes the rest; with no thread, this one hashes the head first.
+        What hashing raises is raised here, the head's before the rest's
+        and both before any error of the column checks, as if the digests
+        had been computed first."""
         try:
             snapshot = self._snapshot_path.read_bytes()
             start = snapshot.find(b"\n") + 1 or len(snapshot)  # where the payload starts
             header = json.loads(snapshot[:start])
-            length = header["length"]
-            if not (header["version"] == SNAPSHOT_VERSION and type(length) is int
-                    and 0 < length <= len(data) and data[length - 1] == ord("\n")):
+            length, cut = header["length"], header["cut"]
+            if not (header["version"] == SNAPSHOT_VERSION and type(length) is type(cut) is int
+                    and 0 <= cut <= length <= len(data) and data[length - 1:length] == b"\n"):
                 return 0, None
-            digest: list = []  # the hex digest, or what computing it raised
+            log, head = memoryview(data), []  # head: the hex digest, or what computing it raised
 
-            def compute_digest() -> None:
+            def hash_head() -> None:
                 try:
-                    sha = hashlib.sha256(memoryview(data)[:length])
-                    sha.update(memoryview(snapshot)[start:])
-                    digest.append(sha.hexdigest())
+                    head.append(hashlib.sha256(log[:cut]).hexdigest())
                 except BaseException as exc:
-                    digest.append(exc)
+                    head.append(exc)
 
-            worker: threading.Thread | None = threading.Thread(target=compute_digest)
+            worker: threading.Thread | None = threading.Thread(target=hash_head)
             try:
                 worker.start()
             except RuntimeError:  # no thread can be started: hash on this one, first
                 worker = None
-                compute_digest()
+                hash_head()
             try:
-                columns = _snapshot_columns(snapshot, start)
+                try:
+                    columns = _snapshot_columns(snapshot, start)
+                finally:  # hashed whatever the checks raise; its error replaces theirs
+                    rest = hashlib.sha256(log[cut:length])
+                    rest.update(memoryview(snapshot)[start:])
             finally:
                 if worker is not None:
                     worker.join()
-                if isinstance(digest[0], BaseException):
-                    raise digest[0]
-            if digest[0] != header["digest"]:
+                if isinstance(head[0], BaseException):
+                    raise head[0]
+            if [head[0], rest.hexdigest()] != header["digest"]:
                 return 0, None
             return length, columns
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
@@ -535,10 +545,12 @@ class EvidenceStore:
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(records)
-            digest = hashlib.sha256(prefix)
-            digest.update(payload)
-            header = json.dumps({"digest": digest.hexdigest(), "length": len(prefix),
-                                 "version": SNAPSHOT_VERSION}, sort_keys=True)
+            cut = min(len(prefix), (len(prefix) + len(payload) + _CHECK_BYTES * len(records)) // 2)
+            head, rest = hashlib.sha256(prefix[:cut]), hashlib.sha256(prefix[cut:])
+            rest.update(payload)
+            header = json.dumps({"cut": cut, "digest": [head.hexdigest(), rest.hexdigest()],
+                                 "length": len(prefix), "version": SNAPSHOT_VERSION},
+                                sort_keys=True)
             fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
                                         dir=target.parent)
         except (OSError, ValueError):

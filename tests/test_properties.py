@@ -1,10 +1,16 @@
 """Property-based checks of the algebra invariants."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from certaintrust import (
+    CANONICAL_VARIABLES,
     EvidenceCount,
     Opinion,
     PipelineConfig,
@@ -18,6 +24,8 @@ from certaintrust import (
     op_not,
     op_or,
 )
+from certaintrust.cli import main
+from certaintrust.store import NEGATIVE, POSITIVE, DirectAssessment, EvidenceRecord, EvidenceStore
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 # keep priors away from the degenerate denominators for AND/OR
@@ -185,3 +193,58 @@ def test_one_more_positive_record_never_lowers_trust(case):
     for module in cfg.modules:
         assert after.module_trusts[module.name] >= before.module_trusts[module.name]
     assert after.merchant_trust >= before.merchant_trust
+
+
+RANKED = ("A", "B", "Café", "zeta")
+
+
+@st.composite
+def scored_logs(draw):
+    """Records that give each merchant of RANKED every canonical variable:
+    one to three evidence records or one assessment per pair, in pair order."""
+    records = []
+    for merchant in RANKED:
+        for variable in CANONICAL_VARIABLES:
+            if draw(st.booleans()):
+                records.append(DirectAssessment(merchant, variable, draw(unit),
+                                                draw(st.floats(0.0, 5.0)), draw(st.integers(0, 9))))
+            else:
+                records += [EvidenceRecord(merchant, variable, outcome, draw(st.integers(0, 9)))
+                            for outcome in draw(st.lists(st.sampled_from((POSITIVE, NEGATIVE)),
+                                                         min_size=1, max_size=3))]
+    return records
+
+
+def fuzzy_compare_json(tmp: Path, name: str, records: list, merchants) -> list[str]:
+    """``compare --format json`` on the fuzzy route over a new log of
+    ``records``: a read that writes the snapshot, then one that takes it."""
+    config = tmp / "fuzzy.json"
+    config.write_text(json.dumps({"aggregation": "fuzzy"}), encoding="utf-8")
+    EvidenceStore(tmp / name).append(*records)
+    argv = ["compare", "--store", str(tmp / name), "--config", str(config), "--format", "json"]
+    for merchant in merchants:
+        argv += ["--merchant", merchant]
+    outputs = []
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        outputs.append(out.getvalue())
+    return outputs
+
+
+@settings(max_examples=25, deadline=None)
+@given(scored_logs(), st.data())
+def test_fuzzy_compare_json_does_not_depend_on_line_or_flag_order(records, data):
+    """On the fuzzy route, ``compare --format json`` is byte-identical for
+    the evidence lines in any order, the assessment lines in theirs, and
+    the ``--merchant`` flags in any order."""
+    order = data.draw(st.permutations(range(len(records))))
+    assessments = iter([r for r in records if isinstance(r, DirectAssessment)])
+    permuted = [next(assessments) if isinstance(records[i], DirectAssessment) else records[i]
+                for i in order]
+    merchants = data.draw(st.permutations(RANKED))
+    with tempfile.TemporaryDirectory() as tmp:
+        seen = fuzzy_compare_json(Path(tmp), "log.jsonl", records, RANKED)
+        seen += fuzzy_compare_json(Path(tmp), "permuted.jsonl", permuted, merchants)
+    assert seen[1:] == seen[:1] * 3
+    assert sorted(report["merchant"] for report in json.loads(seen[0])) == sorted(RANKED)

@@ -686,11 +686,13 @@ def pack(columns: dict) -> bytes:
 
 def forge_snapshot(path: Path, table, blob: bytes, length: int | None = None) -> None:
     """A snapshot of the log's first ``length`` bytes (all by default)
-    holding ``table`` and ``blob``, with a valid digest."""
+    holding ``table`` and ``blob``, with valid digests cut halfway."""
     prefix = path.read_bytes()[:length]
     payload = json.dumps(table).encode("ascii") + b"\n" + blob
-    header = {"digest": hashlib.sha256(prefix + payload).hexdigest(),
-              "length": len(prefix), "version": 2}
+    cut = len(prefix) // 2
+    header = {"cut": cut, "digest": [hashlib.sha256(prefix[:cut]).hexdigest(),
+                                     hashlib.sha256(prefix[cut:] + payload).hexdigest()],
+              "length": len(prefix), "version": 3}
     snapshot_of(path).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
 
 
@@ -720,10 +722,20 @@ SAMPLE_SNAPSHOT_V1 = (
     b'{"kind":"+a-","merchant":["A","B","A"],"variable":["Delivery","Privacy","Portal"],'
     b'"timestamp":[1,2,3],"c":[0.5],"t_scaled":[2.5]}'
 )
+#: the snapshot that format 2 (one SHA-256 digest over the prefix and the
+#: rest) wrote for SAMPLE's log
+SAMPLE_SNAPSHOT_V2 = (
+    b'{"digest": "f0734d3d065144b22340e1e9055ed10545bf55e190521e8899271ed93fa2a900",'
+    b' "length": 306, "version": 2}\n'
+    b'{"merchant":["A","B"],"variable":["Delivery","Privacy","Portal"],"c":[0.5],'
+    b'"t_scaled":[2.5],"timestamp":null}\n'
+    + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
+    + b"+a-"
+)
 #: the sha256 of the snapshot written for SAMPLE.  A change of the layout
 #: must bump ``store.SNAPSHOT_VERSION``, so that old snapshots are ignored;
 #: then update this pin.
-SAMPLE_SNAPSHOT_SHA256 = "db4bba0269b86ca021be2db56d4cbca3703900ea44c75d0f0deec2e862e49664"
+SAMPLE_SNAPSHOT_SHA256 = "ffded64f9905842fe5a4c6768d05df64ea3d86fea47e2a1cee97af6a55b4eceb"
 
 
 def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
@@ -930,7 +942,7 @@ class TestSnapshot:
         head, _, payload = snapshot_of(store.path).read_bytes().partition(b"\n")
         header = json.loads(head)
         if damage == "version":
-            header["version"] = 3
+            header["version"] = store_module.SNAPSHOT_VERSION + 1
         elif damage == "length":
             header["length"] -= 1
         elif damage == "digest":
@@ -956,7 +968,21 @@ class TestSnapshot:
         assert store.records() == SAMPLE
         assert len(decoded) == 3
         head = snapshot_of(store.path).read_bytes().partition(b"\n")[0]
-        assert json.loads(head)["version"] == 2
+        assert json.loads(head)["version"] == store_module.SNAPSHOT_VERSION
+        decoded.clear()
+        assert EvidenceStore(store.path).records() == SAMPLE
+        assert decoded == []
+
+    def test_a_format_2_snapshot_is_replaced(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        snapshot_of(store.path).write_bytes(SAMPLE_SNAPSHOT_V2)
+        assert hashlib.sha256(SAMPLE_SNAPSHOT_V2).hexdigest() == (  # format 2's layout pin
+            "db4bba0269b86ca021be2db56d4cbca3703900ea44c75d0f0deec2e862e49664")
+        assert store.records() == SAMPLE
+        assert len(decoded) == 3
+        written = snapshot_of(store.path).read_bytes()
+        assert json.loads(written.partition(b"\n")[0])["version"] == 3
+        assert written.partition(b"\n")[2] == SAMPLE_SNAPSHOT_V2.partition(b"\n")[2]
         decoded.clear()
         assert EvidenceStore(store.path).records() == SAMPLE
         assert decoded == []
@@ -1019,9 +1045,110 @@ class TestSnapshot:
         assert EvidenceStore(store.path).records() == reference_records(store.path)
 
 
+class TestSnapshotCut:
+    """Format 3 cuts the snapshot's SHA-256 in two at ``cut``: the head
+    digest covers the log's first ``cut`` bytes, the rest digest the other
+    bytes of the prefix and then the snapshot after its header.  A header
+    whose cut or digests do not hold exactly that is ignored for the log."""
+
+    @pytest.fixture
+    def log(self, store):
+        """SAMPLE's log and its snapshot, then one more line after it."""
+        write_lines(store.path, SAMPLE)
+        store.records()
+        write_lines(store.path, SAMPLE[:1])
+        return store.path
+
+    @staticmethod
+    def reforge(log: Path, **changes) -> None:
+        """Rewrite the snapshot's header with ``changes`` (``None`` drops an
+        entry).  A changed ``cut`` or ``length`` gets the digests that
+        slicing the log at them gives, as a read slices it, when it can."""
+        head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
+        header = {**json.loads(head), **changes}
+        cut, length, data = header.get("cut"), header["length"], log.read_bytes()
+        if ("cut" in changes or "length" in changes) and isinstance(cut, int):
+            header["digest"] = [hashlib.sha256(data[:cut]).hexdigest(),
+                                hashlib.sha256(data[cut:length] + payload).hexdigest()]
+        header = {key: value for key, value in header.items() if value is not None}
+        snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+
+    @staticmethod
+    def header(log: Path) -> dict:
+        return json.loads(snapshot_of(log).read_bytes().partition(b"\n")[0])
+
+    def test_the_digests_cover_the_prefix_at_the_cut_then_the_payload(self, log):
+        header, snapshot = self.header(log), snapshot_of(log).read_bytes()
+        cut, length, data = header["cut"], header["length"], log.read_bytes()
+        assert 0 < cut <= length < len(data)
+        assert header["digest"] == [
+            hashlib.sha256(data[:cut]).hexdigest(),
+            hashlib.sha256(data[cut:length] + snapshot.partition(b"\n")[2]).hexdigest()]
+
+    @pytest.mark.parametrize("damage", ["head", "rest", "swapped", "one", "format 2"])
+    def test_a_wrong_digest_falls_back_to_the_log(self, log, decoded, damage):
+        header, snapshot = self.header(log), snapshot_of(log).read_bytes()
+        digests, empty = header["digest"], hashlib.sha256(b"").hexdigest()
+        if damage == "head":
+            digests = [empty, digests[1]]
+        elif damage == "rest":
+            digests = [digests[0], empty]
+        elif damage == "swapped":
+            digests = digests[::-1]
+        elif damage == "one":
+            digests = digests[:1]
+        else:  # one digest over the prefix and the payload, as format 2 held it
+            digests = hashlib.sha256(log.read_bytes()[:header["length"]]
+                                     + snapshot.partition(b"\n")[2]).hexdigest()
+        self.reforge(log, digest=digests)
+        decoded.clear()
+        assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
+        assert len(decoded) == 4
+
+    @pytest.mark.parametrize("cut", [-1, "length + 1", 1.0, "0", True, None],
+                             ids=["-1", "length+1", "1.0", "'0'", "True", "missing"])
+    def test_a_cut_out_of_range_or_not_an_int_falls_back_to_the_log(self, log, decoded, cut):
+        if cut == "length + 1":
+            cut = self.header(log)["length"] + 1
+        self.reforge(log, cut=cut)
+        decoded.clear()
+        assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
+        assert len(decoded) == 4
+
+    def test_a_zero_length_falls_back_to_the_log(self, log, decoded):
+        self.reforge(log, cut=0, length=0)
+        decoded.clear()
+        assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
+        assert len(decoded) == 4
+
+    @pytest.mark.parametrize("at", ["start", "end"])
+    def test_a_cut_at_either_end_is_taken(self, log, decoded, at):
+        self.reforge(log, cut=0 if at == "start" else self.header(log)["length"])
+        decoded.clear()
+        assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
+        assert len(decoded) == 1
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_a_byte_changed_beside_the_cut_is_seen(self, log, decoded, offset):
+        """``Deli|very`` with the cut at ``|``: an upper-case ``I`` is the
+        head's last byte, and an upper-case ``V`` the rest's first."""
+        data = log.read_bytes()
+        cut = data.index(b"Delivery") + 4
+        self.reforge(log, cut=cut)
+        assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]  # a hit
+        at = cut + offset
+        log.write_bytes(data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1:])
+        decoded.clear()
+        records = EvidenceStore(log).records()
+        assert records == reference_records(log)
+        assert records[0].variable == ("DelIvery", "DeliVery")[offset + 1]
+        assert len(decoded) == 4
+
+
 class TestSnapshotDigestWorker:
-    """A cold read computes the snapshot's digest on one worker thread
-    while it checks the columns, and joins it before it returns."""
+    """A cold read hashes the head of the snapshot's digest on one worker
+    thread while it checks the columns and hashes the rest, and joins the
+    worker before it returns."""
 
     @pytest.fixture
     def log(self, store):
@@ -1149,6 +1276,95 @@ class TestSnapshotDigestWorker:
         decoded.clear()
         assert self.read_joins_the_worker(log) == SAMPLE
         assert (len(refused), threads, len(decoded)) == (1, [], 3 if damage else 0)
+
+    @staticmethod
+    def hash_halves(monkeypatch, half=None, error=None) -> list:
+        """Patch ``sha256`` and ``_snapshot_columns`` to note, in order, each
+        call that hashes bytes, as ``(on the calling thread, byte count)``,
+        and each column check, as ``(True, "columns")``.  The read's
+        ``sha256`` call of ``half`` raises ``error``: the head's, which the
+        worker makes, or the rest's, which the calling thread makes; the
+        snapshot writer's calls do not.  The worker lingers a moment after
+        it hashes, so that a worker left unjoined shows."""
+        caller, calls = threading.get_ident(), []
+        failing = {"head": "hash_head", "rest": "_load_snapshot"}.get(half)
+
+        class Noted:
+            def __init__(self, data=None):
+                if error is not None and sys._getframe(1).f_code.co_name == failing:
+                    raise error("no digest")
+                self.sha = sha256()
+                if data is not None:
+                    self.update(data)
+
+            def update(self, data):
+                calls.append((threading.get_ident() == caller, len(data)))
+                self.sha.update(data)
+
+            def hexdigest(self):
+                if threading.get_ident() != caller:
+                    time.sleep(0.05)
+                return self.sha.hexdigest()
+
+        def columns(*args):
+            calls.append((True, "columns"))
+            return check(*args)
+
+        sha256, check = hashlib.sha256, store_module._snapshot_columns
+        monkeypatch.setattr(store_module.hashlib, "sha256", Noted)
+        monkeypatch.setattr(store_module, "_snapshot_columns", columns)
+        return calls
+
+    @staticmethod
+    def split(log) -> tuple:
+        """The cut, the length and the payload size of the log's snapshot."""
+        head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
+        header = json.loads(head)
+        return header["cut"], header["length"], len(payload)
+
+    def test_the_worker_hashes_the_head_in_one_call(self, log, decoded, monkeypatch):
+        cut, length, payload = self.split(log)
+        calls = self.hash_halves(monkeypatch)
+        assert self.read_joins_the_worker(log) == SAMPLE
+        assert decoded == []
+        assert [n for on_caller, n in calls if not on_caller] == [cut]
+        assert [n for on_caller, n in calls if on_caller] == ["columns", length - cut, payload]
+
+    @pytest.mark.parametrize("half", ["head", "rest"])
+    def test_a_value_error_from_either_half_ignores_the_snapshot(self, log, decoded,
+                                                                  monkeypatch, half):
+        self.hash_halves(monkeypatch, half, ValueError)
+        decoded.clear()
+        assert self.read_joins_the_worker(log) == SAMPLE
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("columns_fail", [False, True])
+    @pytest.mark.parametrize("half", ["head", "rest"])
+    def test_a_memory_error_from_either_half_reaches_the_caller(self, log, monkeypatch, half,
+                                                                 columns_fail):
+        def reject(*args):
+            raise ValueError("column check failed")
+
+        calls = self.hash_halves(monkeypatch, half, MemoryError)
+        if columns_fail:  # the digest's error wins, as if it had been computed first
+            monkeypatch.setattr(store_module, "_snapshot_columns", reject)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no digest"):
+            EvidenceStore(log).records()
+        assert threading.active_count() == before
+        assert any(not on_caller for on_caller, _ in calls) == (half == "rest")
+
+    def test_a_thread_that_cannot_start_hashes_both_halves_on_the_caller(self, log, decoded,
+                                                                         monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        cut, length, payload = self.split(log)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        calls = self.hash_halves(monkeypatch)
+        assert self.read_joins_the_worker(log) == SAMPLE
+        assert decoded == []
+        assert calls == [(True, cut), (True, "columns"), (True, length - cut), (True, payload)]
 
 
 MERCHANTS = ("A", "Café", "Z\u0085", "\u2028B")
