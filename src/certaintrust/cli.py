@@ -24,6 +24,7 @@ from .fuzzy import (
     dump_rulebase,
     generate_rulebase,
     make_variable,
+    read_json,
     rulebase_from_dict,
     surface_grid,
     validate_rulebase_data,
@@ -48,6 +49,7 @@ from .store import (
     POSITIVE,
     decode_line,
     record_from_dict,
+    split_lines,
 )
 from .variables import CANONICAL_VARIABLES, MERCHANT_MODULE, normalize_name
 
@@ -177,9 +179,7 @@ def _open_store(args: argparse.Namespace) -> EvidenceStore:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    if args.config:
-        return load_config(args.config)
-    return PipelineConfig()
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -194,15 +194,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if given:
             raise UsageError(f"--from-file cannot be combined with {', '.join(given)}")
         try:
-            with open(args.from_file, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.from_file, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise StorageFailure(f"cannot read {args.from_file}: {exc}") from exc
-        for i, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
+        for i, line in enumerate(split_lines(data), start=1):  # the lines of a log
             try:
-                records.append(record_from_dict(decode_line(line)))
+                if line is None:
+                    raise ValueError("not valid UTF-8")
+                if line.strip():
+                    records.append(record_from_dict(decode_line(line)))
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{args.from_file}:{i}: {exc}") from exc
     else:
@@ -349,14 +350,11 @@ def _rule_lines(text: str) -> list[int]:
 
 def cmd_rules_validate(args: argparse.Namespace) -> int:
     try:
-        with open(args.path, encoding="utf-8") as fh:
-            text = fh.read()
+        text, data = read_json(args.path)
     except OSError as exc:
         raise StorageFailure(f"cannot read {args.path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"{args.path}:{exc.lineno}: not valid JSON: {exc.msg}", file=sys.stderr)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        print(exc, file=sys.stderr)
         return EXIT_DOMAIN
     issues = validate_rulebase_data(data)
     if issues:

@@ -445,6 +445,19 @@ def dump_rulebase(rb: RuleBase) -> str:
     return head[:-2] + ',\n  "rules": [\n' + rule_lines + "\n  ]\n}\n"
 
 
+def read_json(path: str) -> tuple[str, object]:
+    """The text of the UTF-8 file at ``path`` and its JSON value; a file that
+    is not UTF-8, or not JSON, raises ValueError naming it (and the line)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+        return text, json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from exc
+
+
 def load_rulebase(path: str) -> RuleBase:
-    with open(path, encoding="utf-8") as fh:
-        return rulebase_from_dict(json.load(fh))
+    return rulebase_from_dict(read_json(path)[1])

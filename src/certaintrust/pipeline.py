@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import EvidenceExceedsCap, MissingVariable
-from .fuzzy import RuleBase, generate_rulebase, infer, infer_batch, make_variable
+from .fuzzy import RuleBase, generate_rulebase, infer, infer_batch, make_variable, read_json
 from .opinion import (
     BehavioralProbability,
     EvidenceCount,
@@ -158,8 +158,7 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path)[1])
 
 
 def save_config(cfg: PipelineConfig, path: str) -> None:

@@ -98,10 +98,8 @@ def _check_number(name: str, value: float, upper: float, bounds: str) -> None:
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
-# Each record class writes its slots itself.  Plain values (exact str and
-# int, int or float numbers) pass one inline test; any other values get the
-# checks above, which accept or reject them and say why.  Log lines,
-# snapshot records and callers all build records through these
+# Each record class runs the checks above and writes its slots itself.  Log
+# lines, snapshot records and callers all build records through these
 # constructors, so a snapshot admits no record that a log line would not.
 @dataclass(frozen=True, slots=True, init=False)
 class EvidenceRecord:
@@ -113,12 +111,9 @@ class EvidenceRecord:
     timestamp: int
 
     def __init__(self, merchant: str, variable: str, outcome: str, timestamp: int) -> None:
-        if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
-                and merchant.strip() and variable.strip()
-                and (outcome == POSITIVE or outcome == NEGATIVE)):
-            _check_common(merchant, variable, timestamp)
-            if outcome not in (POSITIVE, NEGATIVE):
-                raise ValueError(f"outcome must be 'positive' or 'negative', got {outcome!r}")
+        _check_common(merchant, variable, timestamp)
+        if outcome not in (POSITIVE, NEGATIVE):
+            raise ValueError(f"outcome must be 'positive' or 'negative', got {outcome!r}")
         set_merchant, set_variable, set_outcome, set_timestamp = self._setters
         set_merchant(self, merchant)
         set_variable(self, variable)
@@ -138,14 +133,9 @@ class DirectAssessment:
 
     def __init__(self, merchant: str, variable: str, c: float, t_scaled: float,
                  timestamp: int) -> None:
-        if not (type(merchant) is str and type(variable) is str and type(timestamp) is int
-                and merchant.strip() and variable.strip()
-                and (type(c) is float or type(c) is int) and 0.0 <= c <= 1.0
-                and (type(t_scaled) is float or type(t_scaled) is int)
-                and 0.0 <= t_scaled < math.inf):
-            _check_common(merchant, variable, timestamp)
-            _check_number("c", c, 1.0, "in [0, 1]")
-            _check_number("t_scaled", t_scaled, math.inf, "non-negative and finite")
+        _check_common(merchant, variable, timestamp)
+        _check_number("c", c, 1.0, "in [0, 1]")
+        _check_number("t_scaled", t_scaled, math.inf, "non-negative and finite")
         set_merchant, set_variable, set_c, set_t_scaled, set_timestamp = self._setters
         set_merchant(self, merchant)
         set_variable(self, variable)
@@ -180,6 +170,22 @@ def record_to_dict(record: Record) -> dict:
     return {"kind": kind, **{name: getattr(record, name) for name in record.__slots__}}
 
 
+def split_lines(data: bytes) -> list[str | None]:
+    """The lines of a log or an ``ingest`` batch: ``data`` split at ``b"\\n"``
+    alone, each decoded as UTF-8, or None where that fails.  Input that is
+    all UTF-8, the usual case, is decoded in one call."""
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines: list[str | None] = []
+        for raw in data.split(b"\n"):
+            try:
+                lines.append(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                lines.append(None)
+        return lines
+
+
 _scan_once = json.JSONDecoder().scan_once
 
 
@@ -208,9 +214,8 @@ def record_from_dict(data: dict) -> Record:
             return EvidenceRecord(data["merchant"], data["variable"], data["outcome"],
                                   data["timestamp"])
         if kind == ASSESSMENT_KIND:
-            return DirectAssessment(
-                data["merchant"], data["variable"], data["c"], data["t_scaled"], data["timestamp"]
-            )
+            return DirectAssessment(data["merchant"], data["variable"], data["c"],
+                                    data["t_scaled"], data["timestamp"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed record {data!r}: {exc}") from exc
     raise ValueError(f"unknown record kind {data.get('kind')!r}")
@@ -338,10 +343,8 @@ class EvidenceStore:
         """
         if not records:
             return
-        text = "".join(
-            json.dumps(record_to_dict(r), ensure_ascii=False, sort_keys=True) + "\n"
-            for r in records
-        )
+        text = "".join(json.dumps(record_to_dict(r), ensure_ascii=False, sort_keys=True) + "\n"
+                       for r in records)
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a+b") as fh:
@@ -359,32 +362,30 @@ class EvidenceStore:
     def records(self, merchant: str | None = None) -> list[Record]:
         """All records in file order, or those of one ``merchant``, as a new list.
 
-        Lines end with ``"\\n"`` only.  A final non-blank line that fails to
-        decode or parse is treated as a torn write and skipped with a
-        warning; any earlier damage raises :class:`StorageFailure` naming
-        the physical line.  Every byte is validated whichever records are
-        asked for, so ``records(m)`` warns and fails as ``records()`` does.
+        Lines are those of :func:`split_lines`.  A final non-blank line that
+        fails to decode as UTF-8 or JSON is treated as a torn write and
+        skipped with a warning, as a cut write never ends in complete JSON;
+        a final line of JSON that the record checks reject, and any earlier
+        damage, raise :class:`StorageFailure` naming the physical line.
+        Every byte is validated whichever records are asked for, so
+        ``records(m)`` warns and fails as ``records()`` does.
 
         Each call reads the file afresh, and a missing log reads as empty.
         The read takes the snapshot file when the snapshot's length fits,
         its digests match the file's first bytes and its columns pass the
         record checks, and then parses only the lines after that prefix;
-        otherwise the snapshot is ignored.  The records of a snapshot are
-        built when first asked for: one merchant's on each ``records(m)``,
-        all of them on ``records()``.  When the lines after the snapshot
+        otherwise the snapshot is ignored.  Each call builds only the
+        snapshot records it returns.  When the lines after the snapshot
         hold more newline-terminated records than the snapshot does, the
         log's newline-terminated prefix is written as the new snapshot.
 
         Inside :meth:`pinned`, the file is not read: the records are those
-        of the read on entry, which alone warns of a torn last line, and
-        the first ``records()`` builds all of them for the whole scope.
+        of the read on entry, which alone warns of a torn last line.
         """
         columns, rest = self._held or self._read(stacklevel=3)
-        if merchant is not None:
-            return _column_records(columns, merchant) + [r for r in rest if r.merchant == merchant]
-        if self._held and columns is not None:  # in pinned(): build them once for the scope
-            columns, rest = self._held = None, _column_records(columns) + rest
-        return _column_records(columns) + rest
+        if merchant is None:
+            return _column_records(columns) + rest
+        return _column_records(columns, merchant) + [r for r in rest if r.merchant == merchant]
 
     @contextlib.contextmanager
     def pinned(self) -> Iterator[None]:
@@ -410,23 +411,14 @@ class EvidenceStore:
         checked snapshot columns, or None, and the records not in them.
         A torn-line warning names the frame ``stacklevel`` calls up."""
         try:
-            with self.path.open("rb") as fh:
-                data = fh.read()
+            data = self.path.read_bytes()
         except (FileNotFoundError, NotADirectoryError):
             data = b""  # a missing log reads as empty
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
         start, columns = self._load_snapshot(data)  # data[:start] is covered by the snapshot
         tail = data[start:]
-        try:
-            lines: list[str | None] = tail.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            lines = []
-            for raw in tail.split(b"\n"):
-                try:
-                    lines.append(raw.decode("utf-8"))
-                except UnicodeDecodeError:
-                    lines.append(None)
+        lines = split_lines(tail)
         final = len(lines) - 1  # the last non-blank line, the only one that may be torn
         while final >= 0 and lines[final] is not None and not lines[final].strip():
             final -= 1
@@ -443,11 +435,8 @@ class EvidenceStore:
                 fields = decode_line(line)
             except (ValueError, RecursionError) as exc:
                 if i == final:
-                    warnings.warn(
-                        f"{self.path}: skipping torn final line ({exc})",
-                        RuntimeWarning,
-                        stacklevel=stacklevel,
-                    )
+                    warnings.warn(f"{self.path}: skipping torn final line ({exc})",
+                                  RuntimeWarning, stacklevel=stacklevel)
                     terminated, kept = i, len(out)
                     break
                 number = data.count(b"\n", 0, start) + i + 1

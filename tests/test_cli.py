@@ -164,6 +164,41 @@ class TestIngest:
         assert f"{src}:2:" in err and "not bool" in err
         assert Path(seeded).read_bytes() == before
 
+    def test_a_batch_line_that_is_not_utf8_names_its_line(self, seeded, tmp_path, capsys):
+        before = Path(seeded).read_bytes()
+        good = json.dumps({"kind": "evidence", "merchant": "A", "variable": "Delivery",
+                           "outcome": "positive", "timestamp": 5}).encode()
+        src = tmp_path / "batch.jsonl"
+        src.write_bytes(good + b"\n" + good.replace(b'"A"', b'"A\xff"') + b"\n" + good + b"\n")
+        assert main(["ingest", "--store", seeded, "--from-file", str(src)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: ValueError: {src}:2: not valid UTF-8\n"
+        assert Path(seeded).read_bytes() == before
+
+    def test_a_crlf_batch_ingests(self, store_path, tmp_path, capsys):
+        lines = [{"kind": "evidence", "merchant": "A", "variable": "Delivery",
+                  "outcome": outcome, "timestamp": 5} for outcome in (POSITIVE, NEGATIVE)]
+        src = tmp_path / "batch.jsonl"
+        src.write_bytes(b"".join(json.dumps(x).encode() + b"\r\n" for x in lines) + b"\r\n")
+        assert main(["ingest", "--store", store_path, "--from-file", str(src)]) == 0
+        assert "Appended 2 record(s)" in capsys.readouterr().out
+        assert EvidenceStore(store_path).counts("A", "Delivery") == EvidenceCount(1, 1)
+
+    def test_records_joined_by_a_lone_cr_are_one_bad_line_as_in_the_log(self, store_path,
+                                                                        tmp_path, capsys):
+        line = json.dumps({"kind": "evidence", "merchant": "A", "variable": "Delivery",
+                           "outcome": "positive", "timestamp": 5}).encode()
+        data = line + b"\r" + line + b"\n" + line + b"\n"
+        src = tmp_path / "batch.jsonl"
+        src.write_bytes(data)
+        assert main(["ingest", "--store", store_path, "--from-file", str(src)]) == 1
+        assert f"error: ValueError: {src}:1: Extra data" in capsys.readouterr().err
+        assert not Path(store_path).exists()
+        Path(store_path).write_bytes(data)
+        with pytest.raises(store_module.StorageFailure, match="corrupt record on line 1$"):
+            EvidenceStore(store_path).records()
+
     def test_flags_over_the_evidence_cap_reject_batch(self, seeded, tmp_path, capsys):
         before = Path(seeded).read_bytes()
         narrow = tmp_path / "narrow.json"
@@ -729,6 +764,37 @@ def test_compare_json_does_not_depend_on_the_merchant_order(ranked_store, mercha
     assert compare_json(ranked_store, merchants) == compare_json(ranked_store, RANKED)
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command, merchants", [("evaluate", ["A"]), ("compare", ["A", "B"])])
+    def test_json_error_names_the_file_and_line(self, seeded, tmp_path, capsys, command,
+                                                merchants):
+        config = tmp_path / "c.json"
+        config.write_text('{"N": 7,\n "f": 0.5,}\n', encoding="utf-8")
+        code = main([command, "--store", seeded, "--config", str(config),
+                     *[arg for m in merchants for arg in ("--merchant", m)]])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: ValueError: {config}:2: not valid JSON: "
+                       "Expecting property name enclosed in double quotes\n")
+
+    def test_utf8_error_names_the_file(self, seeded, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"N": 7, "\xff": 1}\n')
+        code = main(["evaluate", "--store", seeded, "--config", str(config), "--merchant", "A"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: {config}: not valid UTF-8\n"
+
+    def test_ingest_checks_the_config_before_writing(self, seeded, tmp_path, capsys):
+        before = Path(seeded).read_bytes()
+        config = tmp_path / "c.json"
+        config.write_text("{", encoding="utf-8")
+        assert main(["ingest", "--store", seeded, "--config", str(config), "--merchant", "A",
+                     "--variable", "Delivery", "--positive", "1"]) == 1
+        assert f"{config}:1: not valid JSON" in capsys.readouterr().err
+        assert Path(seeded).read_bytes() == before
+
+
 class TestRules:
     def test_generate_three_inputs(self, tmp_path, capsys):
         out = tmp_path / "rules.json"
@@ -865,6 +931,14 @@ class TestRules:
         path.write_text("{nope", encoding="utf-8")
         assert main(["rules", "validate", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_validate_names_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "rules.json"
+        main(["rules", "generate", "--inputs", "2", "--out", str(path)])
+        path.write_bytes(path.read_bytes().replace(b'"output"', b'"outp\xe9t"'))
+        capsys.readouterr()
+        assert main(["rules", "validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: not valid UTF-8\n"
 
     def test_zero_inputs_is_usage_error(self, tmp_path):
         out = tmp_path / "rules.json"

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -586,6 +587,16 @@ class TestRulebaseFiles:
         path.write_text(dump_rulebase(rb), encoding="utf-8")
         loaded = load_rulebase(str(path))
         assert loaded == rb
+
+    def test_a_file_that_is_not_json_or_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text('{"inputs": [],\n "rules": [,]}', encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not valid JSON: "
+                                             "Expecting value$"):
+            load_rulebase(str(path))
+        path.write_bytes(dump_rulebase(unit_rulebase(2)).encode().replace(b"output", b"\xff"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid UTF-8$"):
+            load_rulebase(str(path))
 
     def test_generated_document_is_valid(self):
         data = json.loads(dump_rulebase(unit_rulebase(3)))
