@@ -30,7 +30,6 @@ from .fuzzy import (
     gaussian_mf,
     generate_rulebase,
     infer,
-    load_rulebase,
     make_variable,
     mean_consequent,
     surface_grid,

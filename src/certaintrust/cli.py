@@ -1,8 +1,8 @@
 """Operator-facing command line.
 
 Subcommands: ``ingest`` (append evidence or assessments), ``evaluate``
-(score one merchant), ``compare`` (rank several), ``rules`` (generate or
-validate rulebase files), ``surface`` (export a mapping-surface CSV).
+(score one merchant), ``compare`` (rank several), ``surface`` (export a
+mapping-surface CSV).
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 storage error.
 Payloads go to stdout, diagnostics to stderr.
@@ -20,15 +20,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .errors import StorageFailure, TrustError, UnknownVariable
-from .fuzzy import (
-    dump_rulebase,
-    generate_rulebase,
-    make_variable,
-    read_json,
-    rulebase_from_dict,
-    surface_grid,
-    validate_rulebase_data,
-)
+from .fuzzy import surface_grid
 from .opinion import EvidenceCount
 from .pipeline import (
     PipelineConfig,
@@ -141,16 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="merchant identifier (repeat for each)")
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("rules", help="generate or validate rulebase files")
-    rules_sub = p.add_subparsers(dest="rules_command", required=True)
-    g = rules_sub.add_parser("generate", help="write a full Cartesian rulebase")
-    g.add_argument("--inputs", type=int, required=True, metavar="N")
-    g.add_argument("--out", required=True, metavar="PATH")
-    g.set_defaults(func=cmd_rules_generate)
-    v = rules_sub.add_parser("validate", help="check a rulebase file")
-    v.add_argument("path")
-    v.set_defaults(func=cmd_rules_validate)
 
     p = sub.add_parser("surface", help="export a mapping surface as CSV")
     add_config(p)
@@ -292,84 +274,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"{rank:<6}{report.merchant:<20}{report.merchant_trust:>10.4f}"
                 f"{report.behavioral.value:>+14.4f}  {report.trust_class}"
             )
-    return EXIT_OK
-
-
-def cmd_rules_generate(args: argparse.Namespace) -> int:
-    if args.inputs < 1:
-        raise UsageError("--inputs must be at least 1")
-    inputs = [make_variable(f"input_{i + 1}", 0.0, 100.0) for i in range(args.inputs)]
-    rb = generate_rulebase(inputs, make_variable("output", 0.0, 100.0))
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_rulebase(rb))
-    except OSError as exc:
-        raise StorageFailure(f"cannot write {args.out}: {exc}") from exc
-    print(f"Wrote {len(rb.rules)} rules to {args.out}")
-    return EXIT_OK
-
-
-def _rule_lines(text: str) -> list[int]:
-    """1-based line number of each entry of a rulebase file's ``rules``
-    list: of its ``"if"`` list, or of the entry if it has none.  The text
-    is decoded again by the json module's Python scanner, which keeps the
-    last of repeated keys as ``json.loads`` does, with each list noting
-    where it and each of its items start."""
-    # by id: each decoded list, held so that no other value takes its id,
-    # where it starts and where its items start
-    lists: dict[int, tuple[list, int, list[int]]] = {}
-
-    def parse_array(s_and_end, scan_once):
-        items: list[int] = []
-
-        def scan_item(string, at):
-            items.append(at)
-            return scan_once(string, at)
-
-        value, end = json.decoder.JSONArray(s_and_end, scan_item)
-        lists[id(value)] = value, s_and_end[1] - 1, items
-        return value, end
-
-    decoder = json.JSONDecoder()
-    decoder.parse_array = parse_array
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    try:
-        data = decoder.decode(text)
-    except RecursionError:  # nested deeper than the Python scanner reaches
-        return []
-    rules = data.get("rules") if isinstance(data, dict) else None
-    if id(rules) not in lists:
-        return []
-    lines = []
-    for entry, at in zip(rules, lists[id(rules)][2]):
-        if isinstance(entry, dict) and id(entry.get("if")) in lists:
-            at = lists[id(entry["if"])][1]
-        lines.append(text.count("\n", 0, at) + 1)
-    return lines
-
-
-def cmd_rules_validate(args: argparse.Namespace) -> int:
-    try:
-        text, data = read_json(args.path)
-    except OSError as exc:
-        raise StorageFailure(f"cannot read {args.path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8 or not JSON
-        print(exc, file=sys.stderr)
-        return EXIT_DOMAIN
-    issues = validate_rulebase_data(data)
-    if issues:
-        lines = _rule_lines(text)
-        for issue in issues:
-            location = args.path
-            if issue.startswith("rule "):
-                number = int(issue.split()[1].rstrip(":"))
-                if 1 <= number <= len(lines):
-                    location = f"{args.path}:{lines[number - 1]}"
-            print(f"{location}: {issue}", file=sys.stderr)
-        print(f"error: {len(issues)} issue(s) found", file=sys.stderr)
-        return EXIT_DOMAIN
-    rb = rulebase_from_dict(data)
-    print(f"OK: {len(rb.rules)} rules over {len(rb.inputs)} inputs")
     return EXIT_OK
 
 

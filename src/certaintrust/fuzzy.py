@@ -2,9 +2,9 @@
 
 Every linguistic variable carries exactly five Gaussian terms
 (Very_Low .. Very_High) with evenly spaced centers and a shared sigma
-chosen so adjacent terms cross at membership 0.5.  Rulebases are either
-generated as the full Cartesian product over the inputs (consequent =
-rounded mean of the antecedent indices) or loaded explicitly from JSON.
+chosen so adjacent terms cross at membership 0.5.  Rulebases are generated
+as the full Cartesian product over the inputs (consequent = rounded mean of
+the antecedent indices), or built from explicit :class:`Rule` tuples.
 
 Inference is Mamdani style: per-rule firing strength from the antecedent
 memberships (min by default, product optionally), consequent terms clipped
@@ -20,11 +20,11 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, EmptyAggregate, IndexOutOfRange, InvalidDomain, TrustError
+from .errors import ArityMismatch, EmptyAggregate, IndexOutOfRange, InvalidDomain
 from .opinion import _is_number
 
 TERM_LABELS = ("Very_Low", "Low", "Medium", "High", "Very_High")
@@ -37,9 +37,6 @@ CENTROID_SAMPLES = 1001
 SIGMA_FACTOR = 0.125 / math.sqrt(2.0 * math.log(2.0))
 
 TNORMS = ("min", "product")
-
-MEAN_POLICY = "mean"
-EXPLICIT_POLICY = "explicit"
 
 
 @dataclass(frozen=True)
@@ -124,20 +121,6 @@ class Rule:
                 raise IndexOutOfRange(f"term index {idx!r} out of range 0..{TERM_COUNT - 1}")
 
 
-def _rule_problems(arity: int, numbered: Iterable[tuple[int, Rule]]) -> Iterator[Exception]:
-    """Each rule, of ``(number, rule)`` pairs, whose antecedent has the wrong
-    length or repeats an earlier one, as the error it makes."""
-    seen: dict[tuple[int, ...], int] = {}
-    for i, rule in numbered:
-        ante = rule.antecedent
-        if len(ante) != arity:
-            yield ArityMismatch(f"rule {i}: antecedent length {len(ante)} != arity {arity}")
-        elif ante in seen:
-            yield ValueError(f"rule {i}: duplicate antecedent {ante} (first at rule {seen[ante]})")
-        else:
-            seen[ante] = i
-
-
 @dataclass(frozen=True)
 class RuleBase:
     inputs: tuple[LinguisticVariable, ...]
@@ -147,8 +130,16 @@ class RuleBase:
     def __post_init__(self) -> None:
         if not self.inputs:
             raise ValueError("a rulebase needs at least one input variable")
-        for problem in _rule_problems(len(self.inputs), enumerate(self.rules, start=1)):
-            raise problem
+        arity = len(self.inputs)
+        seen: dict[tuple[int, ...], int] = {}  # each antecedent's first rule number
+        for i, rule in enumerate(self.rules, start=1):
+            ante = rule.antecedent
+            if len(ante) != arity:
+                raise ArityMismatch(f"rule {i}: antecedent length {len(ante)} != arity {arity}")
+            if ante in seen:
+                raise ValueError(f"rule {i}: duplicate antecedent {ante} "
+                                 f"(first at rule {seen[ante]})")
+            seen[ante] = i
 
     # Built on first use.  A cached property sits outside the dataclass
     # fields: equality and hash ignore it.
@@ -351,113 +342,26 @@ def surface_grid(
     return SurfaceGrid(xv.name, yv.name, tuple(xs), tuple(ys), tuple(values))
 
 
-# ---------------------------------------------------------------------------
-# rulebase file format
-
-
-def _parse_rulebase(data: object) -> tuple[list[str], RuleBase | None]:
-    """Every problem in a rulebase document, and its rulebase when it has none.
-
-    The parser checks only the document's shape and its keys.  The
-    variables, rules and base are built by their constructors, whose
-    messages are collected under ``inputs[i]:``, ``output:`` and ``rule N:``
-    (1-based N), as is each unknown key of those entries.
-    """
-    if not isinstance(data, dict):
-        return ["document must be a JSON object"], None
-    issues = [f"unknown key {key!r}" for key in data
-              if key not in ("inputs", "output", "policy", "rules")]
-
-    def unknown(label: str, entry: dict, known: tuple[str, ...]) -> None:
-        issues.extend(f"{label}: unknown key {key!r}" for key in entry if key not in known)
-
-    def build(label: str, make, *args):
-        try:
-            return make(*args)
-        except (TrustError, ValueError) as exc:
-            issues.append(f"{label}: {exc}")
-
-    def variable(entry: object, label: str) -> LinguisticVariable | None:
-        if isinstance(entry, dict):
-            unknown(label, entry, ("name", "lo", "hi"))
-            return build(label, LinguisticVariable, entry.get("name"), entry.get("lo"),
-                         entry.get("hi"))
-        issues.append(f"{label} must be an object with name/lo/hi")
-
-    input_entries = data.get("inputs")
-    if not isinstance(input_entries, list) or not input_entries:
-        issues.append("inputs must be a non-empty list")
-        input_entries = []
-    inputs = tuple(variable(entry, f"inputs[{i}]") for i, entry in enumerate(input_entries))
-    output = variable(data.get("output"), "output")
-
-    policy = data.get("policy")
-    if policy not in (MEAN_POLICY, EXPLICIT_POLICY):
-        issues.append(f"policy must be 'mean' or 'explicit', got {policy!r}")
-
-    rule_entries = data.get("rules")
-    if not isinstance(rule_entries, list):
-        issues.append("rules must be a list")
-        rule_entries = []
-    numbered = []
-    for i, entry in enumerate(rule_entries, start=1):
-        if isinstance(entry, dict):
-            unknown(f"rule {i}", entry, ("if", "then"))
-        if not (isinstance(entry, dict) and isinstance(entry.get("if"), list) and "then" in entry):
-            issues.append(f"rule {i}: must be an object with an 'if' list and a 'then'")
-        elif (rule := build(f"rule {i}", Rule, tuple(entry["if"]), entry["then"])) is not None:
-            numbered.append((i, rule))
-    issues.extend(map(str, _rule_problems(len(inputs), numbered)))
-
-    if issues:
-        return issues, None
-    if policy == MEAN_POLICY and not numbered:
-        return issues, generate_rulebase(inputs, output)
-    return issues, RuleBase(inputs, output, tuple(rule for _, rule in numbered))
-
-
-def validate_rulebase_data(data: object) -> list[str]:
-    """Every problem :func:`load_rulebase` finds in a document; empty when it loads."""
-    return _parse_rulebase(data)[0]
-
-
-def rulebase_from_dict(data: object) -> RuleBase:
-    issues, rb = _parse_rulebase(data)
-    if issues:
-        raise ValueError("invalid rulebase document:\n" + "\n".join(issues))
-    return rb
-
-
-def dump_rulebase(rb: RuleBase) -> str:
-    """Serialize with one rule per line so reports can cite line numbers.
-
-    ``policy`` reads ``mean`` exactly when the rules are those
-    :func:`generate_rulebase` makes, in its order, and ``explicit`` otherwise.
-    """
-    generated = rb.rules == generate_rulebase(rb.inputs, rb.output).rules
-    head = json.dumps({
-        "inputs": [{"name": v.name, "lo": v.lo, "hi": v.hi} for v in rb.inputs],
-        "output": {"name": rb.output.name, "lo": rb.output.lo, "hi": rb.output.hi},
-        "policy": MEAN_POLICY if generated else EXPLICIT_POLICY,
-    }, indent=2)
-    rule_lines = ",\n".join("    " + json.dumps({"if": list(r.antecedent), "then": r.consequent})
-                            for r in rb.rules)
-    return head[:-2] + ',\n  "rules": [\n' + rule_lines + "\n  ]\n}\n"
-
-
-def read_json(path: str) -> tuple[str, object]:
-    """The text of the UTF-8 file at ``path`` and its JSON value; a file that
-    is not UTF-8, or not JSON, raises ValueError naming it (and the line)."""
+def read_json(path: str) -> object:
+    """The JSON value of the UTF-8 file at ``path``.  A file that is not
+    UTF-8 or not JSON, that nests too deeply, or that gives a key twice in
+    one object raises ValueError naming it (and the line, or the key)."""
     with open(path, "rb") as fh:
         data = fh.read()
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: key {key!r} given twice")
+            obj[key] = value
+        return obj
+
     try:
-        text = data.decode("utf-8")
-        return text, json.loads(text)
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from exc
-
-
-def load_rulebase(path: str) -> RuleBase:
-    return rulebase_from_dict(read_json(path)[1])
+    except RecursionError as exc:
+        raise ValueError(f"{path}: nested too deeply") from exc

@@ -158,7 +158,7 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    return config_from_dict(read_json(path)[1])
+    return config_from_dict(read_json(path))
 
 
 def save_config(cfg: PipelineConfig, path: str) -> None:

@@ -785,6 +785,37 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err == f"error: ValueError: {config}: not valid UTF-8\n"
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "ingest", "surface"])
+    def test_deep_nesting_is_one_error_line(self, seeded, tmp_path, capsys, command):
+        config, out = tmp_path / "c.json", tmp_path / "s.csv"
+        config.write_text("[" * 100_000, encoding="utf-8")
+        before = Path(seeded).read_bytes()
+        argv = {
+            "evaluate": ["--store", seeded, "--merchant", "A"],
+            "compare": ["--store", seeded, "--merchant", "A", "--merchant", "B"],
+            "ingest": ["--store", seeded, "--merchant", "A", "--variable", "Delivery",
+                       "--positive", "1"],
+            "surface": ["--module", "Existence", "--x", "Physical Existence",
+                        "--y", "People Existence", "--out", str(out)],
+        }[command]
+        code, stdout, stderr = captured_main(capsys, [command, "--config", str(config), *argv])
+        assert (code, stdout, stderr) == (1, "", f"error: ValueError: {config}: "
+                                                 "nested too deeply\n")
+        assert Path(seeded).read_bytes() == before
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"N": 100, "N": 5}', "N"),
+        ('{"modules": [{"name": "Existence", "name": "Presence", "variables": []}]}', "name"),
+    ], ids=["top_level", "module_entry"])
+    def test_a_repeated_key_is_refused(self, seeded, tmp_path, capsys, text, key):
+        config = tmp_path / "c.json"
+        config.write_text(text, encoding="utf-8")
+        code, stdout, stderr = captured_main(
+            capsys, ["evaluate", "--store", seeded, "--config", str(config), "--merchant", "A"])
+        assert (code, stdout, stderr) == (1, "", f"error: ValueError: {config}: "
+                                                 f"key {key!r} given twice\n")
+
     def test_ingest_checks_the_config_before_writing(self, seeded, tmp_path, capsys):
         before = Path(seeded).read_bytes()
         config = tmp_path / "c.json"
@@ -795,154 +826,18 @@ class TestConfigFile:
         assert Path(seeded).read_bytes() == before
 
 
-class TestRules:
-    def test_generate_three_inputs(self, tmp_path, capsys):
+class TestNoRulesCommand:
+    """Every rulebase is generated, so no command writes or checks a rulebase file."""
+
+    def test_rules_generate_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "rules.json"
-        code = main(["rules", "generate", "--inputs", "3", "--out", str(out)])
-        assert code == 0
-        assert "125" in capsys.readouterr().out
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert len(data["rules"]) == 125
+        assert main(["rules", "generate", "--inputs", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid choice: 'rules'" in capsys.readouterr().err
 
-    def test_validate_generated_file(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "3", "--out", str(out)])
-        capsys.readouterr()
-        assert main(["rules", "validate", str(out)]) == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_validate_duplicate_antecedent(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
-        data = json.loads(out.read_text(encoding="utf-8"))
-        data["rules"].append(dict(data["rules"][0]))
-        out.write_text(json.dumps(data, indent=2), encoding="utf-8")
-        capsys.readouterr()
-        code = main(["rules", "validate", str(out)])
-        assert code == 1
-        assert "duplicate antecedent" in capsys.readouterr().err
-
-    def test_validate_reports_line_numbers(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
-        text = out.read_text(encoding="utf-8")
-        text = text.replace('{"if": [0, 3], "then": 2}', '{"if": [0, 3], "then": 9}')
-        out.write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        code = main(["rules", "validate", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        line = next(i for i, ln in enumerate(text.splitlines(), start=1)
-                    if '"then": 9' in ln)
-        assert f":{line}:" in err
-
-    def test_validate_line_numbers_ignore_an_input_named_if(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
-        text = out.read_text(encoding="utf-8").replace('"input_1"', '"if"')
-        text = text.replace('{"if": [0, 3], "then": 2}', '{"if": [0, 3], "then": 9}')
-        out.write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        assert main(["rules", "validate", str(out)]) == 1
-        line = next(i for i, ln in enumerate(text.splitlines(), start=1) if '"then": 9' in ln)
-        assert f"{out}:{line}: rule 4: term index 9 out of range 0..4" in capsys.readouterr().err
-
-    def test_validate_line_numbers_ignore_an_if_key_outside_the_rules(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
-        text = out.read_text(encoding="utf-8").replace('"name": "input_1",',
-                                                       '"name": "input_1", "if": 0,')
-        text = text.replace('{"if": [0, 3], "then": 2}', '{"if": [0, 3], "then": 9}')
-        out.write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        assert main(["rules", "validate", str(out)]) == 1
-        err = capsys.readouterr().err
-        line = next(i for i, ln in enumerate(text.splitlines(), start=1) if '"then": 9' in ln)
-        assert line == 24
-        assert f"{out}: inputs[0]: unknown key 'if'" in err
-        assert f"{out}:24: rule 4: term index 9 out of range 0..4" in err
-
-    def test_validate_line_numbers_in_a_one_line_file(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
-        data = json.loads(out.read_text(encoding="utf-8"))
-        data["rules"][3]["then"] = 9
-        data["rules"][20]["then"] = 9
-        out.write_text(json.dumps(data), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["rules", "validate", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"{out}:1: rule 4: " in err and f"{out}:1: rule 21: " in err
-
-    def test_validate_cites_the_entry_line_of_a_rule_without_an_if_list(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        out.write_text('{"rules": [\n  5,\n  {\n    "if":\n      7, "then": 2}]}',
-                       encoding="utf-8")
-        assert main(["rules", "validate", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"{out}:2: rule 1: must be an object" in err
-        assert f"{out}:3: rule 2: must be an object" in err
-
-    def test_validate_reports_a_rule_nested_deeper_than_the_line_search(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        out.write_text('{"rules": [' + "[" * 400 + "]" * 400 + "]}", encoding="utf-8")
-        assert main(["rules", "validate", str(out)]) == 1
-        assert "rule 1: must be an object" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("domain", ['"lo": -1e308, "hi": 1e308',
-                                        '"lo": -Infinity, "hi": Infinity',
-                                        '"lo": 0, "hi": 1e-320'])
-    def test_validate_refuses_a_domain_that_cannot_load(self, tmp_path, capsys, domain):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
-        text = out.read_text(encoding="utf-8")
-        text = text.replace('"lo": 0.0,\n      "hi": 100.0', domain, 1)
-        out.write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        assert main(["rules", "validate", str(out)]) == 1
-        assert f"{out}: inputs[0]: input_1: " in capsys.readouterr().err
-
-    def test_validate_counts_the_rules_that_load(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "3", "--out", str(out)])
-        data = json.loads(out.read_text(encoding="utf-8"))
-        assert data["policy"] == "mean"
-        data["rules"] = []
-        out.write_text(json.dumps(data, indent=2), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["rules", "validate", str(out)]) == 0
-        assert capsys.readouterr().out == "OK: 125 rules over 3 inputs\n"
-
-    def test_validate_names_unknown_keys(self, tmp_path, capsys):
-        out = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(out)])
-        text = out.read_text(encoding="utf-8").replace('"policy"', '"extra": 1, "policy"')
-        text = text.replace('{"if": [0, 2], "then": 1}', '{"if": [0, 2], "then": 1, "weight": 0.5}')
-        out.write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        assert main(["rules", "validate", str(out)]) == 1
-        err = capsys.readouterr().err
-        line = next(i for i, ln in enumerate(text.splitlines(), start=1) if '"weight"' in ln)
-        assert f"{out}: unknown key 'extra'" in err
-        assert f"{out}:{line}: rule 3: unknown key 'weight'" in err
-
-    def test_validate_rejects_non_json(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{nope", encoding="utf-8")
-        assert main(["rules", "validate", str(path)]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_validate_names_a_file_that_is_not_utf8(self, tmp_path, capsys):
-        path = tmp_path / "rules.json"
-        main(["rules", "generate", "--inputs", "2", "--out", str(path)])
-        path.write_bytes(path.read_bytes().replace(b'"output"', b'"outp\xe9t"'))
-        capsys.readouterr()
-        assert main(["rules", "validate", str(path)]) == 1
-        assert capsys.readouterr().err == f"{path}: not valid UTF-8\n"
-
-    def test_zero_inputs_is_usage_error(self, tmp_path):
-        out = tmp_path / "rules.json"
-        assert main(["rules", "generate", "--inputs", "0", "--out", str(out)]) == 2
+    def test_help_lists_four_commands(self, capsys):
+        assert main(["--help"]) == 0
+        assert "{ingest,evaluate,compare,surface}" in capsys.readouterr().out
 
 
 class TestSurface:
@@ -1078,8 +973,6 @@ USAGE_ERRORS = [
     ("compare_repeated_merchant",
      ["compare", "{store}", "--merchant", "A", "--merchant", "B", "--merchant", "A"],
      "merchant 'A' is given more than once"),
-    ("rules_zero_inputs", ["rules", "generate", "--inputs", "0", "--out", "{out}"],
-     "--inputs must be at least 1"),
     ("surface_unknown_module",
      ["surface", "--module", "Nonsense", "--x", "a", "--y", "b", "--out", "{out}"],
      "'Nonsense' is not a configured module (expected one of: "

@@ -1,6 +1,7 @@
 """Unit tests for the opinion algebra."""
 
 import math
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from certaintrust import (
     scale_rating,
     trust_percent,
 )
+from certaintrust.opinion import BASE_EPS, _CLIP_TOL, _clip_unit, _is_number
 
 from oracle import frac_and, frac_or
 
@@ -200,6 +202,10 @@ class TestOr:
         with pytest.raises(DegenerateBase):
             op_or(Opinion(0.5, 0.5, 0.0), Opinion(0.5, 0.5, 0.0))
 
+    def test_a_combined_prior_of_exactly_base_eps_is_degenerate(self):
+        with pytest.raises(DegenerateBase):
+            op_or(Opinion(0.5, 0.5, BASE_EPS), Opinion(0.5, 0.5, 0.0))
+
 
 class TestFloatDrift:
     """Inputs whose raw ``c`` or ``t`` drifts just outside [0, 1]; without
@@ -219,6 +225,10 @@ class TestFloatDrift:
     ])
     def test_a_rating_just_above_one_is_one(self, op, a, b):
         assert op(a, b).t == 1.0
+
+    def test_a_drift_of_exactly_the_tolerance_passes_through(self):
+        assert _clip_unit(-_CLIP_TOL) == -_CLIP_TOL
+        assert _clip_unit(1.0 + _CLIP_TOL) == 1.0 + _CLIP_TOL
 
 
 class TestScaleRating:
@@ -298,6 +308,10 @@ class TestOpinionFromEvidence:
 
 
 class TestValidation:
+    def test_the_largest_finite_floats_are_numbers(self):
+        assert _is_number(sys.float_info.max)
+        assert _is_number(-sys.float_info.max)
+
     def test_opinion_components_must_be_unit(self):
         for bad in [(-0.1, 0.5, 0.5), (0.5, 1.1, 0.5), (0.5, 0.5, 2.0)]:
             with pytest.raises(ValueError):

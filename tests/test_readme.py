@@ -28,7 +28,7 @@ def test_cli_examples_parse():
     text = "".join(blocks("bash")).replace("\\\n", " ")
     commands = [shlex.split(line, comments=True) for line in text.splitlines()
                 if line.startswith("certaintrust ")]
-    assert len(commands) == 8
+    assert len(commands) == 6
     parser = build_parser()
     for argv in commands:
         assert callable(parser.parse_args(argv[1:]).func), argv
