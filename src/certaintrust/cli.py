@@ -241,11 +241,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     store = _open_store(args)
     cfg = _load_config(args)
     try:
-        overrides = {normalize_name(name, cfg.module_names(), kind="module"): value
-                     for name, value in args.module_trust or ()}
+        report = evaluate_merchant(args.merchant, cfg, store=store,
+                                   module_overrides=dict(args.module_trust or ()))
     except UnknownVariable as exc:
-        raise UsageError(exc)
-    report = evaluate_merchant(args.merchant, cfg, store=store, module_overrides=overrides)
+        if args.module_trust:  # on this path only an override's name raises it
+            raise UsageError(exc)
+        raise
     if args.format == "json":
         print(report.to_json())
     else:

@@ -15,7 +15,6 @@ centroid over 1001 samples of the output domain.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -340,28 +339,3 @@ def surface_grid(
             row.append(infer(rb, point, tnorm=tnorm))
         values.append(tuple(row))
     return SurfaceGrid(xv.name, yv.name, tuple(xs), tuple(ys), tuple(values))
-
-
-def read_json(path: str) -> object:
-    """The JSON value of the UTF-8 file at ``path``.  A file that is not
-    UTF-8 or not JSON, that nests too deeply, or that gives a key twice in
-    one object raises ValueError naming it (and the line, or the key)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-
-    def unique(pairs: list[tuple[str, object]]) -> dict:
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise ValueError(f"{path}: key {key!r} given twice")
-            obj[key] = value
-        return obj
-
-    try:
-        return json.loads(data.decode("utf-8"), object_pairs_hook=unique)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"{path}: nested too deeply") from exc

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import EvidenceExceedsCap, MissingVariable
-from .fuzzy import RuleBase, generate_rulebase, infer, infer_batch, make_variable, read_json
+from .fuzzy import RuleBase, generate_rulebase, infer, infer_batch, make_variable
 from .opinion import (
     BehavioralProbability,
     EvidenceCount,
@@ -155,6 +155,31 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
         modules=tuple(ModuleSpec(m["name"], tuple(m["variables"])) for m in data["modules"]),
         class_bounds=tuple(data["class_bounds"]),
     )
+
+
+def read_json(path: str) -> object:
+    """The JSON value of the UTF-8 file at ``path``.  A file that is not
+    UTF-8 or not JSON, that nests too deeply, or that gives a key twice in
+    one object raises ValueError naming it (and the line, or the key)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: key {key!r} given twice")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: nested too deeply") from exc
 
 
 def load_config(path: str) -> PipelineConfig:

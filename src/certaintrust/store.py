@@ -21,16 +21,18 @@ and every merchant is scored against the log as it stood then.
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
 prefix of it, so that a read parses only the lines after that prefix.
 Its first line is a JSON header.  A JSON table line follows: the distinct
-merchant and variable names in first-seen order, ``c`` and ``t_scaled``
-per assessment, and the timestamps only when one falls outside int64.
-Then come fixed-width little-endian columns: the timestamps (``<i8``,
-unless the table holds them), merchant ids and variable ids (``<u4``), and
-a kind byte per record (``+`` and ``-`` for positive and negative
-evidence, ``a`` for an assessment):
+merchant and variable names in first-seen order, and ``c`` and
+``t_scaled`` per assessment.  Then come fixed-width little-endian
+columns, 17 bytes per record: the timestamps (``<i8``), merchant ids and
+variable ids (``<u4``), and a kind byte per record (``+`` and ``-`` for
+positive and negative evidence, ``a`` for an assessment):
 
-    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230, "version": 3}
-    {"merchant":["A"],"variable":["Delivery","Privacy"],"c":[0.6],"t_scaled":[3.5],"timestamp":null}
+    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230, "version": 4}
+    {"merchant":["A"],"variable":["Delivery","Privacy"],"c":[0.6],"t_scaled":[3.5]}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a
+
+A prefix that holds a timestamp outside int64 gets no snapshot, and
+neither does a read that skips a torn final line.
 
 The two SHA-256 digests are never skipped: the head's covers the prefix's
 first ``cut`` bytes, and the rest's the other prefix bytes and then the
@@ -69,7 +71,7 @@ ASSESSMENT_KIND = "assessment"
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 #: one record's column checks, in bytes of SHA-256 time: the writer cuts the
 #: digest so that the worker's head and the reading thread's checks and rest
 #: take as long (on 2 shared cores with SHA-NI, 1.36 GB/s, a cold hit of a
@@ -231,26 +233,20 @@ def _snapshot_payload(records) -> bytes:
     """The records as a JSON table line and fixed-width binary columns.
 
     The table holds the distinct merchant and variable names in first-seen
-    order, ``c`` and ``t_scaled`` per assessment, and the timestamps when
-    any falls outside int64 (else null).  The columns follow it: the
-    timestamps as ``<i8`` when they fit, then merchant ids and variable
-    ids as ``<u4`` and a kind byte per record (``+``, ``-`` or ``a``)."""
+    order, and ``c`` and ``t_scaled`` per assessment.  The columns follow
+    it: the timestamps as ``<i8``, merchant ids and variable ids as
+    ``<u4`` and a kind byte per record (``+``, ``-`` or ``a``).  A
+    timestamp outside int64 raises OverflowError."""
+    stamps = np.array([r.timestamp for r in records], "<i8").tobytes()
     merchants: dict[str, int] = {}
     variables: dict[str, int] = {}
     mids = [merchants.setdefault(r.merchant, len(merchants)) for r in records]
     vids = [variables.setdefault(r.variable, len(variables)) for r in records]
     assessments = [r for r in records if isinstance(r, DirectAssessment)]
-    stamps = [r.timestamp for r in records]
-    try:
-        columns = [np.array(stamps, "<i8").tobytes()]
-        stamps = None
-    except OverflowError:
-        columns = []
     table = {"merchant": list(merchants), "variable": list(variables),
-             "c": [r.c for r in assessments], "t_scaled": [r.t_scaled for r in assessments],
-             "timestamp": stamps}
-    columns += [np.array(mids, "<u4").tobytes(), np.array(vids, "<u4").tobytes(),
-                "".join([_KINDS[getattr(r, "outcome", None)] for r in records]).encode("ascii")]
+             "c": [r.c for r in assessments], "t_scaled": [r.t_scaled for r in assessments]}
+    columns = [stamps, np.array(mids, "<u4").tobytes(), np.array(vids, "<u4").tobytes(),
+               "".join([_KINDS[getattr(r, "outcome", None)] for r in records]).encode("ascii")]
     line = json.dumps(table, separators=(",", ":"), check_circular=False).encode("ascii")
     return b"\n".join([line, b"".join(columns)])
 
@@ -267,19 +263,14 @@ def _snapshot_columns(data: bytes, start: int) -> tuple:
     ignored whole without building its records."""
     at = data.find(b"\n", start) + 1 or len(data)  # where the blob starts
     table = json.loads(data[start:at])
-    names, variables, cs, ts, stamps = (
-        table[key] for key in ("merchant", "variable", "c", "t_scaled", "timestamp"))
-    n, rest = divmod(len(data) - at, 17 if stamps is None else 9)
-    if not (type(names) is type(variables) is type(cs) is type(ts) is list and not rest
-            and (stamps is None or type(stamps) is list and len(stamps) == n
-                 and set(map(type, stamps)) <= {int})):
+    names, variables, cs, ts = (table[key] for key in ("merchant", "variable", "c", "t_scaled"))
+    n, rest = divmod(len(data) - at, 17)
+    if not (type(names) is type(variables) is type(cs) is type(ts) is list and not rest):
         raise ValueError("snapshot tables are not lists that fit the blob")
-    if stamps is None:
-        stamps, at = np.frombuffer(data, "<i8", n, at), at + 8 * n
-    else:
-        stamps = np.array(stamps, dtype=object)
-    mids, vids = np.frombuffer(data, "<u4", n, at), np.frombuffer(data, "<u4", n, at + 4 * n)
-    kinds = data[at + 8 * n:]
+    stamps = np.frombuffer(data, "<i8", n, at)
+    mids = np.frombuffer(data, "<u4", n, at + 8 * n)
+    vids = np.frombuffer(data, "<u4", n, at + 12 * n)
+    kinds = data[at + 16 * n:]
     index = dict(zip(names, range(len(names))))
     # str.strip raises TypeError for a name that is not a string
     if not (all(map(str.strip, names)) and all(map(str.strip, variables))
@@ -377,7 +368,9 @@ class EvidenceStore:
         otherwise the snapshot is ignored.  Each call builds only the
         snapshot records it returns.  When the lines after the snapshot
         hold more newline-terminated records than the snapshot does, the
-        log's newline-terminated prefix is written as the new snapshot.
+        log's newline-terminated prefix is written as the new snapshot,
+        unless the read skipped a torn final line or a timestamp of the
+        prefix falls outside int64.
 
         Inside :meth:`pinned`, the file is not read: the records are those
         of the read on entry, which alone warns of a torn last line.
@@ -406,10 +399,10 @@ class EvidenceStore:
             self._held = None
 
     def _read(self, stacklevel: int) -> tuple[tuple | None, list[Record]]:
-        """Read and validate the log as :meth:`records` describes, rewrite
-        the snapshot when the lines after it outnumber it, and return the
-        checked snapshot columns, or None, and the records not in them.
-        A torn-line warning names the frame ``stacklevel`` calls up."""
+        """Read and validate the log and rewrite the snapshot as
+        :meth:`records` describes, and return the checked snapshot columns,
+        or None, and the records not in them.  A torn-line warning names
+        the frame ``stacklevel`` calls up."""
         try:
             data = self.path.read_bytes()
         except (FileNotFoundError, NotADirectoryError):
@@ -423,10 +416,7 @@ class EvidenceStore:
         while final >= 0 and lines[final] is not None and not lines[final].strip():
             final -= 1
         out = []  # the records of the tail
-        terminated = len(lines) - 1  # lines[:terminated] end with "\n"
         for i, line in enumerate(lines):
-            if i == terminated:
-                kept = len(out)  # the records of those lines
             if line is not None and not line.strip():
                 continue
             try:
@@ -437,8 +427,7 @@ class EvidenceStore:
                 if i == final:
                     warnings.warn(f"{self.path}: skipping torn final line ({exc})",
                                   RuntimeWarning, stacklevel=stacklevel)
-                    terminated, kept = i, len(out)
-                    break
+                    return columns, out  # and writes no snapshot
                 number = data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
             try:
@@ -446,13 +435,13 @@ class EvidenceStore:
             except (ValueError, RecursionError) as exc:
                 number = data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
+        # the records of newline-terminated lines: all but an unterminated last line's
+        kept = len(out) - bool(lines[-1].strip())
         held = len(columns[0]) if columns else 0  # the records of the snapshot
         if kept > held:
-            end = len(tail)  # the newline that ends line ``terminated - 1`` of the tail
-            for _ in range(len(lines) - terminated):
-                end = tail.rfind(b"\n", 0, end)
             columns, out = None, _column_records(columns) + out
-            self._save_snapshot(memoryview(data)[: start + end + 1], out[: held + kept])
+            end = start + tail.rfind(b"\n") + 1  # just past the log's last "\n"
+            self._save_snapshot(memoryview(data)[:end], out[: held + kept])
         return columns, out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
@@ -529,8 +518,9 @@ class EvidenceStore:
     def _save_snapshot(self, prefix: memoryview, records: list[Record]) -> None:
         """Atomically replace the snapshot with one of ``prefix``, the log's
         first bytes, which hold ``records``; a failed write leaves the old
-        snapshot, or none, and is not reported.  The snapshot gets the
-        log's permission bits, as it holds the same data."""
+        snapshot, or none, and is not reported, and so do records with a
+        timestamp outside int64.  The snapshot gets the log's permission
+        bits, as it holds the same data."""
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(records)
@@ -542,7 +532,7 @@ class EvidenceStore:
                                 sort_keys=True)
             fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
                                         dir=target.parent)
-        except (OSError, ValueError):
+        except (OSError, ValueError, OverflowError):
             return
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -400,6 +400,13 @@ class TestIngest:
                      "--positive", "1"])
         assert code == 0
 
+    def test_from_file_that_cannot_be_read_is_storage_error(self, store_path, tmp_path, capsys):
+        code = main(["ingest", "--store", store_path, "--from-file", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: StorageFailure: cannot read {tmp_path}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_store_is_storage_error(self, tmp_path, capsys):
         target = tmp_path / "dir.jsonl"
         target.mkdir()
@@ -889,6 +896,15 @@ class TestSurface:
                      "--resolution", "1", "--out", str(tmp_path / "s.csv")])
         assert code == 2
 
+    def test_out_in_a_missing_directory_is_storage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        code = main(["surface", "--module", "Existence", "--x", "Physical Existence",
+                     "--y", "People Existence", "--resolution", "3", "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (code, stdout) == (3, "")
+        assert err.startswith(f"error: StorageFailure: cannot write {out}: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 def all_error_classes():
     import certaintrust.errors as errors
@@ -1007,6 +1023,38 @@ def test_usage_error_is_exit_2_and_one_stderr_line(tmp_path, monkeypatch, capsys
     code, stdout, stderr = captured_main(capsys, argv)
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+#: each option value that the option's argparse type refuses: an id, the
+#: argv (``{store}`` stands for a path in the test's directory) and the
+#: message that argparse prints after its usage lines
+BAD_OPTION_VALUES = [
+    ("negative_count", ["ingest", "{store}", "--merchant", "A", "--variable", "Delivery",
+                        "--positive", "-1"],
+     "certaintrust ingest: error: argument --positive: must be non-negative, got -1"),
+    ("assessment_not_numbers", ["ingest", "{store}", "--merchant", "A", "--variable", "Delivery",
+                                "--assessment", "x,y"],
+     "certaintrust ingest: error: argument --assessment: expected two numbers, got 'x,y'"),
+    ("module_trust_without_value", ["evaluate", "{store}", "--merchant", "A",
+                                    "--module-trust", "Existence"],
+     "certaintrust evaluate: error: argument --module-trust: expected 'Module=value', "
+     "got 'Existence'"),
+    ("module_trust_not_a_number", ["evaluate", "{store}", "--merchant", "A",
+                                   "--module-trust", "Existence=x"],
+     "certaintrust evaluate: error: argument --module-trust: expected a numeric value in "
+     "'Existence=x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [case[1:] for case in BAD_OPTION_VALUES],
+                         ids=[case[0] for case in BAD_OPTION_VALUES])
+def test_a_refused_option_value_is_exit_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    fills = {"{store}": ["--store", str(tmp_path / "store.jsonl")]}
+    argv = [part for arg in argv for part in fills.get(arg, [arg])]
+    code, stdout, stderr = captured_main(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.endswith(f"\n{message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture

@@ -193,6 +193,10 @@ class TestRulebaseGeneration:
         with pytest.raises(ArityMismatch):
             RuleBase(tuple(v), make_variable("y", 0.0, 1.0), (Rule((1,), 1),))
 
+    def test_no_inputs_rejected(self):
+        with pytest.raises(ValueError, match="^a rulebase needs at least one input variable$"):
+            RuleBase((), make_variable("y", 0.0, 1.0), ())
+
     def test_term_index_endpoints(self):
         assert Rule((0, 4), 4).antecedent == (0, 4)
         for antecedent, consequent in (((5, 0), 0), ((0, 5), 0), ((0, 0), 5), ((-1, 0), 0)):

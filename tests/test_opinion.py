@@ -281,6 +281,11 @@ class TestBehavioralProbability:
         with pytest.raises(ZeroBase):
             behavioral_probability(50.0, TrustParams(f=0.0))
 
+    @pytest.mark.parametrize("trust", [-1e-9, 100.000001, math.nan])
+    def test_trust_outside_the_percentage_range_rejected(self, trust):
+        with pytest.raises(ValueError, match=r"^trust must be a percentage in \[0, 100\], got "):
+            behavioral_probability(trust, P)
+
     def test_direction_consistency_enforced(self):
         with pytest.raises(ValueError):
             BehavioralProbability(5.0, "below_base")

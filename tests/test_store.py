@@ -2,6 +2,7 @@
 re-reads of a changed log against a fresh store, and the on-disk snapshot
 of a validated prefix."""
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -349,6 +350,11 @@ class TestTornAndCorruptLines:
         assert store.records() == []
         assert store.counts("A", "Delivery") == EvidenceCount(0, 0)
 
+    def test_a_log_that_cannot_be_read_is_a_storage_failure(self, store):
+        store.path.mkdir()
+        with pytest.raises(StorageFailure, match=f"^cannot read {store.path}: "):
+            store.records()
+
     def test_a_log_removed_as_it_is_read_reads_empty(self, store, monkeypatch):
         add_evidence(store, "A", "Delivery", positive=1)
         opened = Path.open
@@ -689,9 +695,9 @@ def replaced(monkeypatch):
 
 
 def pack(columns: dict) -> bytes:
-    """Snapshot columns as format 2 lays them out: the timestamps as
-    ``<i8`` (unless null), merchant and variable ids as ``<u4``, then the
-    kind bytes."""
+    """Snapshot columns as formats 2 to 4 lay them out: the timestamps as
+    ``<i8`` (none when null), merchant and variable ids as ``<u4``, then
+    the kind bytes."""
     stamps, mids, vids = columns["timestamp"], columns["merchant"], columns["variable"]
     return (b"" if stamps is None else struct.pack(f"<{len(stamps)}q", *stamps)) + struct.pack(
         f"<{len(mids)}I", *mids) + struct.pack(f"<{len(vids)}I", *vids) + columns["kind"]
@@ -705,7 +711,7 @@ def forge_snapshot(path: Path, table, blob: bytes, length: int | None = None) ->
     cut = len(prefix) // 2
     header = {"cut": cut, "digest": [hashlib.sha256(prefix[:cut]).hexdigest(),
                                      hashlib.sha256(prefix[cut:] + payload).hexdigest()],
-              "length": len(prefix), "version": 3}
+              "length": len(prefix), "version": store_module.SNAPSHOT_VERSION}
     snapshot_of(path).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
 
 
@@ -714,9 +720,9 @@ SAMPLE = [
     DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
     EvidenceRecord("A", "Portal", "negative", 3),
 ]
-#: SAMPLE's snapshot in format 2: its table line and its columns
+#: SAMPLE's snapshot in format 4: its table line and its columns
 SAMPLE_TABLE = {"merchant": ["A", "B"], "variable": ["Delivery", "Privacy", "Portal"],
-                "c": [0.5], "t_scaled": [2.5], "timestamp": None}
+                "c": [0.5], "t_scaled": [2.5]}
 SAMPLE_COLUMNS = {"timestamp": [1, 2, 3], "merchant": [0, 1, 0], "variable": [0, 1, 2],
                   "kind": b"+a-"}
 #: SAMPLE's log as ``write_lines`` writes it, and the snapshot that format 1
@@ -735,11 +741,12 @@ SAMPLE_SNAPSHOT_V1 = (
     b'{"kind":"+a-","merchant":["A","B","A"],"variable":["Delivery","Privacy","Portal"],'
     b'"timestamp":[1,2,3],"c":[0.5],"t_scaled":[2.5]}'
 )
-#: the snapshot that format 2 (one SHA-256 digest over the prefix and the
-#: rest) wrote for SAMPLE's log
-SAMPLE_SNAPSHOT_V2 = (
-    b'{"digest": "f0734d3d065144b22340e1e9055ed10545bf55e190521e8899271ed93fa2a900",'
-    b' "length": 306, "version": 2}\n'
+#: the snapshot that format 3 (a table entry for timestamps outside int64,
+#: null when all fit) wrote for SAMPLE's log
+SAMPLE_SNAPSHOT_V3 = (
+    b'{"cut": 305, "digest": ["0266b01d38e75407057c6f3d517084dc09fbe7e3b0ac2b7e298028133bc10bc4",'
+    b' "149c8132cf72d6075e3b22a9262d94c16eee6557a4f9e2c9d5a7ac114edf0c52"], "length": 306,'
+    b' "version": 3}\n'
     b'{"merchant":["A","B"],"variable":["Delivery","Privacy","Portal"],"c":[0.5],'
     b'"t_scaled":[2.5],"timestamp":null}\n'
     + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
@@ -748,16 +755,17 @@ SAMPLE_SNAPSHOT_V2 = (
 #: the sha256 of the snapshot written for SAMPLE.  A change of the layout
 #: must bump ``store.SNAPSHOT_VERSION``, so that old snapshots are ignored;
 #: then update this pin.
-SAMPLE_SNAPSHOT_SHA256 = "ffded64f9905842fe5a4c6768d05df64ea3d86fea47e2a1cee97af6a55b4eceb"
+SAMPLE_SNAPSHOT_SHA256 = "81db8a563f7b94107f39a80c8449003e0e72795843efc1daeb41cd33cc4addc5"
 
 
 def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
     """SAMPLE's snapshot table and blob with the entries of ``table`` and
     ``columns`` replaced.  A ``timestamp`` entry in ``table`` takes the
-    timestamps out of the columns, as a snapshot does whose timestamps do
-    not all fit int64."""
+    timestamps out of the columns, as format 3 did when one fell outside
+    int64; format 4 has no such layout and refuses the blob, whose rows
+    are then 9 bytes, not 17."""
     table, columns = {**SAMPLE_TABLE, **(table or {})}, {**SAMPLE_COLUMNS, **(columns or {})}
-    if table["timestamp"] is not None:
+    if "timestamp" in table:
         columns["timestamp"] = None
     return table, pack(columns)
 
@@ -773,8 +781,8 @@ class TestSnapshot:
 
     def test_values_and_types_survive_the_round_trip(self, store, decoded):
         records = [
-            EvidenceRecord("\ud800 lone", "Delivery", "positive", 10**30),
-            DirectAssessment("A", "Privacy", 1, 5e-324, -(10**25)),
+            EvidenceRecord("\ud800 lone", "Delivery", "positive", 2**63 - 1),
+            DirectAssessment("A", "Privacy", 1, 5e-324, -(2**63)),
             DirectAssessment("\udfff", "Portal", -0.0, 3, 0),
             DirectAssessment("Café \u2028", "Privacy", 0.1 + 0.2, 1e308, 7),
             EvidenceRecord("Z\u0085", "Portal", "negative", 0),
@@ -788,6 +796,54 @@ class TestSnapshot:
         assert repr(hit) == repr(records)  # tells -0.0 from 0.0
         assert ([[type(getattr(r, f.name)) for f in fields(r)] for r in hit]
                 == [[type(getattr(r, f.name)) for f in fields(r)] for r in records])
+
+    @pytest.mark.parametrize("stamp", [2**63, -(2**63) - 1, 10**30],
+                             ids=["2**63", "-2**63-1", "10**30"])
+    def test_a_timestamp_outside_int64_writes_no_snapshot(self, store, decoded, stamp):
+        write_lines(store.path, SAMPLE + [EvidenceRecord("C", "Delivery", "positive", stamp)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.records() == EvidenceStore(store.path).records() == reference_records(
+                store.path)
+        assert not snapshot_of(store.path).exists()
+        assert len(decoded) == 8  # each read parses every line
+
+    def test_a_timestamp_outside_int64_keeps_the_earlier_snapshot(self, store, decoded):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        before = snapshot_of(store.path).read_bytes()
+        write_lines(store.path, SAMPLE + [EvidenceRecord("C", "Delivery", "positive", 2**63)])
+        decoded.clear()
+        assert EvidenceStore(store.path).records() == reference_records(store.path)
+        assert snapshot_of(store.path).read_bytes() == before
+        assert len(decoded) == 4  # the lines after the snapshot
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["none", "earlier"])
+    def test_a_read_that_skips_a_torn_line_writes_no_snapshot(self, store, decoded, earlier):
+        """Neither a first snapshot nor a new one, though the lines before
+        the torn one outnumber the snapshot's records; the first read after
+        the line is completed writes one."""
+        if earlier:
+            write_lines(store.path, SAMPLE)
+            store.records()
+        before = snapshot_of(store.path).read_bytes() if earlier else None
+        write_lines(store.path, SAMPLE * 2)
+        expected = SAMPLE * (3 if earlier else 2)
+        line = line_bytes(SAMPLE[1])
+        with store.path.open("ab") as fh:
+            fh.write(line[:-1])
+        for reader in (store, EvidenceStore(store.path)):
+            with pytest.warns(RuntimeWarning, match="torn final line"):
+                assert reader.records() == expected
+            assert (snapshot_of(store.path).read_bytes()
+                    if snapshot_of(store.path).exists() else None) == before
+        with store.path.open("ab") as fh:
+            fh.write(line[-1:] + b"\n")
+        assert store.records() == expected + SAMPLE[1:2]
+        assert snapshot_of(store.path).read_bytes() != before
+        decoded.clear()
+        assert EvidenceStore(store.path).records() == expected + SAMPLE[1:2]
+        assert decoded == []
 
     def test_a_hit_decodes_only_the_tail(self, store, decoded):
         write_lines(store.path, SAMPLE)
@@ -830,17 +886,15 @@ class TestSnapshot:
 
     def test_a_forged_snapshot_of_the_same_records_is_taken(self, store, decoded):
         write_lines(store.path, SAMPLE)
-        for table in (None, {"timestamp": [1, 2, 3]}):  # timestamps in the columns, in the table
-            forge_snapshot(store.path, *sample_payload(table))
-            assert EvidenceStore(store.path).records() == SAMPLE
-            assert EvidenceStore(store.path).records("A") == SAMPLE[::2]
-            assert decoded == []
+        forge_snapshot(store.path, *sample_payload())
+        assert EvidenceStore(store.path).records() == SAMPLE
+        assert EvidenceStore(store.path).records("A") == SAMPLE[::2]
+        assert decoded == []
 
     def test_a_length_inside_a_line_falls_back_to_the_log(self, store, decoded):
         write_lines(store.path, SAMPLE)
         first = store.path.read_bytes().index(b"\n") + 1
-        table = {"merchant": ["A"], "variable": ["Delivery"], "c": [], "t_scaled": [],
-                 "timestamp": None}
+        table = {"merchant": ["A"], "variable": ["Delivery"], "c": [], "t_scaled": []}
         forge_snapshot(store.path, table, pack(
             {"timestamp": [1], "merchant": [0], "variable": [0], "kind": b"+"}), length=first + 1)
         assert EvidenceStore(store.path).records() == SAMPLE
@@ -892,15 +946,14 @@ class TestSnapshot:
             blob = blob[:-1]
         elif damage == "extra":
             blob += b"+"
-        elif damage in ("short list", "long list"):
-            table, blob = sample_payload(
-                {"timestamp": [1, 2] if damage == "short list" else [1, 2, 3, 4]})
-        elif damage == "both":  # the timestamps in the table and in the blob
-            table = {**table, "timestamp": [1, 2, 3]}
+        elif damage in ("short list", "long list"):  # for the one assessment row
+            table, blob = sample_payload({"t_scaled": [] if damage == "short list" else [2.5] * 2})
+        elif damage == "both":  # c and t_scaled
+            table, blob = sample_payload({"c": [0.5] * 2, "t_scaled": [2.5] * 2})
         elif damage == "not an object":
             table = list(table.values())
-        else:
-            del table["timestamp"]
+        else:  # neither in the table nor in the blob
+            blob = pack({**SAMPLE_COLUMNS, "timestamp": None})
         forge_snapshot(store.path, table, blob)
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
@@ -986,16 +1039,17 @@ class TestSnapshot:
         assert EvidenceStore(store.path).records() == SAMPLE
         assert decoded == []
 
-    def test_a_format_2_snapshot_is_replaced(self, store, decoded):
+    def test_a_format_3_snapshot_is_replaced(self, store, decoded):
         write_lines(store.path, SAMPLE)
-        snapshot_of(store.path).write_bytes(SAMPLE_SNAPSHOT_V2)
-        assert hashlib.sha256(SAMPLE_SNAPSHOT_V2).hexdigest() == (  # format 2's layout pin
-            "db4bba0269b86ca021be2db56d4cbca3703900ea44c75d0f0deec2e862e49664")
+        snapshot_of(store.path).write_bytes(SAMPLE_SNAPSHOT_V3)
+        assert hashlib.sha256(SAMPLE_SNAPSHOT_V3).hexdigest() == (  # format 3's layout pin
+            "ffded64f9905842fe5a4c6768d05df64ea3d86fea47e2a1cee97af6a55b4eceb")
         assert store.records() == SAMPLE
         assert len(decoded) == 3
         written = snapshot_of(store.path).read_bytes()
-        assert json.loads(written.partition(b"\n")[0])["version"] == 3
-        assert written.partition(b"\n")[2] == SAMPLE_SNAPSHOT_V2.partition(b"\n")[2]
+        assert json.loads(written.partition(b"\n")[0])["version"] == 4
+        assert written.partition(b"\n")[2] == SAMPLE_SNAPSHOT_V3.partition(b"\n")[2].replace(
+            b',"timestamp":null', b"")
         decoded.clear()
         assert EvidenceStore(store.path).records() == SAMPLE
         assert decoded == []
@@ -1059,10 +1113,11 @@ class TestSnapshot:
 
 
 class TestSnapshotCut:
-    """Format 3 cuts the snapshot's SHA-256 in two at ``cut``: the head
-    digest covers the log's first ``cut`` bytes, the rest digest the other
-    bytes of the prefix and then the snapshot after its header.  A header
-    whose cut or digests do not hold exactly that is ignored for the log."""
+    """Since format 3 the snapshot's SHA-256 is cut in two at ``cut``: the
+    head digest covers the log's first ``cut`` bytes, the rest digest the
+    other bytes of the prefix and then the snapshot after its header.  A
+    header whose cut or digests do not hold exactly that is ignored for
+    the log."""
 
     @pytest.fixture
     def log(self, store):
@@ -1728,8 +1783,9 @@ def typed(records: list) -> list:
 @given(data=st.data())
 def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
     """Names with any characters, lone surrogates included; timestamps that
-    fit int64 (kept as binary) or not (kept in the table); int ``c``,
-    ``-0.0`` and ``1e308``: a hit, a miss and a plain reader agree exactly."""
+    fit int64 (kept as binary) or not (no snapshot is written, so every
+    read parses the log); int ``c``, ``-0.0`` and ``1e308``: a hit, a miss
+    and a plain reader agree exactly."""
     records = data.draw(snapshot_records(st.integers(*INT64)))
     if wide:
         records += data.draw(snapshot_records(
@@ -1738,9 +1794,13 @@ def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
         path = Path(tmp) / "log.jsonl"
         write_lines(path, records)
         miss = EvidenceStore(path).records()
-        table = json.loads(snapshot_of(path).read_bytes().split(b"\n")[1])
-        assert (table["timestamp"] is None) is not wide
-        with no_decoding():
+        if wide:
+            assert not snapshot_of(path).exists()
+        else:
+            table = json.loads(snapshot_of(path).read_bytes().split(b"\n")[1])
+            assert list(table) == ["merchant", "variable", "c", "t_scaled"]
+        reading = contextlib.nullcontext if wide else no_decoding
+        with reading():
             hit = EvidenceStore(path).records()
         expected = reference_records(path)
         assert typed(hit) == typed(miss) == typed(expected)
@@ -1748,7 +1808,7 @@ def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
         reader = EvidenceStore(path)
         for merchant in {r.merchant for r in records}:
             mine = [r for r in expected if r.merchant == merchant]
-            with no_decoding():
+            with reading():
                 assert repr(typed(reader.records(merchant))) == repr(typed(mine))
 
 
@@ -1756,17 +1816,16 @@ checked_names = st.sampled_from(("", " ", "\u3000", "\x85\u2028", None, 7)) | sn
 checked_numbers = st.sampled_from(
     (True, False, math.nan, math.inf, -math.inf, -0.0, None, "0.5", [0.5])
 ) | st.integers(-2, 2) | st.sampled_from((10**30, -(10**30))) | st.floats(-2.0, 7.0)
-checked_stamps = (st.integers(*INT64) | st.integers(max_value=INT64[0] - 1)
-                  | st.integers(min_value=INT64[1] + 1) | st.sampled_from((True, 1.5, None)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(checked_names, checked_names, checked_numbers, checked_numbers, checked_stamps,
-       st.booleans())
+@given(checked_names, checked_names, checked_numbers, checked_numbers,
+       st.sampled_from(INT64) | st.integers(*INT64), st.booleans())
 def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
         merchant, variable, c, t_scaled, timestamp, assessed):
     """A one-record snapshot with a valid digest is taken when the record
-    constructor accepts its values, and otherwise ignored for the log."""
+    constructor accepts its values, and otherwise ignored for the log.  Its
+    timestamp column holds any int64, all of which the constructor takes."""
     try:
         if assessed:
             record = DirectAssessment(merchant, variable, c, t_scaled, timestamp)
@@ -1774,11 +1833,9 @@ def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
             record = EvidenceRecord(merchant, variable, "positive", timestamp)
     except ValueError:
         record = None
-    binary = type(timestamp) is int and INT64[0] <= timestamp <= INT64[1]
     table = {"merchant": [merchant], "variable": [variable],
-             "c": [c] if assessed else [], "t_scaled": [t_scaled] if assessed else [],
-             "timestamp": None if binary else [timestamp]}
-    columns = {"timestamp": [timestamp] if binary else None, "merchant": [0], "variable": [0],
+             "c": [c] if assessed else [], "t_scaled": [t_scaled] if assessed else []}
+    columns = {"timestamp": [timestamp], "merchant": [0], "variable": [0],
                "kind": b"a" if assessed else b"+"}
     logged = EvidenceRecord("log", "Delivery", "negative", 0)
     with tempfile.TemporaryDirectory() as tmp:

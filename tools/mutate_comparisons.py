@@ -36,24 +36,26 @@ FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
 #: a mutant whose tests run longer than this counts as killed
 TIMEOUT_S = 900
 #: mutants that change no behaviour, each with the reason, keyed by module,
-#: the source line with its indentation stripped, and which flippable
-#: operator of that line is flipped (0 for the first)
-EQUIVALENT: dict[tuple[str, str, int], str] = {
-    ("store", "while final >= 0 and lines[final] is not None and not lines[final].strip():", 0):
+#: the qualified name of the enclosing function ("" at module level), the
+#: source line with its indentation stripped, and which flippable operator
+#: of that line is flipped (0 for the first)
+EQUIVALENT: dict[tuple[str, str, str, int], str] = {
+    ("store", "EvidenceStore._read",
+     "while final >= 0 and lines[final] is not None and not lines[final].strip():", 0):
         "final is compared only with the index of a non-blank line, and the two loops"
         " differ only when line 0 is blank",
-    ("fuzzy", "if not lo <= x <= hi:", 1):
+    ("fuzzy", "_Kernel.degrees", "if not lo <= x <= hi:", 1):
         "at x == hi the branch sets x to hi, which it already is",
-    ("fuzzy", "x = lo if x < lo else hi", 0):
+    ("fuzzy", "_Kernel.degrees", "x = lo if x < lo else hi", 0):
         "the branch holds only x outside [lo, hi], so x never equals lo there",
-    ("opinion", "if -_CLIP_TOL < value < 0.0:", 1):
+    ("opinion", "_clip_unit", "if -_CLIP_TOL < value < 0.0:", 1):
         "at value == 0.0 the branch returns 0.0, which compares equal to it",
-    ("opinion", "if 1.0 < value < 1.0 + _CLIP_TOL:", 0):
+    ("opinion", "_clip_unit", "if 1.0 < value < 1.0 + _CLIP_TOL:", 0):
         "at value == 1.0 the branch returns 1.0, the value itself",
-    ("opinion", "if denom <= BASE_EPS:", 0):
-        "op_and's denom is above 0.5, or else 1 - f_A*f_B exactly (Sterbenz) and so a"
-        " multiple of 2**-53, which BASE_EPS = 1e-9 is not; op_or's twin, which can equal"
-        " BASE_EPS, is killed by a test",
+    ("opinion", "op_and", "if denom <= BASE_EPS:", 0):
+        "denom is above 0.5, or else 1 - f_A*f_B exactly (Sterbenz) and so a multiple of"
+        " 2**-53, which BASE_EPS = 1e-9 is not; op_or's line, which can equal BASE_EPS, is"
+        " killed by a test",
 }
 #: the test files of a module whose own file leaves mutants alive that others kill
 DEFAULT_TESTS = {
@@ -62,18 +64,31 @@ DEFAULT_TESTS = {
 }
 
 
-def mutants(source: str) -> list[tuple[int, int, int, str, str]]:
+def _compares(node: ast.AST, scope: str = "", prefix: str = ""):
+    """Each comparison under ``node``, with the qualified name of the
+    function or class that encloses it, as ``__qualname__`` spells it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            inner = "." if isinstance(child, ast.ClassDef) else ".<locals>."
+            yield from _compares(child, name, name + inner)
+            continue
+        if isinstance(child, ast.Compare):
+            yield child, scope
+        yield from _compares(child, scope, prefix)
+
+
+def mutants(source: str) -> list[tuple[int, int, int, str, str, str]]:
     """Each flippable comparison operator of ``source`` as (line, start
-    column, end column, operator, replacement), columns in characters."""
+    column, end column, operator, replacement, enclosing function),
+    columns in characters."""
     lines = source.splitlines(keepends=True)
     # operator tokens by position: an ast node gives only the operands' spans
     tokens = {(tok.start, tok.string): tok.end
               for tok in tokenize.generate_tokens(io.StringIO(source).readline)
               if tok.type == tokenize.OP}
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Compare):
-            continue
+    for node, scope in _compares(ast.parse(source)):
         operands = [node.left, *node.comparators]
         for op, before, after in zip(node.ops, operands, operands[1:]):
             if type(op) not in FLIPS:
@@ -83,7 +98,7 @@ def mutants(source: str) -> list[tuple[int, int, int, str, str]]:
             start = (before.end_lineno, _chars(lines, before.end_lineno, before.end_col_offset))
             stop = (after.lineno, _chars(lines, after.lineno, after.col_offset))
             hit = min(pos for pos, text in tokens if text == old and start <= pos < stop)
-            found.append((hit[0], hit[1], tokens[hit, old][1], old, new))
+            found.append((hit[0], hit[1], tokens[hit, old][1], old, new, scope))
     return sorted(found)
 
 
@@ -123,9 +138,9 @@ def main(argv: list[str]) -> int:
         if fails():
             print("error: the tests do not pass on the unmutated checkout", file=sys.stderr)
             return 2
-        for i, (lineno, start, end, old, new) in enumerate(found):
+        for i, (lineno, start, end, old, new, scope) in enumerate(found):
             line = lines[lineno - 1]
-            key = (module, line.strip(), sum(m[0] == lineno for m in found[:i]))
+            key = (module, scope, line.strip(), sum(m[0] == lineno for m in found[:i]))
             mutated = lines[:lineno - 1] + [line[:start] + new + line[end:]] + lines[lineno:]
             (copy / relative).write_text("".join(mutated), encoding="utf-8")
             began = time.perf_counter()
