@@ -23,6 +23,7 @@ from .errors import StorageFailure, TrustError, UnknownVariable
 from .fuzzy import surface_grid
 from .opinion import EvidenceCount
 from .pipeline import (
+    DEFAULT_CONFIG,
     PipelineConfig,
     TrustReport,
     compare_merchants,
@@ -161,7 +162,7 @@ def _open_store(args: argparse.Namespace) -> EvidenceStore:
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    return load_config(args.config) if args.config else PipelineConfig()
+    return load_config(args.config) if args.config else DEFAULT_CONFIG
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

@@ -292,10 +292,11 @@ class SurfaceGrid:
     values: tuple[tuple[float, ...], ...]
 
     def to_csv(self) -> str:
+        ys = [f"{y:.6f}" for y in self.ys]  # each coordinate is formatted once
         lines = ["x,y,z"]
         for x, row in zip(self.xs, self.values):
-            for y, z in zip(self.ys, row):
-                lines.append(f"{x:.6f},{y:.6f},{z:.6f}")
+            x = f"{x:.6f}"
+            lines += [f"{x},{y},{z:.6f}" for y, z in zip(ys, row)]
         return "\n".join(lines) + "\n"
 
 

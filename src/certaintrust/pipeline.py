@@ -93,6 +93,10 @@ class PipelineConfig:
         return tuple(spec.name for spec in self.modules)
 
 
+#: the default config, built and checked once; it is frozen, so every caller shares it
+DEFAULT_CONFIG = PipelineConfig()
+
+
 def config_to_dict(cfg: PipelineConfig) -> dict:
     return {
         "scale": cfg.params.scale,
@@ -105,9 +109,11 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     }
 
 
+#: the default config as a document, whose entries a loaded document's replace
+_DEFAULTS = config_to_dict(DEFAULT_CONFIG)
 #: keys a config document may hold; ``not_mode`` names a setting that was
 #: removed, and is accepted and ignored so that older files still load
-_CONFIG_KEYS = (*config_to_dict(PipelineConfig()), "not_mode")
+_CONFIG_KEYS = (*_DEFAULTS, "not_mode")
 _MODULE_KEYS = ("name", "variables")
 
 
@@ -148,7 +154,7 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
     issues = _config_issues(data)
     if issues:
         raise ValueError("invalid config: " + "; ".join(issues))
-    data = {**config_to_dict(PipelineConfig()), **data}
+    data = {**_DEFAULTS, **data}
     return PipelineConfig(
         params=TrustParams(N=data["N"], w=data["w"], f=data["f"], scale=data["scale"]),
         aggregation=data["aggregation"],
@@ -312,7 +318,7 @@ def evaluate_merchant(
 
     Raises :class:`MissingVariable` naming every unresolvable input.
     """
-    cfg = cfg or PipelineConfig()
+    cfg = cfg or DEFAULT_CONFIG
     known = cfg.variable_names()
     supplied = {normalize_name(name, known): source for name, source in (variables or {}).items()}
 

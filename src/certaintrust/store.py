@@ -21,17 +21,20 @@ and every merchant is scored against the log as it stood then.
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
 prefix of it, so that a read parses only the lines after that prefix.
 Its first line is a JSON header.  A JSON table line follows: the distinct
-merchant and variable names in first-seen order, and ``c`` and
-``t_scaled`` per assessment.  Then come fixed-width little-endian
-columns, 17 bytes per record: the timestamps (``<i8``), merchant ids and
-variable ids (``<u4``), and a kind byte per record (``+`` and ``-`` for
-positive and negative evidence, ``a`` for an assessment):
+merchant and variable names in first-seen order and the number of
+assessments.  Then come fixed-width little-endian columns, 17 bytes per
+record: the timestamps (``<i8``), merchant ids and variable ids
+(``<u4``), and a kind byte per record (``+`` and ``-`` for positive and
+negative evidence, ``a`` for an assessment, ``b``, ``c`` or ``d`` for
+one whose ``c``, ``t_scaled`` or both are ints).  Last come ``c`` and
+then ``t_scaled`` per assessment (``<f8``):
 
-    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230, "version": 4}
-    {"merchant":["A"],"variable":["Delivery","Privacy"],"c":[0.6],"t_scaled":[3.5]}
-    <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a
+    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230, "version": 5}
+    {"merchant":["A"],"variable":["Delivery","Privacy"],"assessments":1}
+    <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a<0.6 as <f8><3.5 as <f8>
 
-A prefix that holds a timestamp outside int64 gets no snapshot, and
+A prefix that holds a timestamp outside int64, or an int ``c`` or
+``t_scaled`` that float64 does not hold exactly, gets no snapshot, and
 neither does a read that skips a torn final line.
 
 The two SHA-256 digests are never skipped: the head's covers the prefix's
@@ -71,12 +74,13 @@ ASSESSMENT_KIND = "assessment"
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 #: one record's column checks, in bytes of SHA-256 time: the writer cuts the
 #: digest so that the worker's head and the reading thread's checks and rest
-#: take as long (on 2 shared cores with SHA-NI, 1.36 GB/s, a cold hit of a
-#: 25k- or 10k-line log was fastest at 48 of 0-96; the checks alone cost 37)
-_CHECK_BYTES = 48
+#: take as long (on 2 shared cores with SHA-NI, 1.17-1.31 GB/s, a cold hit of
+#: a 25k- or 10k-line log was fastest at 20 of 0-64; the checks alone cost
+#: 10-14)
+_CHECK_BYTES = 20
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> None:
@@ -223,30 +227,47 @@ def record_from_dict(data: dict) -> Record:
     raise ValueError(f"unknown record kind {data.get('kind')!r}")
 
 
-#: the kind byte of a snapshot record, and back
-_KINDS = {POSITIVE: "+", NEGATIVE: "-", None: "a"}
-_OUTCOMES = {ord("+"): POSITIVE, ord("-"): NEGATIVE}
+#: the kind byte of snapshot evidence, and back; an assessment's kind byte
+#: is _ASSESSED plus 1 when its c is an int and 2 when its t_scaled is
+_KINDS = {POSITIVE: ord("+"), NEGATIVE: ord("-")}
+_OUTCOMES = {kind: outcome for outcome, kind in _KINDS.items()}
 _ASSESSED = ord("a")
+#: the types that rebuild an assessment's c and t_scaled, by its kind byte
+_NUMBERS = {_ASSESSED + i: (int if i & 1 else float, int if i & 2 else float) for i in range(4)}
+#: the bit of an assessment's kind byte that marks an int c, and an int t_scaled
+_INT_BITS = np.array([[1], [2]], np.uint8)
+#: the largest c, and the largest t_scaled: the largest finite float
+_UPPER = np.array([[1.0], [np.finfo(np.float64).max]])
 
 
 def _snapshot_payload(records) -> bytes:
     """The records as a JSON table line and fixed-width binary columns.
 
     The table holds the distinct merchant and variable names in first-seen
-    order, and ``c`` and ``t_scaled`` per assessment.  The columns follow
-    it: the timestamps as ``<i8``, merchant ids and variable ids as
-    ``<u4`` and a kind byte per record (``+``, ``-`` or ``a``).  A
-    timestamp outside int64 raises OverflowError."""
+    order and the number of assessments.  The columns follow it: the
+    timestamps as ``<i8``, merchant ids and variable ids as ``<u4``, a kind
+    byte per record (``+`` or ``-`` for evidence; for an assessment ``a``,
+    plus 1 when its ``c`` is an int and 2 when its ``t_scaled`` is), then
+    ``c`` and then ``t_scaled`` per assessment as ``<f8``.  A timestamp
+    outside int64, or an int ``c`` or ``t_scaled`` that float64 does not
+    hold exactly, raises OverflowError."""
     stamps = np.array([r.timestamp for r in records], "<i8").tobytes()
     merchants: dict[str, int] = {}
     variables: dict[str, int] = {}
     mids = [merchants.setdefault(r.merchant, len(merchants)) for r in records]
     vids = [variables.setdefault(r.variable, len(variables)) for r in records]
     assessments = [r for r in records if isinstance(r, DirectAssessment)]
+    numbers = [r.c for r in assessments] + [r.t_scaled for r in assessments]
+    floats = np.array(numbers, "<f8")
+    if floats.tolist() != numbers:  # an int that rounds: 2**53 + 1 reads back as 2**53
+        raise OverflowError("an int c or t_scaled is not held exactly by float64")
+    kinds = bytes([_KINDS[r.outcome] if isinstance(r, EvidenceRecord)
+                   else _ASSESSED + (type(r.c) is int) + 2 * (type(r.t_scaled) is int)
+                   for r in records])
     table = {"merchant": list(merchants), "variable": list(variables),
-             "c": [r.c for r in assessments], "t_scaled": [r.t_scaled for r in assessments]}
-    columns = [stamps, np.array(mids, "<u4").tobytes(), np.array(vids, "<u4").tobytes(),
-               "".join([_KINDS[getattr(r, "outcome", None)] for r in records]).encode("ascii")]
+             "assessments": len(assessments)}
+    columns = [stamps, np.array(mids, "<u4").tobytes(), np.array(vids, "<u4").tobytes(), kinds,
+               floats.tobytes()]
     line = json.dumps(table, separators=(",", ":"), check_circular=False).encode("ascii")
     return b"\n".join([line, b"".join(columns)])
 
@@ -258,32 +279,36 @@ def _snapshot_columns(data: bytes, start: int) -> tuple:
     the id of each merchant name.  The fixed-width columns are views of
     ``data``; only the table line and the kind bytes are copied.  A blob
     whose length does not fit the table, an id outside its table, a
-    duplicate merchant name, or any record that the record constructors
-    would reject raise ValueError or TypeError, so a snapshot is taken or
-    ignored whole without building its records."""
+    duplicate merchant name, an int mark on a number with a fraction, or
+    any record that the record constructors would reject raise ValueError
+    or TypeError, so a snapshot is taken or ignored whole without building
+    its records."""
     at = data.find(b"\n", start) + 1 or len(data)  # where the blob starts
     table = json.loads(data[start:at])
-    names, variables, cs, ts = (table[key] for key in ("merchant", "variable", "c", "t_scaled"))
-    n, rest = divmod(len(data) - at, 17)
-    if not (type(names) is type(variables) is type(cs) is type(ts) is list and not rest):
+    names, variables, m = table["merchant"], table["variable"], table["assessments"]
+    n, rest = divmod(len(data) - at - 16 * m, 17)
+    if not (type(names) is type(variables) is list and type(m) is int and 0 <= m <= n
+            and not rest):
         raise ValueError("snapshot tables are not lists that fit the blob")
     stamps = np.frombuffer(data, "<i8", n, at)
     mids = np.frombuffer(data, "<u4", n, at + 8 * n)
     vids = np.frombuffer(data, "<u4", n, at + 12 * n)
-    kinds = data[at + 16 * n:]
+    kind_bytes = data[at + 16 * n:at + 17 * n]
+    kinds = np.frombuffer(kind_bytes, np.uint8)
+    numbers = np.frombuffer(data, "<f8", 2 * m, at + 17 * n).reshape(2, m)  # c, then t_scaled
+    assessed = np.flatnonzero(kinds >= _ASSESSED)
     index = dict(zip(names, range(len(names))))
-    # str.strip raises TypeError for a name that is not a string
+    # str.strip raises TypeError for a name that is not a string; a NaN
+    # fails both bounds; the int marks index the numbers once the counts agree
     if not (all(map(str.strip, names)) and all(map(str.strip, variables))
-            and len(index) == len(names) and not kinds.translate(None, b"+-a")
-            and kinds.count(b"a") == len(cs) == len(ts)
+            and len(index) == len(names) and not kind_bytes.translate(None, b"+-abcd")
+            and len(assessed) == m
             and (mids < len(names)).all() and (vids < len(variables)).all()
-            and set(map(type, cs)) | set(map(type, ts)) <= {int, float}
-            and all(map(0.0.__le__, cs)) and all(map(1.0.__ge__, cs))
-            and all(map(0.0.__le__, ts)) and all(map(math.inf.__gt__, ts))):
+            and ((0.0 <= numbers) & (numbers <= _UPPER)).all()
+            and (np.floor(numbers) == numbers)[
+                (kinds[assessed] - _ASSESSED) & _INT_BITS > 0].all()):
         raise ValueError("snapshot holds a record the checks reject")
-    kinds = np.frombuffer(kinds, np.uint8)
-    assessed = np.flatnonzero(kinds == _ASSESSED)
-    return kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index
+    return kinds, mids, vids, stamps, assessed, names, variables, numbers[0], numbers[1], index
 
 
 def _column_records(columns: tuple | None, merchant: str | None = None) -> list[Record]:
@@ -303,10 +328,11 @@ def _column_records(columns: tuple | None, merchant: str | None = None) -> list[
     out = []
     for kind, m, v, t, a in zip(kinds[rows].tolist(), mids[rows].tolist(), vids[rows].tolist(),
                                 stamps[rows].tolist(), assessed.searchsorted(rows).tolist()):
-        if kind == _ASSESSED:
-            out.append(DirectAssessment(names[m], variables[v], cs[a], ts[a], t))
-        else:
+        if kind in _OUTCOMES:
             out.append(EvidenceRecord(names[m], variables[v], _OUTCOMES[kind], t))
+        else:
+            to_c, to_t = _NUMBERS[kind]
+            out.append(DirectAssessment(names[m], variables[v], to_c(cs[a]), to_t(ts[a]), t))
     return out
 
 
@@ -369,8 +395,9 @@ class EvidenceStore:
         snapshot records it returns.  When the lines after the snapshot
         hold more newline-terminated records than the snapshot does, the
         log's newline-terminated prefix is written as the new snapshot,
-        unless the read skipped a torn final line or a timestamp of the
-        prefix falls outside int64.
+        unless the read skipped a torn final line, a timestamp of the
+        prefix falls outside int64, or an int ``c`` or ``t_scaled`` of it
+        is not held exactly by float64.
 
         Inside :meth:`pinned`, the file is not read: the records are those
         of the read on entry, which alone warns of a torn last line.
@@ -518,9 +545,9 @@ class EvidenceStore:
     def _save_snapshot(self, prefix: memoryview, records: list[Record]) -> None:
         """Atomically replace the snapshot with one of ``prefix``, the log's
         first bytes, which hold ``records``; a failed write leaves the old
-        snapshot, or none, and is not reported, and so do records with a
-        timestamp outside int64.  The snapshot gets the log's permission
-        bits, as it holds the same data."""
+        snapshot, or none, and is not reported, and so do records that
+        :func:`_snapshot_payload` refuses.  The snapshot gets the log's
+        permission bits, as it holds the same data."""
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(records)

@@ -438,6 +438,21 @@ class TestConfig:
             "modules[2]: unknown keys 'weight'"
         )
 
+    def test_loading_a_config_leaves_the_defaults_as_they_were(self, tmp_path):
+        """Every load and every default caller share one default document
+        and one default config, which no load changes."""
+        modules = [{"name": f"M{i}", "variables": [f"v{i}{j}" for j in range(3)]}
+                   for i in range(4)]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"modules": modules, "class_bounds": [10, 30, 50, 70]}),
+                        encoding="utf-8")
+        cfg = load_config(str(path))
+        assert (cfg.module_names(), cfg.class_bounds) == (("M0", "M1", "M2", "M3"),
+                                                          (10, 30, 50, 70))
+        defaults = config_to_dict(PipelineConfig())
+        assert pipeline._DEFAULTS == config_to_dict(pipeline.DEFAULT_CONFIG) == defaults
+        assert config_from_dict({}) == pipeline.DEFAULT_CONFIG == PipelineConfig()
+
     def test_legacy_not_mode_is_accepted_and_ignored(self):
         assert config_from_dict({"not_mode": "complement_certainty"}) == CFG
 

@@ -603,7 +603,7 @@ class TestReadAllocation:
     def test_a_cold_snapshot_hit_holds_one_copy_of_the_snapshot(self, log):
         # the log and the snapshot file once each, plus the table and the
         # column checks' temporaries, which take under one snapshot size
-        # more (0.85 on this log); a second copy of the payload would pass
+        # more (0.69 on this log); a second copy of the payload would pass
         # the bound
         snapshot = log.with_name(log.name + ".snapshot").stat().st_size
         for store in self.readers(log):
@@ -695,12 +695,14 @@ def replaced(monkeypatch):
 
 
 def pack(columns: dict) -> bytes:
-    """Snapshot columns as formats 2 to 4 lay them out: the timestamps as
-    ``<i8`` (none when null), merchant and variable ids as ``<u4``, then
-    the kind bytes."""
+    """Snapshot columns as format 5 lays them out: the timestamps as
+    ``<i8`` (none when null), merchant and variable ids as ``<u4``, the
+    kind bytes, then ``c`` and ``t_scaled`` as ``<f8``."""
     stamps, mids, vids = columns["timestamp"], columns["merchant"], columns["variable"]
+    cs, ts = columns["c"], columns["t_scaled"]
     return (b"" if stamps is None else struct.pack(f"<{len(stamps)}q", *stamps)) + struct.pack(
-        f"<{len(mids)}I", *mids) + struct.pack(f"<{len(vids)}I", *vids) + columns["kind"]
+        f"<{len(mids)}I", *mids) + struct.pack(f"<{len(vids)}I", *vids) + columns["kind"] + (
+        struct.pack(f"<{len(cs)}d", *cs) + struct.pack(f"<{len(ts)}d", *ts))
 
 
 def forge_snapshot(path: Path, table, blob: bytes, length: int | None = None) -> None:
@@ -720,11 +722,11 @@ SAMPLE = [
     DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
     EvidenceRecord("A", "Portal", "negative", 3),
 ]
-#: SAMPLE's snapshot in format 4: its table line and its columns
+#: SAMPLE's snapshot in format 5: its table line and its columns
 SAMPLE_TABLE = {"merchant": ["A", "B"], "variable": ["Delivery", "Privacy", "Portal"],
-                "c": [0.5], "t_scaled": [2.5]}
+                "assessments": 1}
 SAMPLE_COLUMNS = {"timestamp": [1, 2, 3], "merchant": [0, 1, 0], "variable": [0, 1, 2],
-                  "kind": b"+a-"}
+                  "kind": b"+a-", "c": [0.5], "t_scaled": [2.5]}
 #: SAMPLE's log as ``write_lines`` writes it, and the snapshot that format 1
 #: (JSON columns under a blake2b digest) wrote for it
 SAMPLE_LOG = (
@@ -752,17 +754,28 @@ SAMPLE_SNAPSHOT_V3 = (
     + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
     + b"+a-"
 )
+#: the snapshot that format 4 (``c`` and ``t_scaled`` in the JSON table)
+#: wrote for SAMPLE's log
+SAMPLE_SNAPSHOT_V4 = (
+    b'{"cut": 297, "digest": ["f0323a6cd1c7b3aaeee9010c4b299b9dc1ffffe378de645749434a16805c4396",'
+    b' "cb493a031f1c99230d3caa3b1645b9b6642c3520765f6ae81e025972c43d6e47"], "length": 306,'
+    b' "version": 4}\n'
+    b'{"merchant":["A","B"],"variable":["Delivery","Privacy","Portal"],"c":[0.5],'
+    b'"t_scaled":[2.5]}\n'
+    + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
+    + b"+a-"
+)
 #: the sha256 of the snapshot written for SAMPLE.  A change of the layout
 #: must bump ``store.SNAPSHOT_VERSION``, so that old snapshots are ignored;
 #: then update this pin.
-SAMPLE_SNAPSHOT_SHA256 = "81db8a563f7b94107f39a80c8449003e0e72795843efc1daeb41cd33cc4addc5"
+SAMPLE_SNAPSHOT_SHA256 = "a4e98bafb67ecb7810c89ea63e06887c969d0f502826b382799702e4a8200c8f"
 
 
 def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
     """SAMPLE's snapshot table and blob with the entries of ``table`` and
     ``columns`` replaced.  A ``timestamp`` entry in ``table`` takes the
     timestamps out of the columns, as format 3 did when one fell outside
-    int64; format 4 has no such layout and refuses the blob, whose rows
+    int64; format 5 has no such layout and refuses the blob, whose rows
     are then 9 bytes, not 17."""
     table, columns = {**SAMPLE_TABLE, **(table or {})}, {**SAMPLE_COLUMNS, **(columns or {})}
     if "timestamp" in table:
@@ -775,7 +788,8 @@ class TestSnapshot:
         write_lines(store.path, SAMPLE)
         assert store.records() == SAMPLE
         assert len(decoded) == 3
-        assert snapshot_of(store.path).read_bytes().isascii()
+        header, table, _ = snapshot_of(store.path).read_bytes().split(b"\n", 2)
+        assert (header + table).isascii()
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
 
@@ -797,10 +811,18 @@ class TestSnapshot:
         assert ([[type(getattr(r, f.name)) for f in fields(r)] for r in hit]
                 == [[type(getattr(r, f.name)) for f in fields(r)] for r in records])
 
-    @pytest.mark.parametrize("stamp", [2**63, -(2**63) - 1, 10**30],
-                             ids=["2**63", "-2**63-1", "10**30"])
-    def test_a_timestamp_outside_int64_writes_no_snapshot(self, store, decoded, stamp):
-        write_lines(store.path, SAMPLE + [EvidenceRecord("C", "Delivery", "positive", stamp)])
+    #: a record that no snapshot holds: a timestamp outside int64, or an int
+    #: t_scaled that float64 does not hold exactly
+    UNHELD = [pytest.param(EvidenceRecord("C", "Delivery", "positive", 2**63), id="2**63"),
+              pytest.param(EvidenceRecord("C", "Delivery", "positive", -(2**63) - 1),
+                           id="-2**63-1"),
+              pytest.param(EvidenceRecord("C", "Delivery", "positive", 10**30), id="10**30"),
+              pytest.param(DirectAssessment("C", "Delivery", 0.5, 2**53 + 1, 0),
+                           id="t_scaled-2**53+1")]
+
+    @pytest.mark.parametrize("unheld", UNHELD)
+    def test_a_timestamp_outside_int64_writes_no_snapshot(self, store, decoded, unheld):
+        write_lines(store.path, SAMPLE + [unheld])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert store.records() == EvidenceStore(store.path).records() == reference_records(
@@ -808,11 +830,12 @@ class TestSnapshot:
         assert not snapshot_of(store.path).exists()
         assert len(decoded) == 8  # each read parses every line
 
-    def test_a_timestamp_outside_int64_keeps_the_earlier_snapshot(self, store, decoded):
+    @pytest.mark.parametrize("unheld", [UNHELD[0], UNHELD[-1]])
+    def test_a_timestamp_outside_int64_keeps_the_earlier_snapshot(self, store, decoded, unheld):
         write_lines(store.path, SAMPLE)
         store.records()
         before = snapshot_of(store.path).read_bytes()
-        write_lines(store.path, SAMPLE + [EvidenceRecord("C", "Delivery", "positive", 2**63)])
+        write_lines(store.path, SAMPLE + [unheld])
         decoded.clear()
         assert EvidenceStore(store.path).records() == reference_records(store.path)
         assert snapshot_of(store.path).read_bytes() == before
@@ -894,13 +917,15 @@ class TestSnapshot:
     def test_a_length_inside_a_line_falls_back_to_the_log(self, store, decoded):
         write_lines(store.path, SAMPLE)
         first = store.path.read_bytes().index(b"\n") + 1
-        table = {"merchant": ["A"], "variable": ["Delivery"], "c": [], "t_scaled": []}
-        forge_snapshot(store.path, table, pack(
-            {"timestamp": [1], "merchant": [0], "variable": [0], "kind": b"+"}), length=first + 1)
+        table = {"merchant": ["A"], "variable": ["Delivery"], "assessments": 0}
+        forge_snapshot(store.path, table, pack({"timestamp": [1], "merchant": [0], "variable": [0],
+                                                "kind": b"+", "c": [], "t_scaled": []}),
+                       length=first + 1)
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
 
-    # the cases of format 1 keep their ids
+    # the cases of format 1 keep their ids; where format 5 cannot hold the
+    # value (a bool, a string, a dict), the count of assessments holds it
     @pytest.mark.parametrize("table, columns", [
         pytest.param({"merchant": ["A", " "]}, None, id="merchant-value0"),
         pytest.param({"merchant": ["A", 7]}, None, id="merchant-value1"),
@@ -909,13 +934,13 @@ class TestSnapshot:
         pytest.param({"timestamp": [1, 2, 3.0]}, None, id="timestamp-value4"),
         pytest.param(None, {"kind": b"+ax"}, id="kind-+ax"),
         pytest.param(None, {"kind": b"+--"}, id="kind-+--"),  # one assessment too few
-        pytest.param({"c": [1.5]}, None, id="c-value7"),
-        pytest.param({"c": [True]}, None, id="c-value8"),
-        pytest.param({"t_scaled": [-1]}, None, id="t_scaled-value9"),
-        pytest.param({"t_scaled": ["2.5"]}, None, id="t_scaled-value10"),
-        pytest.param({"t_scaled": [math.inf]}, None, id="t_scaled-infinite"),
+        pytest.param(None, {"c": [1.5]}, id="c-value7"),
+        pytest.param({"assessments": True}, None, id="c-value8"),
+        pytest.param(None, {"t_scaled": [-1.0]}, id="t_scaled-value9"),
+        pytest.param({"assessments": "1"}, None, id="t_scaled-value10"),
+        pytest.param(None, {"t_scaled": [math.inf]}, id="t_scaled-infinite"),
         pytest.param(None, {"merchant": [0, 1]}, id="merchant-value11"),  # a short column
-        pytest.param({"c": []}, None, id="c-value12"),
+        pytest.param(None, {"c": []}, id="c-value12"),
         pytest.param({"merchant": {"A": 0, "B": 1}}, None, id="merchant-value13"),
         pytest.param({"merchant": ["A", ["B"]]}, None, id="merchant-unhashable"),
         pytest.param({"merchant": ["A", "B", "A"]}, None, id="merchant-twice"),
@@ -924,8 +949,17 @@ class TestSnapshot:
         pytest.param(None, {"merchant": [0, 1, 2**32 - 1]}, id="merchant-id-max"),
         pytest.param(None, {"variable": [0, 1, 3]}, id="variable-id-out-of-range"),
         pytest.param({"variable": "Delivery"}, None, id="variable-not-a-list"),
-        pytest.param({"c": {"0": 0.5}}, None, id="c-not-a-list"),
+        pytest.param({"assessments": {"0": 1}}, None, id="c-not-a-list"),
         pytest.param({"timestamp": 7}, None, id="timestamp-not-a-list"),
+        pytest.param(None, {"c": [math.nan]}, id="c-nan"),
+        pytest.param(None, {"c": [-0.5]}, id="c-negative"),
+        pytest.param(None, {"c": [math.nextafter(1.0, 2.0)]}, id="c-just-above-1"),
+        pytest.param(None, {"t_scaled": [-math.inf]}, id="t_scaled-minus-infinite"),
+        pytest.param(None, {"t_scaled": [math.nan]}, id="t_scaled-nan"),
+        pytest.param(None, {"kind": b"+b-"}, id="c-marked-int-with-a-fraction"),
+        pytest.param(None, {"kind": b"+c-"}, id="t_scaled-marked-int-with-a-fraction"),
+        pytest.param(None, {"kind": b"+e-"}, id="kind-past-the-int-marks"),
+        pytest.param({"assessments": -1}, None, id="assessments-negative"),
     ])
     def test_a_record_the_checks_reject_falls_back_to_the_log(self, store, decoded,
                                                                table, columns):
@@ -947,9 +981,11 @@ class TestSnapshot:
         elif damage == "extra":
             blob += b"+"
         elif damage in ("short list", "long list"):  # for the one assessment row
-            table, blob = sample_payload({"t_scaled": [] if damage == "short list" else [2.5] * 2})
-        elif damage == "both":  # c and t_scaled
-            table, blob = sample_payload({"c": [0.5] * 2, "t_scaled": [2.5] * 2})
+            table, blob = sample_payload(
+                None, {"t_scaled": [] if damage == "short list" else [2.5] * 2})
+        elif damage == "both":  # c, t_scaled and the count: the blob fits, the kinds do not
+            table, blob = sample_payload({"assessments": 2},
+                                         {"c": [0.5] * 2, "t_scaled": [2.5] * 2})
         elif damage == "not an object":
             table = list(table.values())
         else:  # neither in the table nor in the blob
@@ -986,8 +1022,8 @@ class TestSnapshot:
             assert built == ["A", "B", "A", "B", "A", "A"]
 
     @pytest.mark.parametrize("table, columns", [
-        pytest.param({"c": [1.5]}, None, id="c-value0"),
-        pytest.param({"t_scaled": [float("nan")]}, None, id="t_scaled-value1"),
+        pytest.param(None, {"c": [1.5]}, id="c-value0"),
+        pytest.param(None, {"t_scaled": [float("nan")]}, id="t_scaled-value1"),
         pytest.param({"merchant": ["A", ""]}, None, id="merchant-value2"),
         pytest.param({"timestamp": [1, 2.0, 3]}, None, id="timestamp-value3"),
         pytest.param(None, {"variable": [0, 3, 2]}, id="variable-id-out-of-range"),
@@ -1039,20 +1075,32 @@ class TestSnapshot:
         assert EvidenceStore(store.path).records() == SAMPLE
         assert decoded == []
 
-    def test_a_format_3_snapshot_is_replaced(self, store, decoded):
+    @staticmethod
+    def check_replaced(store, decoded, old: bytes) -> None:
+        """SAMPLE's log with the snapshot ``old`` next to it: the first
+        read parses the log and writes format 5, which the next read takes."""
         write_lines(store.path, SAMPLE)
-        snapshot_of(store.path).write_bytes(SAMPLE_SNAPSHOT_V3)
-        assert hashlib.sha256(SAMPLE_SNAPSHOT_V3).hexdigest() == (  # format 3's layout pin
-            "ffded64f9905842fe5a4c6768d05df64ea3d86fea47e2a1cee97af6a55b4eceb")
+        snapshot_of(store.path).write_bytes(old)
         assert store.records() == SAMPLE
         assert len(decoded) == 3
         written = snapshot_of(store.path).read_bytes()
-        assert json.loads(written.partition(b"\n")[0])["version"] == 4
-        assert written.partition(b"\n")[2] == SAMPLE_SNAPSHOT_V3.partition(b"\n")[2].replace(
-            b',"timestamp":null', b"")
+        assert json.loads(written.partition(b"\n")[0])["version"] == 5
+        assert written.partition(b"\n")[2] == (
+            json.dumps(SAMPLE_TABLE, separators=(",", ":")).encode("ascii") + b"\n"
+            + pack(SAMPLE_COLUMNS))
         decoded.clear()
         assert EvidenceStore(store.path).records() == SAMPLE
         assert decoded == []
+
+    def test_a_format_3_snapshot_is_replaced(self, store, decoded):
+        assert hashlib.sha256(SAMPLE_SNAPSHOT_V3).hexdigest() == (  # format 3's layout pin
+            "ffded64f9905842fe5a4c6768d05df64ea3d86fea47e2a1cee97af6a55b4eceb")
+        self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V3)
+
+    def test_a_format_4_snapshot_is_replaced(self, store, decoded):
+        assert hashlib.sha256(SAMPLE_SNAPSHOT_V4).hexdigest() == (  # format 4's layout pin
+            "81db8a563f7b94107f39a80c8449003e0e72795843efc1daeb41cd33cc4addc5")
+        self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V4)
 
     def test_the_layout_is_pinned(self, store):
         write_lines(store.path, SAMPLE)
@@ -1278,7 +1326,7 @@ class TestSnapshotDigestWorker:
             header = {**json.loads(head), "digest": hashlib.sha256(b"").hexdigest()}
             snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
         elif damage == "columns":
-            forge_snapshot(log, *sample_payload({"c": [1.5]}))
+            forge_snapshot(log, *sample_payload(None, {"c": [1.5]}))
         elif damage == "short":
             snapshot_of(log).write_bytes(snapshot_of(log).read_bytes()[:20])
         else:
@@ -1798,7 +1846,7 @@ def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
             assert not snapshot_of(path).exists()
         else:
             table = json.loads(snapshot_of(path).read_bytes().split(b"\n")[1])
-            assert list(table) == ["merchant", "variable", "c", "t_scaled"]
+            assert list(table) == ["merchant", "variable", "assessments"]
         reading = contextlib.nullcontext if wide else no_decoding
         with reading():
             hit = EvidenceStore(path).records()
@@ -1814,29 +1862,42 @@ def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
 
 checked_names = st.sampled_from(("", " ", "\u3000", "\x85\u2028", None, 7)) | snapshot_names
 checked_numbers = st.sampled_from(
-    (True, False, math.nan, math.inf, -math.inf, -0.0, None, "0.5", [0.5])
-) | st.integers(-2, 2) | st.sampled_from((10**30, -(10**30))) | st.floats(-2.0, 7.0)
+    (math.nan, math.inf, -math.inf, -0.0, 1e30, -1e30, 2.0**53 + 2, 1e308)
+) | st.integers(-2, 2).map(float) | st.floats(-2.0, 7.0)
+
+
+def marked(x: float, as_int: bool):
+    """The value that the column entry ``x`` is read as: ``x`` itself, or
+    when it is marked int, ``int(x)``, for which ``x`` must be whole."""
+    if not as_int:
+        return x
+    if not x.is_integer():
+        raise ValueError(f"{x!r} is marked int")
+    return int(x)
 
 
 @settings(max_examples=300, deadline=None)
-@given(checked_names, checked_names, checked_numbers, checked_numbers,
-       st.sampled_from(INT64) | st.integers(*INT64), st.booleans())
+@given(checked_names, checked_names, checked_numbers, checked_numbers, st.booleans(),
+       st.booleans(), st.sampled_from(INT64) | st.integers(*INT64), st.booleans())
 def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
-        merchant, variable, c, t_scaled, timestamp, assessed):
+        merchant, variable, c, t_scaled, c_int, t_int, timestamp, assessed):
     """A one-record snapshot with a valid digest is taken when the record
     constructor accepts its values, and otherwise ignored for the log.  Its
-    timestamp column holds any int64, all of which the constructor takes."""
+    timestamp column holds any int64, all of which the constructor takes,
+    and its ``c`` and ``t_scaled`` columns any float64, each marked int or
+    not by the kind byte."""
     try:
         if assessed:
-            record = DirectAssessment(merchant, variable, c, t_scaled, timestamp)
+            record = DirectAssessment(merchant, variable, marked(c, c_int),
+                                      marked(t_scaled, t_int), timestamp)
         else:
             record = EvidenceRecord(merchant, variable, "positive", timestamp)
     except ValueError:
         record = None
-    table = {"merchant": [merchant], "variable": [variable],
-             "c": [c] if assessed else [], "t_scaled": [t_scaled] if assessed else []}
+    table = {"merchant": [merchant], "variable": [variable], "assessments": int(assessed)}
     columns = {"timestamp": [timestamp], "merchant": [0], "variable": [0],
-               "kind": b"a" if assessed else b"+"}
+               "kind": bytes([ord("a") + c_int + 2 * t_int]) if assessed else b"+",
+               "c": [c] if assessed else [], "t_scaled": [t_scaled] if assessed else []}
     logged = EvidenceRecord("log", "Delivery", "negative", 0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
