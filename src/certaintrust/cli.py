@@ -5,7 +5,8 @@ Subcommands: ``ingest`` (append evidence or assessments), ``evaluate``
 mapping-surface CSV).
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 storage error.
-Payloads go to stdout, diagnostics to stderr.
+Payloads go to stdout, diagnostics to stderr.  A reader of stdout that
+stops early is no error: the command's work is done, and it exits 0.
 """
 
 from __future__ import annotations
@@ -314,7 +315,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader that stopped early shows here
+        return code
+    except BrokenPipeError:
+        # stdout is the only pipe that reaches here unmapped; point it at
+        # devnull, so that the flush at exit prints nothing (the "Note on
+        # SIGPIPE" in the documentation of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

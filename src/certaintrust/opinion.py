@@ -31,10 +31,6 @@ BASE_EPS = 1e-9
 #: float drift tolerated when clipping operator outputs back into [0, 1]
 _CLIP_TOL = 1e-9
 
-PRESERVE_CERTAINTY = "preserve_certainty"
-COMPLEMENT_CERTAINTY = "complement_certainty"
-NOT_MODES = (PRESERVE_CERTAINTY, COMPLEMENT_CERTAINTY)
-
 BELOW_BASE = "below_base"
 BALANCED = "balanced"
 ABOVE_BASE = "above_base"
@@ -167,19 +163,14 @@ def opinion_from_evidence(e: EvidenceCount, p: TrustParams) -> Opinion:
     return Opinion(average_rating(e), certainty(e, p), p.f)
 
 
-def op_not(a: Opinion, not_mode: str = PRESERVE_CERTAINTY) -> Opinion:
+def op_not(a: Opinion) -> Opinion:
     """Negate an opinion: ``(1-t, c, 1-f)``.
 
     Certainty is preserved: negating a proposition does not change how much
     evidence backs it, and preservation is the only choice under which
-    ``E(not A) = 1 - E(A)`` holds for every certainty level.  The
-    complement-certainty variant is available via
-    ``not_mode="complement_certainty"`` for comparison experiments.
+    ``E(not A) = 1 - E(A)`` holds for every certainty level.
     """
-    if not_mode not in NOT_MODES:
-        raise ValueError(f"not_mode must be one of {NOT_MODES}, got {not_mode!r}")
-    c = a.c if not_mode == PRESERVE_CERTAINTY else 1.0 - a.c
-    return Opinion(1.0 - a.t, c, 1.0 - a.f)
+    return Opinion(1.0 - a.t, a.c, 1.0 - a.f)
 
 
 def op_and(a: Opinion, b: Opinion) -> Opinion:

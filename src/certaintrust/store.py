@@ -25,17 +25,16 @@ merchant and variable names in first-seen order and the number of
 assessments.  Then come fixed-width little-endian columns, 17 bytes per
 record: the timestamps (``<i8``), merchant ids and variable ids
 (``<u4``), and a kind byte per record (``+`` and ``-`` for positive and
-negative evidence, ``a`` for an assessment, ``b``, ``c`` or ``d`` for
-one whose ``c``, ``t_scaled`` or both are ints).  Last come ``c`` and
-then ``t_scaled`` per assessment (``<f8``):
+negative evidence, ``a`` for an assessment).  Last come ``c`` and then
+``t_scaled`` per assessment (``<f8``):
 
     {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230, "version": 5}
     {"merchant":["A"],"variable":["Delivery","Privacy"],"assessments":1}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a<0.6 as <f8><3.5 as <f8>
 
-A prefix that holds a timestamp outside int64, or an int ``c`` or
-``t_scaled`` that float64 does not hold exactly, gets no snapshot, and
-neither does a read that skips a torn final line.
+Every record fits these columns, as the record constructors take only
+int64 timestamps and store ``c`` and ``t_scaled`` as floats.  A read that
+skips a torn final line writes no snapshot.
 
 The two SHA-256 digests are never skipped: the head's covers the prefix's
 first ``cut`` bytes, and the rest's the other prefix bytes and then the
@@ -90,18 +89,24 @@ def _check_common(merchant: str, variable: str, timestamp: int) -> None:
         raise ValueError(f"variable must be a non-empty string, got {variable!r}")
     if not isinstance(timestamp, int) or isinstance(timestamp, bool):
         raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
+    if not -(2**63) <= timestamp < 2**63:
+        raise ValueError(f"timestamp must fit int64, [-2**63, 2**63), got {timestamp!r}")
 
 
-def _check_number(name: str, value: float, upper: float, bounds: str) -> None:
+def _check_number(name: str, value: float, upper: float, bounds: str) -> float:
+    """``value`` as a float, once it is a number in ``[0, upper]``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, not bool, got {value!r}")
     try:
-        # no bound admits inf, which a log line would hold as the non-JSON Infinity
-        valid = 0.0 <= value <= upper and value != math.inf
+        # bounded as given, as float() would take a string; no bound admits
+        # inf, which a log line would hold as the non-JSON Infinity
+        if 0.0 <= value <= upper and (number := float(value)) != math.inf:
+            return number
     except TypeError:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if not valid:
-        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+    except OverflowError:  # an int past the largest float
+        pass
+    raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
 # Each record class runs the checks above and writes its slots itself.  Log
@@ -140,8 +145,8 @@ class DirectAssessment:
     def __init__(self, merchant: str, variable: str, c: float, t_scaled: float,
                  timestamp: int) -> None:
         _check_common(merchant, variable, timestamp)
-        _check_number("c", c, 1.0, "in [0, 1]")
-        _check_number("t_scaled", t_scaled, math.inf, "non-negative and finite")
+        c = _check_number("c", c, 1.0, "in [0, 1]")
+        t_scaled = _check_number("t_scaled", t_scaled, math.inf, "non-negative and finite")
         set_merchant, set_variable, set_c, set_t_scaled, set_timestamp = self._setters
         set_merchant(self, merchant)
         set_variable(self, variable)
@@ -227,15 +232,10 @@ def record_from_dict(data: dict) -> Record:
     raise ValueError(f"unknown record kind {data.get('kind')!r}")
 
 
-#: the kind byte of snapshot evidence, and back; an assessment's kind byte
-#: is _ASSESSED plus 1 when its c is an int and 2 when its t_scaled is
+#: the kind byte of snapshot evidence, and back, and of an assessment
 _KINDS = {POSITIVE: ord("+"), NEGATIVE: ord("-")}
 _OUTCOMES = {kind: outcome for outcome, kind in _KINDS.items()}
 _ASSESSED = ord("a")
-#: the types that rebuild an assessment's c and t_scaled, by its kind byte
-_NUMBERS = {_ASSESSED + i: (int if i & 1 else float, int if i & 2 else float) for i in range(4)}
-#: the bit of an assessment's kind byte that marks an int c, and an int t_scaled
-_INT_BITS = np.array([[1], [2]], np.uint8)
 #: the largest c, and the largest t_scaled: the largest finite float
 _UPPER = np.array([[1.0], [np.finfo(np.float64).max]])
 
@@ -246,11 +246,8 @@ def _snapshot_payload(records) -> bytes:
     The table holds the distinct merchant and variable names in first-seen
     order and the number of assessments.  The columns follow it: the
     timestamps as ``<i8``, merchant ids and variable ids as ``<u4``, a kind
-    byte per record (``+`` or ``-`` for evidence; for an assessment ``a``,
-    plus 1 when its ``c`` is an int and 2 when its ``t_scaled`` is), then
-    ``c`` and then ``t_scaled`` per assessment as ``<f8``.  A timestamp
-    outside int64, or an int ``c`` or ``t_scaled`` that float64 does not
-    hold exactly, raises OverflowError."""
+    byte per record (``+`` or ``-`` for evidence, ``a`` for an assessment),
+    then ``c`` and then ``t_scaled`` per assessment as ``<f8``."""
     stamps = np.array([r.timestamp for r in records], "<i8").tobytes()
     merchants: dict[str, int] = {}
     variables: dict[str, int] = {}
@@ -258,16 +255,12 @@ def _snapshot_payload(records) -> bytes:
     vids = [variables.setdefault(r.variable, len(variables)) for r in records]
     assessments = [r for r in records if isinstance(r, DirectAssessment)]
     numbers = [r.c for r in assessments] + [r.t_scaled for r in assessments]
-    floats = np.array(numbers, "<f8")
-    if floats.tolist() != numbers:  # an int that rounds: 2**53 + 1 reads back as 2**53
-        raise OverflowError("an int c or t_scaled is not held exactly by float64")
-    kinds = bytes([_KINDS[r.outcome] if isinstance(r, EvidenceRecord)
-                   else _ASSESSED + (type(r.c) is int) + 2 * (type(r.t_scaled) is int)
+    kinds = bytes([_KINDS[r.outcome] if isinstance(r, EvidenceRecord) else _ASSESSED
                    for r in records])
     table = {"merchant": list(merchants), "variable": list(variables),
              "assessments": len(assessments)}
     columns = [stamps, np.array(mids, "<u4").tobytes(), np.array(vids, "<u4").tobytes(), kinds,
-               floats.tobytes()]
+               np.array(numbers, "<f8").tobytes()]
     line = json.dumps(table, separators=(",", ":"), check_circular=False).encode("ascii")
     return b"\n".join([line, b"".join(columns)])
 
@@ -279,10 +272,9 @@ def _snapshot_columns(data: bytes, start: int) -> tuple:
     the id of each merchant name.  The fixed-width columns are views of
     ``data``; only the table line and the kind bytes are copied.  A blob
     whose length does not fit the table, an id outside its table, a
-    duplicate merchant name, an int mark on a number with a fraction, or
-    any record that the record constructors would reject raise ValueError
-    or TypeError, so a snapshot is taken or ignored whole without building
-    its records."""
+    duplicate merchant name, or any record that the record constructors
+    would reject raise ValueError or TypeError, so a snapshot is taken or
+    ignored whole without building its records."""
     at = data.find(b"\n", start) + 1 or len(data)  # where the blob starts
     table = json.loads(data[start:at])
     names, variables, m = table["merchant"], table["variable"], table["assessments"]
@@ -299,14 +291,12 @@ def _snapshot_columns(data: bytes, start: int) -> tuple:
     assessed = np.flatnonzero(kinds >= _ASSESSED)
     index = dict(zip(names, range(len(names))))
     # str.strip raises TypeError for a name that is not a string; a NaN
-    # fails both bounds; the int marks index the numbers once the counts agree
+    # fails both bounds
     if not (all(map(str.strip, names)) and all(map(str.strip, variables))
-            and len(index) == len(names) and not kind_bytes.translate(None, b"+-abcd")
+            and len(index) == len(names) and not kind_bytes.translate(None, b"+-a")
             and len(assessed) == m
             and (mids < len(names)).all() and (vids < len(variables)).all()
-            and ((0.0 <= numbers) & (numbers <= _UPPER)).all()
-            and (np.floor(numbers) == numbers)[
-                (kinds[assessed] - _ASSESSED) & _INT_BITS > 0].all()):
+            and ((0.0 <= numbers) & (numbers <= _UPPER)).all()):
         raise ValueError("snapshot holds a record the checks reject")
     return kinds, mids, vids, stamps, assessed, names, variables, numbers[0], numbers[1], index
 
@@ -331,8 +321,7 @@ def _column_records(columns: tuple | None, merchant: str | None = None) -> list[
         if kind in _OUTCOMES:
             out.append(EvidenceRecord(names[m], variables[v], _OUTCOMES[kind], t))
         else:
-            to_c, to_t = _NUMBERS[kind]
-            out.append(DirectAssessment(names[m], variables[v], to_c(cs[a]), to_t(ts[a]), t))
+            out.append(DirectAssessment(names[m], variables[v], cs.item(a), ts.item(a), t))
     return out
 
 
@@ -395,9 +384,7 @@ class EvidenceStore:
         snapshot records it returns.  When the lines after the snapshot
         hold more newline-terminated records than the snapshot does, the
         log's newline-terminated prefix is written as the new snapshot,
-        unless the read skipped a torn final line, a timestamp of the
-        prefix falls outside int64, or an int ``c`` or ``t_scaled`` of it
-        is not held exactly by float64.
+        unless the read skipped a torn final line.
 
         Inside :meth:`pinned`, the file is not read: the records are those
         of the read on entry, which alone warns of a torn last line.
@@ -545,8 +532,7 @@ class EvidenceStore:
     def _save_snapshot(self, prefix: memoryview, records: list[Record]) -> None:
         """Atomically replace the snapshot with one of ``prefix``, the log's
         first bytes, which hold ``records``; a failed write leaves the old
-        snapshot, or none, and is not reported, and so do records that
-        :func:`_snapshot_payload` refuses.  The snapshot gets the log's
+        snapshot, or none, and is not reported.  The snapshot gets the log's
         permission bits, as it holds the same data."""
         target = self._snapshot_path
         try:
@@ -559,7 +545,7 @@ class EvidenceStore:
                                 sort_keys=True)
             fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
                                         dir=target.parent)
-        except (OSError, ValueError, OverflowError):
+        except OSError:
             return
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -109,6 +109,25 @@ class TestIngest:
         assert code == 0
         assert "Appended 2 record(s)" in capsys.readouterr().out
 
+    def test_from_file_logs_an_int_c_as_a_float(self, store_path, tmp_path, capsys):
+        src = tmp_path / "batch.jsonl"
+        src.write_text(json.dumps({"kind": "assessment", "merchant": "A", "variable": "Privacy",
+                                   "c": 1, "t_scaled": 4, "timestamp": 6}), encoding="utf-8")
+        assert main(["ingest", "--store", store_path, "--from-file", str(src)]) == 0
+        logged = json.loads(Path(store_path).read_text(encoding="utf-8"))
+        assert (logged["c"], logged["t_scaled"]) == (1.0, 4.0)
+        assert type(logged["c"]) is type(logged["t_scaled"]) is float
+
+    @pytest.mark.parametrize("timestamp", ["9223372036854775808", "-9223372036854775809"])
+    def test_a_timestamp_outside_int64_is_domain_error(self, store_path, capsys, timestamp):
+        code, out, err = captured_main(capsys, [
+            "ingest", "--store", store_path, "--merchant", "A", "--variable", "Delivery",
+            "--positive", "1", "--timestamp", timestamp])
+        assert (code, out) == (1, "")
+        assert err == ("error: ValueError: timestamp must fit int64, [-2**63, 2**63), "
+                       f"got {timestamp}\n")
+        assert not Path(store_path).exists()
+
     @pytest.mark.parametrize("name", ["Z\u0085", "Z\u2028", "Z\u2029"])
     def test_unicode_line_separator_in_merchant(self, seeded, tmp_path, capsys, name):
         batch = tmp_path / "batch.jsonl"
@@ -1145,6 +1164,22 @@ class TestFreshProcess:
         assert result.returncode == 0, result.stderr
         assert main(argv) == 0
         assert result.stdout == capsys.readouterr().out.encode("utf-8")
+
+    def test_a_reader_that_stops_early_is_no_error(self, store_path):
+        merchants = [f"M{i}" for i in range(300)]
+        EvidenceStore(store_path).append(*(DirectAssessment(m, v, c, t_scaled, 0)
+                                           for m in merchants
+                                           for v, (c, t_scaled) in goldens.MERCHANT_A.items()))
+        argv = ["compare", "--store", store_path, "--format", "json",
+                *(f"--merchant={m}" for m in merchants)]  # past a pipe's buffer
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen([sys.executable, "-m", "certaintrust", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=path)) as proc:
+            assert proc.stdout.read(10) == b'[\n  {\n    '
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=60), stderr) == (0, b"")
 
     def test_import_builds_no_parser(self):
         result = run_python("-c", "import certaintrust.cli as cli; "

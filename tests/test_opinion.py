@@ -120,18 +120,6 @@ class TestNot:
         a = Opinion(0.7, 0.4, 0.6)
         assert expectation(op_not(a)) == pytest.approx(1.0 - expectation(a), abs=1e-14)
 
-    def test_complement_certainty_mode(self):
-        got = op_not(Opinion(0.7, 0.4, 0.6), not_mode="complement_certainty")
-        assert got.t == pytest.approx(0.3, abs=1e-15)
-        assert got.c == pytest.approx(0.6, abs=1e-15)
-        assert got.f == pytest.approx(0.4, abs=1e-15)
-        # the complemented variant does not satisfy the expectation complement
-        assert expectation(got) != pytest.approx(1.0 - expectation(Opinion(0.7, 0.4, 0.6)))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            op_not(Opinion(0.5, 0.5, 0.5), not_mode="bogus")
-
 
 class TestAnd:
     def test_full_certainty_reduces_to_product(self):

@@ -2,7 +2,6 @@
 re-reads of a changed log against a fresh store, and the on-disk snapshot
 of a validated prefix."""
 
-import contextlib
 import gc
 import hashlib
 import json
@@ -79,12 +78,26 @@ class TestRecords:
             DirectAssessment("A", "Delivery", True, 3.0, 0)
         with pytest.raises(ValueError, match="not bool"):
             DirectAssessment("A", "Delivery", 0.5, False, 0)
-        record = DirectAssessment("A", "Delivery", np.float64(0.5), np.float32(3.0), 0)
-        assert (record.c, record.t_scaled) == (0.5, 3.0)
+        for c, t_scaled in ((np.float64(0.5), np.float32(3.0)), (1, 3), (0, 2**53 + 1),
+                            (0.5, np.int64(3)), (1, 10**300)):
+            record = DirectAssessment("A", "Delivery", c, t_scaled, 0)
+            assert (record.c, record.t_scaled) == (float(c), float(t_scaled))
+            assert type(record.c) is type(record.t_scaled) is float
 
     def test_timestamp_must_be_integer(self):
         with pytest.raises(ValueError):
             EvidenceRecord("A", "Delivery", "positive", 1.5)
+
+    @pytest.mark.parametrize("timestamp", [2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
+    def test_timestamp_must_fit_int64(self, timestamp):
+        fits = timestamp in (2**63 - 1, -(2**63))
+        for record in (EvidenceRecord("A", "Delivery", "positive", 0),
+                       DirectAssessment("A", "Delivery", 0.5, 3.0, 0)):
+            if fits:
+                assert replace(record, timestamp=timestamp).timestamp == timestamp
+            else:
+                with pytest.raises(ValueError, match=r"^timestamp must fit int64, \[-2\*\*63, "):
+                    replace(record, timestamp=timestamp)
 
     @pytest.mark.parametrize("bad", ["", " \u3000", None, b"A", 7])
     @pytest.mark.parametrize("field", ["merchant", "variable"])
@@ -114,6 +127,13 @@ class TestRecords:
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", "x"),
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", [3.0]),
         (DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", math.inf),
+        pytest.param(DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "t_scaled", 10**400,
+                     id="t_scaled-10**400"),
+        pytest.param(DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "c", 10**400, id="c-10**400"),
+        pytest.param(EvidenceRecord("A", "Delivery", "positive", 0), "timestamp", 2**63,
+                     id="timestamp-2**63"),
+        pytest.param(DirectAssessment("A", "Privacy", 0.5, 3.0, 0), "timestamp", -(2**63) - 1,
+                     id="timestamp--2**63-1"),
     ])
     def test_dict_with_a_bad_value_rejected(self, record, field, value):
         data = record_to_dict(record)
@@ -161,6 +181,12 @@ class TestAppendAndCounts:
         with pytest.raises(ValueError, match="^t_scaled must be non-negative and finite, got inf"):
             store.append(DirectAssessment("A", "Privacy", 0.5, math.inf, 1))
         assert store.path.read_bytes() == before
+
+    def test_a_numpy_int_is_logged_and_read_as_a_float(self, store):
+        store.append(DirectAssessment("A", "Delivery", 0.5, np.int64(3), 1))
+        assert b'"t_scaled": 3.0' in store.path.read_bytes()
+        (record,) = EvidenceStore(store.path).records()
+        assert type(record.t_scaled) is float and record.t_scaled == 3.0
 
     def test_names_logged_as_written(self, store):
         store.append(EvidenceRecord("A", "physical_existence", "positive", 0),
@@ -811,35 +837,47 @@ class TestSnapshot:
         assert ([[type(getattr(r, f.name)) for f in fields(r)] for r in hit]
                 == [[type(getattr(r, f.name)) for f in fields(r)] for r in records])
 
-    #: a record that no snapshot holds: a timestamp outside int64, or an int
-    #: t_scaled that float64 does not hold exactly
-    UNHELD = [pytest.param(EvidenceRecord("C", "Delivery", "positive", 2**63), id="2**63"),
-              pytest.param(EvidenceRecord("C", "Delivery", "positive", -(2**63) - 1),
+    #: the fields of a log line that the record constructors refuse: a
+    #: timestamp outside int64, or a t_scaled past the largest float
+    UNHELD = [pytest.param({**record_to_dict(SAMPLE[0]), "timestamp": 2**63}, id="2**63"),
+              pytest.param({**record_to_dict(SAMPLE[0]), "timestamp": -(2**63) - 1},
                            id="-2**63-1"),
-              pytest.param(EvidenceRecord("C", "Delivery", "positive", 10**30), id="10**30"),
-              pytest.param(DirectAssessment("C", "Delivery", 0.5, 2**53 + 1, 0),
-                           id="t_scaled-2**53+1")]
+              pytest.param({**record_to_dict(SAMPLE[0]), "timestamp": 10**30}, id="10**30"),
+              pytest.param({**record_to_dict(SAMPLE[1]), "t_scaled": 10**400},
+                           id="t_scaled-10**400")]
+
+    @staticmethod
+    def check_invalid_line(store, number: int) -> None:
+        """Every read of the log fails on line ``number``, as a plain reader does."""
+        for reader in (store, EvidenceStore(store.path)):
+            seen = observe(reader.records)
+            assert seen == observe(reference_records, store.path)
+            assert seen[0][:2] == (StorageFailure,
+                                   f"{store.path}: invalid record on line {number}: {seen[0][3]}")
 
     @pytest.mark.parametrize("unheld", UNHELD)
     def test_a_timestamp_outside_int64_writes_no_snapshot(self, store, decoded, unheld):
-        write_lines(store.path, SAMPLE + [unheld])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert store.records() == EvidenceStore(store.path).records() == reference_records(
-                store.path)
+        """The line is an invalid record: as the final line, it is no torn write."""
+        write_lines(store.path, SAMPLE)
+        with store.path.open("ab") as fh:
+            fh.write(json.dumps(unheld).encode("ascii") + b"\n")
+        self.check_invalid_line(store, 4)
         assert not snapshot_of(store.path).exists()
         assert len(decoded) == 8  # each read parses every line
 
     @pytest.mark.parametrize("unheld", [UNHELD[0], UNHELD[-1]])
     def test_a_timestamp_outside_int64_keeps_the_earlier_snapshot(self, store, decoded, unheld):
+        """The line is an invalid record in the middle of the lines after the snapshot."""
         write_lines(store.path, SAMPLE)
         store.records()
         before = snapshot_of(store.path).read_bytes()
-        write_lines(store.path, SAMPLE + [unheld])
+        with store.path.open("ab") as fh:
+            fh.write(json.dumps(unheld).encode("ascii") + b"\n")
+        write_lines(store.path, SAMPLE)
         decoded.clear()
-        assert EvidenceStore(store.path).records() == reference_records(store.path)
+        self.check_invalid_line(store, 4)
         assert snapshot_of(store.path).read_bytes() == before
-        assert len(decoded) == 4  # the lines after the snapshot
+        assert len(decoded) == 2  # the line, once per read, after the snapshot
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["none", "earlier"])
     def test_a_read_that_skips_a_torn_line_writes_no_snapshot(self, store, decoded, earlier):
@@ -956,6 +994,7 @@ class TestSnapshot:
         pytest.param(None, {"c": [math.nextafter(1.0, 2.0)]}, id="c-just-above-1"),
         pytest.param(None, {"t_scaled": [-math.inf]}, id="t_scaled-minus-infinite"),
         pytest.param(None, {"t_scaled": [math.nan]}, id="t_scaled-nan"),
+        # the ids name the int marks that b and c once were; no kind but +, - and a is taken
         pytest.param(None, {"kind": b"+b-"}, id="c-marked-int-with-a-fraction"),
         pytest.param(None, {"kind": b"+c-"}, id="t_scaled-marked-int-with-a-fraction"),
         pytest.param(None, {"kind": b"+e-"}, id="kind-past-the-int-marks"),
@@ -1101,6 +1140,28 @@ class TestSnapshot:
         assert hashlib.sha256(SAMPLE_SNAPSHOT_V4).hexdigest() == (  # format 4's layout pin
             "81db8a563f7b94107f39a80c8449003e0e72795843efc1daeb41cd33cc4addc5")
         self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V4)
+
+    @pytest.mark.parametrize("kind, c, t_scaled", [(b"b", 1, 2.5), (b"c", 0.5, 3), (b"d", 0, 7)])
+    def test_an_int_marked_snapshot_is_replaced(self, store, decoded, kind, c, t_scaled):
+        """Format 5 once marked an assessment whose ``c``, ``t_scaled`` or
+        both were logged as ints with the kind byte b, c or d.  Such a
+        snapshot is ignored for the log once, then replaced with kind a."""
+        with store.path.open("ab") as fh:
+            fh.write(json.dumps({**record_to_dict(SAMPLE[1]), "c": c, "t_scaled": t_scaled})
+                     .encode("ascii") + b"\n")
+        table = {"merchant": ["B"], "variable": ["Privacy"], "assessments": 1}
+        columns = {"timestamp": [2], "merchant": [0], "variable": [0], "c": [c],
+                   "t_scaled": [t_scaled]}
+        forge_snapshot(store.path, table, pack({**columns, "kind": kind}))
+        expected = repr([DirectAssessment("B", "Privacy", float(c), float(t_scaled), 2)])
+        assert repr(store.records()) == expected
+        assert len(decoded) == 1
+        assert snapshot_of(store.path).read_bytes().partition(b"\n")[2] == (
+            json.dumps(table, separators=(",", ":")).encode("ascii") + b"\n"
+            + pack({**columns, "kind": b"a"}))
+        decoded.clear()
+        assert repr(EvidenceStore(store.path).records()) == expected
+        assert decoded == []
 
     def test_the_layout_is_pinned(self, store):
         write_lines(store.path, SAMPLE)
@@ -1826,37 +1887,38 @@ def typed(records: list) -> list:
     return [(r, [type(getattr(r, f.name)) for f in fields(r)]) for r in records]
 
 
-@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("whole_as_int", [False, True])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_a_snapshot_hit_reads_what_the_log_holds(wide, data):
-    """Names with any characters, lone surrogates included; timestamps that
-    fit int64 (kept as binary) or not (no snapshot is written, so every
-    read parses the log); int ``c``, ``-0.0`` and ``1e308``: a hit, a miss
-    and a plain reader agree exactly."""
-    records = data.draw(snapshot_records(st.integers(*INT64)))
-    if wide:
-        records += data.draw(snapshot_records(
-            st.integers(max_value=INT64[0] - 1) | st.integers(min_value=INT64[1] + 1)))
+def test_a_snapshot_hit_reads_what_the_log_holds(whole_as_int, data):
+    """Names with any characters, lone surrogates included; timestamps
+    anywhere in int64, its endpoints included; ``-0.0`` and ``1e308``; and,
+    when ``whole_as_int``, each whole ``c`` and ``t_scaled`` logged as a
+    JSON int, which every reader reads as a float: a hit, a miss and a plain
+    reader agree exactly."""
+    records = data.draw(snapshot_records(st.sampled_from(INT64) | st.integers(*INT64)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
-        write_lines(path, records)
+        with path.open("wb") as fh:
+            for fields in map(record_to_dict, records):
+                for name in ("c", "t_scaled"):
+                    if whole_as_int and name in fields and fields[name].is_integer():
+                        fields[name] = int(fields[name])
+                fh.write(json.dumps(fields).encode("ascii") + b"\n")
         miss = EvidenceStore(path).records()
-        if wide:
-            assert not snapshot_of(path).exists()
-        else:
-            table = json.loads(snapshot_of(path).read_bytes().split(b"\n")[1])
-            assert list(table) == ["merchant", "variable", "assessments"]
-        reading = contextlib.nullcontext if wide else no_decoding
-        with reading():
+        table = json.loads(snapshot_of(path).read_bytes().split(b"\n")[1])
+        assert list(table) == ["merchant", "variable", "assessments"]
+        with no_decoding():
             hit = EvidenceStore(path).records()
         expected = reference_records(path)
         assert typed(hit) == typed(miss) == typed(expected)
         assert repr(hit) == repr(miss) == repr(expected)  # tells -0.0 from 0.0
+        assert all(type(r.c) is type(r.t_scaled) is float
+                   for r in hit if isinstance(r, DirectAssessment))
         reader = EvidenceStore(path)
         for merchant in {r.merchant for r in records}:
             mine = [r for r in expected if r.merchant == merchant]
-            with reading():
+            with no_decoding():
                 assert repr(typed(reader.records(merchant))) == repr(typed(mine))
 
 
@@ -1866,37 +1928,25 @@ checked_numbers = st.sampled_from(
 ) | st.integers(-2, 2).map(float) | st.floats(-2.0, 7.0)
 
 
-def marked(x: float, as_int: bool):
-    """The value that the column entry ``x`` is read as: ``x`` itself, or
-    when it is marked int, ``int(x)``, for which ``x`` must be whole."""
-    if not as_int:
-        return x
-    if not x.is_integer():
-        raise ValueError(f"{x!r} is marked int")
-    return int(x)
-
-
 @settings(max_examples=300, deadline=None)
-@given(checked_names, checked_names, checked_numbers, checked_numbers, st.booleans(),
-       st.booleans(), st.sampled_from(INT64) | st.integers(*INT64), st.booleans())
+@given(checked_names, checked_names, checked_numbers, checked_numbers,
+       st.sampled_from(INT64) | st.integers(*INT64), st.booleans())
 def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
-        merchant, variable, c, t_scaled, c_int, t_int, timestamp, assessed):
+        merchant, variable, c, t_scaled, timestamp, assessed):
     """A one-record snapshot with a valid digest is taken when the record
     constructor accepts its values, and otherwise ignored for the log.  Its
     timestamp column holds any int64, all of which the constructor takes,
-    and its ``c`` and ``t_scaled`` columns any float64, each marked int or
-    not by the kind byte."""
+    and its ``c`` and ``t_scaled`` columns any float64."""
     try:
         if assessed:
-            record = DirectAssessment(merchant, variable, marked(c, c_int),
-                                      marked(t_scaled, t_int), timestamp)
+            record = DirectAssessment(merchant, variable, c, t_scaled, timestamp)
         else:
             record = EvidenceRecord(merchant, variable, "positive", timestamp)
     except ValueError:
         record = None
     table = {"merchant": [merchant], "variable": [variable], "assessments": int(assessed)}
     columns = {"timestamp": [timestamp], "merchant": [0], "variable": [0],
-               "kind": bytes([ord("a") + c_int + 2 * t_int]) if assessed else b"+",
+               "kind": b"a" if assessed else b"+",
                "c": [c] if assessed else [], "t_scaled": [t_scaled] if assessed else []}
     logged = EvidenceRecord("log", "Delivery", "negative", 0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -1924,7 +1974,8 @@ def accepts(check, *args) -> bool:
 AT_THE_ENDPOINTS = [x for end in (0.0, 1.0, sys.float_info.max)
                     for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
 endpoint_numbers = (st.sampled_from(AT_THE_ENDPOINTS + [-0.0, math.nan]).flatmap(
-    lambda x: st.sampled_from((x, np.float64(x)))) | st.sampled_from((0, 1, -1, 2, True)))
+    lambda x: st.sampled_from((x, np.float64(x))))
+    | st.sampled_from((0, 1, -1, 2, True, np.int64(3), 10**400)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1932,25 +1983,29 @@ endpoint_numbers = (st.sampled_from(AT_THE_ENDPOINTS + [-0.0, math.nan]).flatmap
        st.sampled_from(("Delivery", "\x85", Name("Privacy"), b"Portal")),
        st.sampled_from((POSITIVE, NEGATIVE, "neutral", None)),
        endpoint_numbers, endpoint_numbers,
-       st.sampled_from((0, -1, 2**70, True, 1.0, np.int64(3), None)))
+       st.sampled_from((0, -1, 2**70, 2**63, True, 1.0, np.int64(3), None)))
 def test_the_constructors_accept_exactly_what_the_checks_accept(merchant, variable, outcome, c,
                                                                  t_scaled, timestamp):
     """Each record constructor accepts exactly the values that
-    ``_check_common`` and ``_check_number`` accept, and calls
-    ``_check_common`` on every construction."""
+    ``_check_common`` and ``_check_number`` accept, calls ``_check_common``
+    on every construction, and holds ``c`` and ``t_scaled`` as floats."""
     common = accepts(store_module._check_common, merchant, variable, timestamp)
+    assessed = (common and accepts(store_module._check_number, "c", c, 1.0, "in [0, 1]")
+                and accepts(store_module._check_number, "t_scaled", t_scaled, math.inf,
+                            "non-negative and finite"))
     for cls, args, valid in (
         (EvidenceRecord, (merchant, variable, outcome, timestamp),
          common and outcome in (POSITIVE, NEGATIVE)),
-        (DirectAssessment, (merchant, variable, c, t_scaled, timestamp),
-         common and accepts(store_module._check_number, "c", c, 1.0, "in [0, 1]")
-         and accepts(store_module._check_number, "t_scaled", t_scaled, math.inf,
-                     "non-negative and finite")),
+        (DirectAssessment, (merchant, variable, c, t_scaled, timestamp), assessed),
     ):
         with mock.patch.object(store_module, "_check_common",
                                wraps=store_module._check_common) as explained:
             assert accepts(cls, *args) == valid
         assert explained.call_count == 1
+    if assessed:
+        record = DirectAssessment(merchant, variable, c, t_scaled, timestamp)
+        assert (type(record.c), type(record.t_scaled)) == (float, float)
+        assert (record.c, record.t_scaled) == (float(c), float(t_scaled))
 
 
 def profiles(path: Path) -> list:
