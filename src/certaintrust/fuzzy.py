@@ -6,8 +6,8 @@ chosen so adjacent terms cross at membership 0.5.  Rulebases are generated
 as the full Cartesian product over the inputs (consequent = rounded mean of
 the antecedent indices), or built from explicit :class:`Rule` tuples.
 
-Inference is Mamdani style: per-rule firing strength from the antecedent
-memberships (min by default, product optionally), consequent terms clipped
+Inference is Mamdani style (Mamdani & Assilian, 1975): per-rule firing
+strength as the min of the antecedent memberships, consequent terms clipped
 at the firing strength, aggregation by pointwise max, and a discretized
 centroid over 1001 samples of the output domain.
 """
@@ -34,8 +34,6 @@ CENTROID_SAMPLES = 1001
 # sigma per unit of domain width: adjacent centers sit 0.25 apart, so the
 # half-way point is 0.125 away and exp(-0.125^2 / (2 sigma^2)) = 0.5
 SIGMA_FACTOR = 0.125 / math.sqrt(2.0 * math.log(2.0))
-
-TNORMS = ("min", "product")
 
 
 @dataclass(frozen=True)
@@ -238,12 +236,10 @@ def generate_rulebase(inputs: Sequence[LinguisticVariable], output: LinguisticVa
     return RuleBase(tuple(inputs), output, rules)
 
 
-def _mamdani(table: _Table, per_input: np.ndarray, tnorm: str) -> tuple[np.ndarray, np.ndarray]:
+def _mamdani(table: _Table, per_input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The centroid's weighted and plain sums, from degrees gathered as ``(..., n, R + 5)``."""
-    if tnorm not in TNORMS:
-        raise ValueError(f"tnorm must be one of {TNORMS}, got {tnorm!r}")
-    # ufunc reductions, as ndarray.min/prod/max/sum make them, without the wrappers
-    firings = (np.minimum if tnorm == "min" else np.multiply).reduce(per_input, axis=-2)
+    # ufunc reductions, as ndarray.min/max/sum make them, without the wrappers
+    firings = np.minimum.reduce(per_input, axis=-2)
     # max of min(firing, curve) over rules sharing a consequent equals
     # min(max firing, curve), so one strength per output term suffices
     strengths = np.maximum.reduceat(firings, table.starts, axis=-1)
@@ -258,7 +254,7 @@ def _centroid(weighted: float, total: float) -> float:
     return float(weighted / total)
 
 
-def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> float:
+def infer(rb: RuleBase, xs: Sequence[float]) -> float:
     """Run Mamdani inference for one input vector; returns the crisp output.
 
     Gaussian memberships never vanish, so with a generated rulebase every
@@ -266,17 +262,16 @@ def infer(rb: RuleBase, xs: Sequence[float], tnorm: str = "min") -> float:
     """
     kernel = rb.kernel
     per_input = np.array(kernel.degrees(xs))[kernel.table.index]
-    return rb.output.clamp(_centroid(*_mamdani(kernel.table, per_input, tnorm)))
+    return rb.output.clamp(_centroid(*_mamdani(kernel.table, per_input)))
 
 
-def infer_batch(rbs: Sequence[RuleBase], rows: Sequence[Sequence[float]],
-                tnorm: str = "min") -> list[float]:
+def infer_batch(rbs: Sequence[RuleBase], rows: Sequence[Sequence[float]]) -> list[float]:
     """Each row's :func:`infer` under its rulebase, bit for bit, in one call over a shared table."""
     table = rbs[0].kernel.table if rbs else None
     degrees = [rb.kernel.degrees(xs) for rb, xs in zip(rbs, rows) if rb.kernel.table is table]
     if not len(degrees) == len(rbs) == len(rows) > 0:
         raise ValueError("need one rulebase per row, all sharing one rule table")
-    weighted, total = _mamdani(table, np.take(np.array(degrees), table.index, axis=1), tnorm)
+    weighted, total = _mamdani(table, np.take(np.array(degrees), table.index, axis=1))
     return [rb.output.clamp(_centroid(w, t))
             for rb, w, t in zip(rbs, weighted.tolist(), total.tolist())]
 
@@ -285,8 +280,6 @@ def infer_batch(rbs: Sequence[RuleBase], rows: Sequence[Sequence[float]],
 class SurfaceGrid:
     """Crisp outputs over a 2-D sweep; ``values[i][j]`` pairs xs[i], ys[j]."""
 
-    x_name: str
-    y_name: str
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
@@ -300,20 +293,8 @@ class SurfaceGrid:
         return "\n".join(lines) + "\n"
 
 
-def surface_grid(
-    rb: RuleBase,
-    x_index: int,
-    y_index: int,
-    fixed: Sequence[float] | None = None,
-    resolution: int = 51,
-    tnorm: str = "min",
-) -> SurfaceGrid:
-    """Sweep two inputs across their domains with the rest held fixed.
-
-    ``fixed`` supplies one value per input (the two swept slots are
-    overwritten cell by cell); by default all inputs sit at their domain
-    midpoints.
-    """
+def surface_grid(rb: RuleBase, x_index: int, y_index: int, resolution: int = 51) -> SurfaceGrid:
+    """Sweep two inputs across their domains with every other input at its midpoint."""
     n = len(rb.inputs)
     if resolution < 2:
         raise InvalidDomain(f"resolution must be at least 2, got {resolution}")
@@ -322,21 +303,17 @@ def surface_grid(
             raise IndexOutOfRange(f"input index {idx} out of range 0..{n - 1}")
     if x_index == y_index:
         raise IndexOutOfRange("x_index and y_index must differ")
-    if fixed is None:
-        fixed = [v.midpoint for v in rb.inputs]
-    if len(fixed) != n:
-        raise ArityMismatch(f"fixed needs {n} values, got {len(fixed)}")
 
     xv, yv = rb.inputs[x_index], rb.inputs[y_index]
     xs = [float(x) for x in np.linspace(xv.lo, xv.hi, resolution)]
     ys = [float(y) for y in np.linspace(yv.lo, yv.hi, resolution)]
     values = []
-    point = list(fixed)
+    point = [v.midpoint for v in rb.inputs]
     for x in xs:
         row = []
         point[x_index] = x
         for y in ys:
             point[y_index] = y
-            row.append(infer(rb, point, tnorm=tnorm))
+            row.append(infer(rb, point))
         values.append(tuple(row))
-    return SurfaceGrid(xv.name, yv.name, tuple(xs), tuple(ys), tuple(values))
+    return SurfaceGrid(tuple(xs), tuple(ys), tuple(values))

@@ -50,6 +50,7 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import stat
 import tempfile
@@ -82,15 +83,19 @@ SNAPSHOT_VERSION = 5
 _CHECK_BYTES = 20
 
 
-def _check_common(merchant: str, variable: str, timestamp: int) -> None:
+def _check_common(merchant: str, variable: str, timestamp: int) -> int:
+    """``timestamp`` as an ``int``, once it and the names pass."""
     if not isinstance(merchant, str) or not merchant.strip():
         raise ValueError(f"merchant must be a non-empty string, got {merchant!r}")
     if not isinstance(variable, str) or not variable.strip():
         raise ValueError(f"variable must be a non-empty string, got {variable!r}")
-    if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-        raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
+    if type(timestamp) is not int:  # any other integral type but bool, numpy's too
+        if isinstance(timestamp, bool) or not hasattr(timestamp, "__index__"):
+            raise ValueError(f"timestamp must be an integer, got {timestamp!r}")
+        timestamp = operator.index(timestamp)
     if not -(2**63) <= timestamp < 2**63:
         raise ValueError(f"timestamp must fit int64, [-2**63, 2**63), got {timestamp!r}")
+    return timestamp
 
 
 def _check_number(name: str, value: float, upper: float, bounds: str) -> float:
@@ -122,7 +127,7 @@ class EvidenceRecord:
     timestamp: int
 
     def __init__(self, merchant: str, variable: str, outcome: str, timestamp: int) -> None:
-        _check_common(merchant, variable, timestamp)
+        timestamp = _check_common(merchant, variable, timestamp)
         if outcome not in (POSITIVE, NEGATIVE):
             raise ValueError(f"outcome must be 'positive' or 'negative', got {outcome!r}")
         set_merchant, set_variable, set_outcome, set_timestamp = self._setters
@@ -144,7 +149,7 @@ class DirectAssessment:
 
     def __init__(self, merchant: str, variable: str, c: float, t_scaled: float,
                  timestamp: int) -> None:
-        _check_common(merchant, variable, timestamp)
+        timestamp = _check_common(merchant, variable, timestamp)
         c = _check_number("c", c, 1.0, "in [0, 1]")
         t_scaled = _check_number("t_scaled", t_scaled, math.inf, "non-negative and finite")
         set_merchant, set_variable, set_c, set_t_scaled, set_timestamp = self._setters

@@ -66,7 +66,6 @@ def bruteforce_infer(
     lo: float = 0.0,
     hi: float = 1.0,
     samples: int = 1001,
-    tnorm: str = "min",
     table: dict[tuple[int, ...], int] | None = None,
 ) -> float:
     """Naive Mamdani over the standard five-term layout: per-rule loop,
@@ -84,7 +83,7 @@ def bruteforce_infer(
         table = mean_rule_table(n)
     for ante, cons in table.items():
         degrees = [gauss(xs[i], centers[ante[i]], sigma) for i in range(n)]
-        fire = min(degrees) if tnorm == "min" else math.prod(degrees)
+        fire = min(degrees)
         for k, g in enumerate(grid):
             clipped = min(fire, gauss(g, centers[cons], sigma))
             if clipped > agg[k]:

@@ -26,7 +26,7 @@ from certaintrust import (
     mean_consequent,
     surface_grid,
 )
-from certaintrust.fuzzy import TNORMS, infer_batch
+from certaintrust.fuzzy import infer_batch
 
 import oracle
 
@@ -234,13 +234,6 @@ class TestInfer:
             oracle.bruteforce_infer(xs), abs=1e-9
         )
 
-    def test_product_tnorm_matches_oracle(self):
-        rb = unit_rulebase(3)
-        for xs in ([0.1, 0.6, 0.9], [0.4, 0.4, 0.8]):
-            assert infer(rb, xs, tnorm="product") == pytest.approx(
-                oracle.bruteforce_infer(xs, tnorm="product"), abs=1e-9
-            )
-
     def test_output_within_domain(self):
         rb = unit_rulebase(2)
         for xs in itertools.product([0.0, 0.25, 0.6, 1.0], repeat=2):
@@ -265,10 +258,6 @@ class TestInfer:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             infer(unit_rulebase(3), [0.5, 0.5])
-
-    def test_unknown_tnorm(self):
-        with pytest.raises(ValueError):
-            infer(unit_rulebase(2), [0.5, 0.5], tnorm="lukasiewicz")
 
     def test_nan_input_rejected_and_infinities_clamped(self):
         rb = unit_rulebase(3)
@@ -295,7 +284,7 @@ KERNEL_EXAMPLES = {1: 25, 2: 20, 3: 8, 4: 3}
 
 @st.composite
 def kernel_cases(draw, n):
-    """A domain, a rule table over ``n`` inputs, a t-norm and an input vector.
+    """A domain, a rule table over ``n`` inputs and an input vector.
 
     Tables are either the full rounded-mean table or a random partial one
     in which at least one output term concludes no rule.
@@ -311,24 +300,24 @@ def kernel_cases(draw, n):
         max_size=min(len(antecedents), 40),
     )
     table = draw(st.one_of(st.just(oracle.mean_rule_table(n)), partial))
-    tnorm = draw(st.sampled_from(["min", "product"]))
     margin = 0.2 * (hi - lo)
     xs = draw(st.lists(st.floats(lo - margin, hi + margin), min_size=n, max_size=n))
-    return lo, hi, table, tnorm, xs
+    return lo, hi, table, xs
 
 
-#: sha256 of :func:`infer_digest`, recorded with the per-rule-row kernel
-#: (``fuzzify``, an ``(R, n)`` gather, a masked max) that preceded the
-#: cached term tables; any change in a result's last bit changes it
-INFER_DIGEST = "4575b3fe10e0ba38403ccd184586b0d0e58dd2d7ceadbc9b642467900c140bdb"
+#: sha256 of :func:`infer_digest`, recorded by running these min-only
+#: cases against commit cdfd010, the last engine with a product t-norm,
+#: whose min results the earlier digest (taken with the per-rule-row
+#: kernel) pinned; any change in a result's last bit changes it
+INFER_DIGEST = "a35bb09a1bd8e3e484539e891012486187149b59971d21bb1f06cb2ca649b8fa"
 
 
 def digest_cases():
-    """Seeded ``(rulebase, xs, tnorm)`` triples for the bit-exactness digest.
+    """Seeded ``(rulebase, xs)`` pairs for the bit-exactness digest.
 
     Arity 1-4 over three domains; the full rounded-mean table and three
     partial tables whose consequents use one to four of the five terms;
-    both t-norms; domain edges and term centres exactly, and points up to
+    domain edges and term centres exactly, and points up to
     30% of the domain width outside it.
     """
     rng = random.Random(2013)
@@ -345,31 +334,30 @@ def digest_cases():
             width = hi - lo
             exact = [mf.center for _, mf in inputs[0].terms]
             for rb in rulebases:
-                for tnorm in TNORMS:
-                    points = [[rng.choice(exact) for _ in range(n)] for _ in range(3)]
-                    points += [
-                        [rng.uniform(lo - 0.3 * width, hi + 0.3 * width) for _ in range(n)]
-                        for _ in range(8)
-                    ]
-                    for xs in points:
-                        yield rb, xs, tnorm
+                points = [[rng.choice(exact) for _ in range(n)] for _ in range(3)]
+                points += [
+                    [rng.uniform(lo - 0.3 * width, hi + 0.3 * width) for _ in range(n)]
+                    for _ in range(8)
+                ]
+                for xs in points:
+                    yield rb, xs
 
 
 def infer_digest():
     """sha256 over ``float.hex`` of every :func:`infer` result in :func:`digest_cases`."""
     h = hashlib.sha256()
-    for rb, xs, tnorm in digest_cases():
-        h.update(infer(rb, xs, tnorm=tnorm).hex().encode() + b"\n")
+    for rb, xs in digest_cases():
+        h.update(infer(rb, xs).hex().encode() + b"\n")
     return h.hexdigest()
 
 
 def batch_digest():
-    """:func:`infer_digest`, with each ``(rulebase, tnorm)`` group of :func:`digest_cases`
+    """:func:`infer_digest`, with each rulebase's group of :func:`digest_cases`
     passed to :func:`infer_batch` as one call."""
     h = hashlib.sha256()
-    for (rb, tnorm), group in itertools.groupby(digest_cases(), key=lambda c: (c[0], c[2])):
-        rows = [xs for _, xs, _ in group]
-        for y in infer_batch([rb] * len(rows), rows, tnorm=tnorm):
+    for rb, group in itertools.groupby(digest_cases(), key=lambda c: c[0]):
+        rows = [xs for _, xs in group]
+        for y in infer_batch([rb] * len(rows), rows):
             h.update(y.hex().encode() + b"\n")
     return h.hexdigest()
 
@@ -380,14 +368,14 @@ class TestKernelAgainstOracle:
         @settings(max_examples=KERNEL_EXAMPLES[n], deadline=None)
         @given(kernel_cases(n))
         def check(case):
-            lo, hi, table, tnorm, xs = case
+            lo, hi, table, xs = case
             rb = RuleBase(
                 tuple(make_variable(f"x{i}", lo, hi) for i in range(n)),
                 make_variable("y", lo, hi),
                 tuple(Rule(ante, cons) for ante, cons in table.items()),
             )
-            got = infer(rb, xs, tnorm=tnorm)
-            ref = oracle.bruteforce_infer(xs, lo, hi, tnorm=tnorm, table=table)
+            got = infer(rb, xs)
+            ref = oracle.bruteforce_infer(xs, lo, hi, table=table)
             assert got == pytest.approx(ref, abs=1e-9)
 
         check()
@@ -399,7 +387,7 @@ class TestKernelAgainstOracle:
         assert batch_digest() == INFER_DIGEST
 
     def test_kernel_degrees_equal_fuzzify_bit_for_bit(self):
-        for rb, xs, _ in digest_cases():
+        for rb, xs in digest_cases():
             want = [d for v, x in zip(rb.inputs, xs) for d in fuzzify(v, x)]
             got = rb.kernel.degrees(xs)
             assert [d.hex() for d in got] == [d.hex() for d in want] + [(0.0).hex()]
@@ -417,8 +405,8 @@ def batch_cases(draw):
     """1-8 rows, each under its own rulebase over 1-4 inputs, all of one content.
 
     Each row's rulebase names its inputs ``row<r>_x<i>``; the table is the
-    full rounded-mean one or a random partial one; both t-norms; points
-    up to 30% of the domain width outside it.
+    full rounded-mean one or a random partial one; points up to 30% of
+    the domain width outside it.
     """
     n = draw(st.integers(1, 4))
     lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.0, 100.0), (-3.0, 7.5)]))
@@ -433,35 +421,35 @@ def batch_cases(draw):
                          min_size=1, max_size=8))
     rbs = [RuleBase(tuple(make_variable(f"row{r}_x{i}", lo, hi) for i in range(n)),
                     make_variable(f"row{r}_y", lo, hi), rules) for r in range(len(rows))]
-    return rbs, rows, draw(st.sampled_from(TNORMS))
+    return rbs, rows
 
 
 class TestInferBatch:
     @settings(max_examples=80, deadline=None)
     @given(batch_cases())
     def test_equals_infer_bit_for_bit(self, case):
-        rbs, rows, tnorm = case
-        want = [infer(rb, xs, tnorm=tnorm).hex() for rb, xs in zip(rbs, rows)]
-        assert [y.hex() for y in infer_batch(rbs, rows, tnorm=tnorm)] == want
+        rbs, rows = case
+        want = [infer(rb, xs).hex() for rb, xs in zip(rbs, rows)]
+        assert [y.hex() for y in infer_batch(rbs, rows)] == want
 
     @settings(max_examples=40, deadline=None)
     @given(batch_cases(), st.data())
     def test_nan_names_the_input_of_its_row(self, case, data):
-        rbs, rows, tnorm = case
+        rbs, rows = case
         r = data.draw(st.integers(0, len(rows) - 1))
         i = data.draw(st.integers(0, len(rows[r]) - 1))
         rows[r][i] = math.nan
         with pytest.raises(InvalidDomain, match=f"^row{r}_x{i}: input is NaN$"):
-            infer_batch(rbs, rows, tnorm=tnorm)
+            infer_batch(rbs, rows)
 
     @settings(max_examples=40, deadline=None)
     @given(batch_cases(), st.data())
     def test_row_of_wrong_arity_is_refused(self, case, data):
-        rbs, rows, tnorm = case
+        rbs, rows = case
         r = data.draw(st.integers(0, len(rows) - 1))
         rows[r] = data.draw(st.sampled_from([rows[r][:-1], rows[r] + [0.0]]))
         with pytest.raises(ArityMismatch):
-            infer_batch(rbs, rows, tnorm=tnorm)
+            infer_batch(rbs, rows)
 
     def test_equal_content_shares_one_table(self):
         a, b = unit_rulebase(3), unit_rulebase(3)
@@ -479,8 +467,6 @@ class TestInferBatch:
                           ([rb, other], [[0.5] * 3] * 2)):
             with pytest.raises(ValueError, match="one rulebase per row, all sharing one"):
                 infer_batch(rbs, rows)
-        with pytest.raises(ValueError, match="tnorm"):
-            infer_batch([rb], [[0.5] * 3], tnorm="lukasiewicz")
 
     def test_empty_aggregate_is_refused(self):
         rb = RuleBase(tuple(unit_inputs(1)), make_variable("y", 0.0, 1.0), ())
@@ -520,9 +506,8 @@ class TestCentroid:
     def test_empty_aggregate_rejected(self):
         for n in (1, 2, 3, 4):
             rb = RuleBase(tuple(unit_inputs(n)), make_variable("y", 0.0, 1.0), ())
-            for tnorm in TNORMS:
-                with pytest.raises(EmptyAggregate):
-                    infer(rb, [0.5] * n, tnorm=tnorm)
+            with pytest.raises(EmptyAggregate):
+                infer(rb, [0.5] * n)
 
 
 class TestSurfaceGrid:
@@ -539,13 +524,6 @@ class TestSurfaceGrid:
         for i in range(5):
             for j in range(5):
                 assert grid.values[i][j] == pytest.approx(grid.values[j][i], abs=1e-12)
-
-    def test_fixed_values_respected(self):
-        rb = unit_rulebase(3)
-        grid = surface_grid(rb, 0, 1, fixed=[0.0, 0.0, 0.9], resolution=2)
-        assert grid.values[0][0] == pytest.approx(
-            infer(rb, [0.0, 0.0, 0.9]), abs=1e-12
-        )
 
     def test_csv_shape_and_precision(self):
         rb = unit_rulebase(2)
@@ -575,28 +553,37 @@ class TestSurfaceGrid:
                 surface_grid(rb, x, y)
         with pytest.raises(InvalidDomain):
             surface_grid(rb, 0, 1, resolution=1)
-        with pytest.raises(ArityMismatch):
-            surface_grid(rb, 0, 1, fixed=[0.5], resolution=2)
-        with pytest.raises(InvalidDomain, match="^x2: input is NaN"):
-            surface_grid(rb, 0, 1, fixed=[0.0, 0.0, math.nan], resolution=2)
 
 
 class TestSurfaceRippleByTnorm:
     """The min-conjunction surface has inherent non-monotone ripples of
     just under one point on a 0-100 domain (they persist at 20x finer
-    centroid sampling, so they are not discretization artifacts); product
-    conjunction keeps the ripple below 0.2 points at the standard 51x51
-    resolution.  Pin both behaviors so regressions in either direction
-    surface.
+    centroid sampling, so they are not discretization artifacts).  Pin
+    the ripple on the 51x51 existence surface, and the whole-domain band
+    of any one-input raise, so regressions in either direction surface.
+
+    The band comes from ``tools/ripple_search.py``: 400,000 seeded steps
+    per arity on the generated 0-100 tables (seeds 11 and 12), each a
+    uniform point, one input and a raise of up to 5 points, found worst
+    drops of 2.19 points (3 inputs) and 2.06 (4 inputs); a seeded local
+    search around each of the ten worst steps per arity climbed every one
+    to 2.2994-2.2999, at a full 5-point raise from 82.5 (or 12.5, by
+    symmetry) while another input sits near 93.8 (or 6.2).  The band is
+    2.35 points, above that supremum by a margin far wider than any
+    rounding.
     """
 
+    BAND = 2.35
+
     @staticmethod
-    def worst_drop(tnorm, resolution=51):
-        rb = generate_rulebase(
-            [make_variable(f"v{i}", 0.0, 100.0) for i in range(3)],
+    def rulebase(n):
+        return generate_rulebase(
+            [make_variable(f"v{i}", 0.0, 100.0) for i in range(n)],
             make_variable("out", 0.0, 100.0),
         )
-        grid = surface_grid(rb, 0, 1, resolution=resolution, tnorm=tnorm)
+
+    def worst_drop(self, resolution=51):
+        grid = surface_grid(self.rulebase(3), 0, 1, resolution=resolution)
         worst = 0.0
         values = grid.values
         for i in range(resolution):
@@ -606,8 +593,24 @@ class TestSurfaceRippleByTnorm:
         return worst
 
     def test_min_ripple_is_real_and_bounded(self):
-        worst = self.worst_drop("min")
+        worst = self.worst_drop()
         assert 0.3 < worst < 1.2
 
-    def test_product_ripple_stays_small(self):
-        assert self.worst_drop("product") < 0.2
+    @pytest.mark.parametrize("xs, i", [
+        ([95.25, 93.81, 82.5], 2),
+        ([93.78, 82.5, 77.9, 99.2], 1),
+    ])
+    def test_one_input_raise_stays_within_the_band(self, xs, i):
+        n = len(xs)
+        rb = self.rulebase(n)
+        up = list(xs)
+        up[i] += 5.0
+        assert 2.25 < infer(rb, xs) - infer(rb, up) <= self.BAND  # a worst step of the search
+
+        rng = random.Random(30 + n)
+        for _ in range(4000):
+            xs = [rng.uniform(0.0, 100.0) for _ in range(n)]
+            up = list(xs)
+            i = rng.randrange(n)
+            up[i] = min(up[i] + rng.uniform(0.0, 5.0), 100.0)
+            assert infer(rb, xs) - infer(rb, up) <= self.BAND, (xs, up)

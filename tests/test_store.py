@@ -85,8 +85,17 @@ class TestRecords:
             assert type(record.c) is type(record.t_scaled) is float
 
     def test_timestamp_must_be_integer(self):
-        with pytest.raises(ValueError):
-            EvidenceRecord("A", "Delivery", "positive", 1.5)
+        for timestamp in (1.5, True, np.True_, np.float64(5.0), "5"):
+            with pytest.raises(ValueError, match="^timestamp must be an integer, got "):
+                EvidenceRecord("A", "Delivery", "positive", timestamp)
+
+    def test_any_integral_timestamp_but_bool_is_held_as_an_int(self):
+        for timestamp in (np.int64(5), np.uint8(7), np.int64(-(2**63))):
+            for record in (EvidenceRecord("A", "Delivery", "positive", timestamp),
+                           DirectAssessment("A", "Delivery", 0.5, 3.0, timestamp)):
+                assert type(record.timestamp) is int and record.timestamp == timestamp
+        with pytest.raises(ValueError, match=r"^timestamp must fit int64, \[-2\*\*63, "):
+            EvidenceRecord("A", "Delivery", "positive", np.uint64(2**63))
 
     @pytest.mark.parametrize("timestamp", [2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
     def test_timestamp_must_fit_int64(self, timestamp):
@@ -187,6 +196,13 @@ class TestAppendAndCounts:
         assert b'"t_scaled": 3.0' in store.path.read_bytes()
         (record,) = EvidenceStore(store.path).records()
         assert type(record.t_scaled) is float and record.t_scaled == 3.0
+
+    def test_a_numpy_timestamp_is_logged_and_read_as_an_int(self, store):
+        store.append(EvidenceRecord("A", "Delivery", "positive", np.int64(5)),
+                     DirectAssessment("A", "Delivery", 0.5, 3.0, np.uint32(6)))
+        assert store.path.read_bytes().count(b'"timestamp": ') == 2
+        records = EvidenceStore(store.path).records()
+        assert [(type(r.timestamp), r.timestamp) for r in records] == [(int, 5), (int, 6)]
 
     def test_names_logged_as_written(self, store):
         store.append(EvidenceRecord("A", "physical_existence", "positive", 0),
@@ -1988,7 +2004,8 @@ def test_the_constructors_accept_exactly_what_the_checks_accept(merchant, variab
                                                                  t_scaled, timestamp):
     """Each record constructor accepts exactly the values that
     ``_check_common`` and ``_check_number`` accept, calls ``_check_common``
-    on every construction, and holds ``c`` and ``t_scaled`` as floats."""
+    on every construction, holds the timestamp as an ``int`` (``np.int64(3)``
+    included) and ``c`` and ``t_scaled`` as floats."""
     common = accepts(store_module._check_common, merchant, variable, timestamp)
     assessed = (common and accepts(store_module._check_number, "c", c, 1.0, "in [0, 1]")
                 and accepts(store_module._check_number, "t_scaled", t_scaled, math.inf,
@@ -2002,6 +2019,9 @@ def test_the_constructors_accept_exactly_what_the_checks_accept(merchant, variab
                                wraps=store_module._check_common) as explained:
             assert accepts(cls, *args) == valid
         assert explained.call_count == 1
+        if valid:
+            held = cls(*args).timestamp
+            assert type(held) is int and held == timestamp
     if assessed:
         record = DirectAssessment(merchant, variable, c, t_scaled, timestamp)
         assert (type(record.c), type(record.t_scaled)) == (float, float)
