@@ -38,10 +38,13 @@ skips a torn final line writes no snapshot.
 
 The two SHA-256 digests are never skipped: the head's covers the prefix's
 first ``cut`` bytes, and the rest's the other prefix bytes and then the
-snapshot after its header.  A read hashes the head on one worker thread
-while the calling thread checks the columns and then hashes the rest, or
-hashes both on the calling thread when no thread can be started, and
-takes the snapshot only when both digests match and the columns pass.
+snapshot after its header.  When the snapshot's header fits the log, one
+worker thread reads the head with ``os.pread`` and hashes it while the
+calling thread reads the log from ``cut`` to its end, checks the columns
+and then hashes the rest; when no thread can be started, the calling
+thread reads and hashes the head first.  The read takes the snapshot only
+when both digests match and the columns pass, and otherwise parses the
+bytes it has read, without reading the log again.
 """
 
 from __future__ import annotations
@@ -76,11 +79,16 @@ STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 SNAPSHOT_SUFFIX = ".snapshot"
 SNAPSHOT_VERSION = 5
 #: one record's column checks, in bytes of SHA-256 time: the writer cuts the
-#: digest so that the worker's head and the reading thread's checks and rest
-#: take as long (on 2 shared cores with SHA-NI, 1.17-1.31 GB/s, a cold hit of
-#: a 25k- or 10k-line log was fastest at 20 of 0-64; the checks alone cost
-#: 10-14)
-_CHECK_BYTES = 20
+#: digest so that the worker's read and hash of the head take as long as the
+#: calling thread's read, checks and hash of the rest (on 2 shared cores with
+#: SHA-NI, a cold hit of a 25k- or 10k-line log was fastest at 8-14 of 0-24,
+#: within 1% of each other, and took 4% longer at 20, the best value when the
+#: calling thread read the whole log before the worker started)
+_CHECK_BYTES = 12
+#: a read rewrites the snapshot when the records after it outnumber the
+#: snapshot's, or both this many and a tenth of the snapshot's, so that no
+#: read parses a much longer tail than that
+_TAIL_LINES = 1000
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> int:
@@ -330,6 +338,16 @@ def _column_records(columns: tuple | None, merchant: str | None = None) -> list[
     return out
 
 
+def _pread_head(fd: int, size: int) -> bytes:
+    """The first ``size`` bytes of the file ``fd``, or all of a shorter one,
+    read with ``os.pread``, which reads at most 0x7ffff000 bytes a call on
+    Linux."""
+    data = os.pread(fd, size, 0)
+    while len(data) != size and (more := os.pread(fd, size - len(data), len(data))):
+        data += more
+    return data
+
+
 class EvidenceStore:
     """Single-writer append-only store over one JSON-lines file."""
 
@@ -387,9 +405,10 @@ class EvidenceStore:
         record checks, and then parses only the lines after that prefix;
         otherwise the snapshot is ignored.  Each call builds only the
         snapshot records it returns.  When the lines after the snapshot
-        hold more newline-terminated records than the snapshot does, the
-        log's newline-terminated prefix is written as the new snapshot,
-        unless the read skipped a torn final line.
+        hold more newline-terminated records than the snapshot does, or
+        more than both ``_TAIL_LINES`` (1,000) and a tenth of the snapshot's
+        records, the log's newline-terminated prefix is written as the new
+        snapshot, unless the read skipped a torn final line.
 
         Inside :meth:`pinned`, the file is not read: the records are those
         of the read on entry, which alone warns of a torn last line.
@@ -423,12 +442,12 @@ class EvidenceStore:
         or None, and the records not in them.  A torn-line warning names
         the frame ``stacklevel`` calls up."""
         try:
-            data = self.path.read_bytes()
+            with self.path.open("rb") as fh:
+                head, data, start, columns = self._load_snapshot(fh)
         except (FileNotFoundError, NotADirectoryError):
-            data = b""  # a missing log reads as empty
+            head, data, start, columns = b"", b"", 0, None  # a missing log reads as empty
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
-        start, columns = self._load_snapshot(data)  # data[:start] is covered by the snapshot
         tail = data[start:]
         lines = split_lines(tail)
         final = len(lines) - 1  # the last non-blank line, the only one that may be torn
@@ -447,20 +466,21 @@ class EvidenceStore:
                     warnings.warn(f"{self.path}: skipping torn final line ({exc})",
                                   RuntimeWarning, stacklevel=stacklevel)
                     return columns, out  # and writes no snapshot
-                number = data.count(b"\n", 0, start) + i + 1
+                number = head.count(b"\n") + data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
             try:
                 out.append(record_from_dict(fields))
             except (ValueError, RecursionError) as exc:
-                number = data.count(b"\n", 0, start) + i + 1
+                number = head.count(b"\n") + data.count(b"\n", 0, start) + i + 1
                 raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
         # the records of newline-terminated lines: all but an unterminated last line's
         kept = len(out) - bool(lines[-1].strip())
         held = len(columns[0]) if columns else 0  # the records of the snapshot
-        if kept > held:
+        if kept > min(held, max(_TAIL_LINES, held // 10)):
             columns, out = None, _column_records(columns) + out
             end = start + tail.rfind(b"\n") + 1  # just past the log's last "\n"
-            self._save_snapshot(memoryview(data)[:end], out[: held + kept])
+            prefix = memoryview(b"".join((head, memoryview(data)[:end])))
+            self._save_snapshot(prefix, out[: held + kept])
         return columns, out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
@@ -486,53 +506,86 @@ class EvidenceStore:
         counts = {name: EvidenceCount(r, s) for name, (r, s) in tallies.items()}
         return MerchantProfile(merchant, counts, assessments)
 
-    def _load_snapshot(self, data: bytes) -> tuple[int, tuple | None]:
-        """The length and checked columns of the snapshot when it holds a
-        prefix of ``data``, else ``(0, None)``.  One worker thread hashes
-        the log's first ``cut`` bytes in one call (hashlib releases the GIL
-        over large buffers) while this one checks the columns and then
-        hashes the rest; with no thread, this one hashes the head first.
-        What hashing raises is raised here, the head's before the rest's
-        and both before any error of the column checks, as if the digests
-        had been computed first."""
+    def _load_snapshot(self, fh) -> tuple[bytes, bytes, int, tuple | None]:
+        """Read the open log ``fh`` and take its snapshot when the snapshot
+        holds a prefix of it: ``head``, ``data``, ``start`` and the checked
+        columns, where ``head + data`` is the log as read and the snapshot
+        covers it up to ``data[start]``; on a miss, ``b""``, the log, ``0``
+        and None.
+
+        When the header fits the log, one worker thread reads the log's
+        first ``cut`` bytes with ``os.pread`` and hashes them in one call
+        (both release the GIL over large buffers), while this one reads
+        from ``cut`` to the end, checks the columns and then hashes the
+        rest.  With no thread, this one reads and hashes the head first;
+        without ``os.pread``, this one reads the head and hands it to the
+        worker.  What reading raises is raised here, the head's before the
+        rest's.  Then a head read short, as when the log was cut after its
+        size was taken, is a miss that returns the head alone, and a prefix
+        that does not end at a newline is a miss.  Then what hashing raises
+        is raised, the head's before the rest's and both before any error
+        of the column checks, as if the digests had been computed first."""
+        size = os.fstat(fh.fileno()).st_size
         try:
             snapshot = self._snapshot_path.read_bytes()
             start = snapshot.find(b"\n") + 1 or len(snapshot)  # where the payload starts
             header = json.loads(snapshot[:start])
             length, cut = header["length"], header["cut"]
-            if not (header["version"] == SNAPSHOT_VERSION and type(length) is type(cut) is int
-                    and 0 <= cut <= length <= len(data) and data[length - 1:length] == b"\n"):
-                return 0, None
-            log, head = memoryview(data), []  # head: the hex digest, or what computing it raised
-
-            def hash_head() -> None:
-                try:
-                    head.append(hashlib.sha256(log[:cut]).hexdigest())
-                except BaseException as exc:
-                    head.append(exc)
-
-            worker: threading.Thread | None = threading.Thread(target=hash_head)
-            try:
-                worker.start()
-            except RuntimeError:  # no thread can be started: hash on this one, first
-                worker = None
-                hash_head()
-            try:
-                try:
-                    columns = _snapshot_columns(snapshot, start)
-                finally:  # hashed whatever the checks raise; its error replaces theirs
-                    rest = hashlib.sha256(log[cut:length])
-                    rest.update(memoryview(snapshot)[start:])
-            finally:
-                if worker is not None:
-                    worker.join()
-                if isinstance(head[0], BaseException):
-                    raise head[0]
-            if [head[0], rest.hexdigest()] != header["digest"]:
-                return 0, None
-            return length, columns
+            fits = (header["version"] == SNAPSHOT_VERSION and type(length) is type(cut) is int
+                    and 0 <= cut <= length <= size)
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
-            return 0, None
+            fits = False
+        if not fits:
+            return b"", fh.read(), 0, None
+        fd, positional = fh.fileno(), hasattr(os, "pread")
+        given = None if positional else fh.read(cut)  # without pread, this thread reads the head
+        head = []  # the head's bytes, then their hex digest, or what reading or hashing raised
+
+        def hash_head() -> None:
+            try:
+                head.append(_pread_head(fd, cut) if positional else given)
+                head.append(hashlib.sha256(head[0]).hexdigest())
+            except BaseException as exc:
+                head.append(exc)
+
+        worker: threading.Thread | None = threading.Thread(target=hash_head)
+        try:
+            worker.start()
+        except RuntimeError:  # no thread can be started: read and hash the head here, first
+            worker = None
+            hash_head()
+        try:
+            fh.seek(cut)
+            rest = fh.read()  # the prefix from the cut, then the tail
+            try:
+                columns = _snapshot_columns(snapshot, start)
+            except Exception as exc:
+                columns = exc
+            try:
+                digest = hashlib.sha256(memoryview(rest)[:length - cut])
+                digest.update(memoryview(snapshot)[start:])
+                second = digest.hexdigest()
+            except Exception as exc:
+                second = exc
+        finally:  # joined whatever this thread raises; the head's read error replaces it
+            if worker is not None:
+                worker.join()
+            if isinstance(head[0], BaseException):
+                raise head[0]
+        data = head[0]
+        if len(data) < cut:  # the log was cut after its size was taken: parse what the head holds
+            return b"", data, 0, None
+        last = rest[length - cut - 1:length - cut] if cut < length else data[length - 1:length]
+        try:
+            if last == b"\n":  # a prefix read whole, of whole lines
+                for outcome in head[1], second, columns:  # as if the digests had come first
+                    if isinstance(outcome, BaseException):
+                        raise outcome
+                if [head[1], second] == header["digest"]:
+                    return data, rest, length - cut, columns
+        except (ValueError, TypeError, KeyError, RecursionError):
+            pass
+        return b"", data + rest, 0, None
 
     def _save_snapshot(self, prefix: memoryview, records: list[Record]) -> None:
         """Atomically replace the snapshot with one of ``prefix``, the log's

@@ -24,6 +24,7 @@ CANONICAL_VARIABLES: tuple[str, ...] = tuple(
 )
 
 
+@lru_cache(maxsize=1024)
 def name_key(name: str) -> str:
     """What two names that :func:`normalize_name` matches have in common."""
     return " ".join(name.replace("_", " ").replace("-", " ").split()).casefold()

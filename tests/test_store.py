@@ -809,8 +809,9 @@ SAMPLE_SNAPSHOT_V4 = (
 )
 #: the sha256 of the snapshot written for SAMPLE.  A change of the layout
 #: must bump ``store.SNAPSHOT_VERSION``, so that old snapshots are ignored;
-#: then update this pin.
-SAMPLE_SNAPSHOT_SHA256 = "a4e98bafb67ecb7810c89ea63e06887c969d0f502826b382799702e4a8200c8f"
+#: then update this pin.  A moved cut (``store._CHECK_BYTES``) changes the
+#: header alone and needs no bump, as a read takes a snapshot cut anywhere.
+SAMPLE_SNAPSHOT_SHA256 = "e3351bbf84e944ae70c004387678386d95785e3c015f418aaf8fa3550c15f8ea"
 
 
 def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
@@ -1236,6 +1237,28 @@ class TestSnapshot:
         assert len(replaced) == 2
         assert EvidenceStore(store.path).records() == reference_records(store.path)
 
+    def test_it_is_rewritten_when_the_tail_passes_a_tenth_of_what_it_holds(self, store,
+                                                                          replaced, decoded):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        try:
+            import gen
+        finally:
+            sys.path.pop(0)
+        gen.write_store(store.path, random.Random(11), 12_000, 400)
+        store.records()
+        assert replaced == ["log.jsonl.snapshot"]
+        bound = 12_000 // 10  # above store._TAIL_LINES, below the 12,000 held
+        store.append(*[EvidenceRecord("m00001", "Delivery", "positive", i) for i in range(bound)])
+        decoded.clear()
+        assert len(EvidenceStore(store.path).records()) == 12_000 + bound
+        assert (len(replaced), len(decoded)) == (1, bound)
+        store.append(EvidenceRecord("m00001", "Delivery", "negative", bound))
+        records = EvidenceStore(store.path).records()
+        assert len(replaced) == 2
+        decoded.clear()
+        assert EvidenceStore(store.path).records() == records == reference_records(store.path)
+        assert decoded == []
+
 
 class TestSnapshotCut:
     """Since format 3 the snapshot's SHA-256 is cut in two at ``cut``: the
@@ -1558,6 +1581,116 @@ class TestSnapshotDigestWorker:
         assert self.read_joins_the_worker(log) == SAMPLE
         assert decoded == []
         assert calls == [(True, cut), (True, "columns"), (True, length - cut), (True, payload)]
+
+
+class TestSplitRead:
+    """On a cold hit the digest worker reads the log's head itself with
+    ``os.pread`` while the calling thread reads from the cut to the end."""
+
+    log = TestSnapshotDigestWorker.log
+
+    @staticmethod
+    def reads(monkeypatch, log: Path) -> tuple[list, list]:
+        """Note each positional read of the log, as ``(on the calling thread,
+        size, offset)``, and each read through the file object that the
+        store opens, as ``(offset, bytes read)``."""
+        caller, preads, reads = threading.get_ident(), [], []
+        pread, opened = os.pread, Path.open
+
+        def noting_pread(fd, size, offset):
+            preads.append((threading.get_ident() == caller, size, offset))
+            return pread(fd, size, offset)
+
+        class Noted:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def seek(self, *args):
+                return self.fh.seek(*args)
+
+            def read(self, *args):
+                at = self.fh.tell()
+                data = self.fh.read(*args)
+                reads.append((at, len(data)))
+                return data
+
+        def noting_open(path, *args, **kwargs):
+            fh = opened(path, *args, **kwargs)
+            return Noted(fh) if path == log else fh
+
+        monkeypatch.setattr(store_module.os, "pread", noting_pread)
+        monkeypatch.setattr(Path, "open", noting_open)
+        return preads, reads
+
+    def test_the_worker_preads_the_head_and_the_caller_reads_from_the_cut(self, log, decoded,
+                                                                          monkeypatch):
+        cut, _, _ = TestSnapshotDigestWorker.split(log)
+        size = log.stat().st_size
+        preads, reads = self.reads(monkeypatch, log)
+        assert TestSnapshotDigestWorker().read_joins_the_worker(log) == SAMPLE
+        assert decoded == []
+        assert preads == [(False, cut, 0)]
+        assert reads == [(cut, size - cut)]
+
+    def test_a_head_read_in_parts_is_read_whole(self, log, decoded, monkeypatch):
+        cut, _, _ = TestSnapshotDigestWorker.split(log)
+        pread, offsets = os.pread, []
+
+        def partial(fd, size, offset):  # as a read past 0x7ffff000 bytes is on Linux
+            offsets.append(offset)
+            return pread(fd, min(size, 64), offset)
+
+        monkeypatch.setattr(store_module.os, "pread", partial)
+        assert EvidenceStore(log).records() == SAMPLE
+        assert decoded == []
+        assert offsets == list(range(0, cut, 64))
+
+    def test_a_log_cut_after_its_size_was_taken_parses_what_was_read(self, log, decoded,
+                                                                     monkeypatch):
+        first = log.read_bytes().index(b"\n") + 1
+        assert first < TestSnapshotDigestWorker.split(log)[0]  # the cut lies past it
+        fstat = os.fstat
+
+        def cutting(fd):
+            result = fstat(fd)
+            os.truncate(log, first)
+            return result
+
+        monkeypatch.setattr(store_module.os, "fstat", cutting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert EvidenceStore(log).records() == SAMPLE[:1]
+        assert len(decoded) == 1
+
+    def test_an_error_reading_the_head_names_the_log(self, log, monkeypatch):
+        def failing(fd, size, offset):
+            time.sleep(0.05)  # after the calling thread's read: the head's error still wins
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(store_module.os, "pread", failing)
+        before = threading.active_count()
+        with pytest.raises(StorageFailure, match=f"^cannot read {log}: .*Input/output error"):
+            EvidenceStore(log).records()
+        assert threading.active_count() == before
+
+    def test_without_pread_the_worker_hashes_the_head_it_is_handed(self, log, decoded,
+                                                                   monkeypatch):
+        cut, length, payload = TestSnapshotDigestWorker.split(log)
+        monkeypatch.delattr(store_module.os, "pread")
+        calls = TestSnapshotDigestWorker.hash_halves(monkeypatch)
+        assert TestSnapshotDigestWorker().read_joins_the_worker(log) == SAMPLE
+        assert decoded == []
+        assert [n for on_caller, n in calls if not on_caller] == [cut]
+        assert [n for on_caller, n in calls if on_caller] == ["columns", length - cut, payload]
 
 
 MERCHANTS = ("A", "Café", "Z\u0085", "\u2028B")
