@@ -28,7 +28,8 @@ record: the timestamps (``<i8``), merchant ids and variable ids
 negative evidence, ``a`` for an assessment).  Last come ``c`` and then
 ``t_scaled`` per assessment (``<f8``):
 
-    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230, "version": 5}
+    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230,
+     "seal": "<sha256>", "stat": [2049, 131, 230, <mtime ns>, <ctime ns>], "version": 5}
     {"merchant":["A"],"variable":["Delivery","Privacy"],"assessments":1}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a<0.6 as <f8><3.5 as <f8>
 
@@ -36,15 +37,29 @@ Every record fits these columns, as the record constructors take only
 int64 timestamps and store ``c`` and ``t_scaled`` as floats.  A read that
 skips a torn final line writes no snapshot.
 
-The two SHA-256 digests are never skipped: the head's covers the prefix's
-first ``cut`` bytes, and the rest's the other prefix bytes and then the
-snapshot after its header.  When the snapshot's header fits the log, one
-worker thread reads the head with ``os.pread`` and hashes it while the
-calling thread reads the log from ``cut`` to its end, checks the columns
-and then hashes the rest; when no thread can be started, the calling
-thread reads and hashes the head first.  The read takes the snapshot only
-when both digests match and the columns pass, and otherwise parses the
-bytes it has read, without reading the log again.
+Two SHA-256 digests tie the snapshot to the log: the head's covers the
+prefix's first ``cut`` bytes, and the rest's the other prefix bytes and
+then the snapshot after its header.  ``stat`` is the log's ``(st_dev,
+st_ino, st_size, st_mtime_ns, st_ctime_ns)`` as the read that wrote the
+snapshot found it, and ``seal`` one SHA-256 over the other header entries
+and the payload.  On POSIX, a read whose log still has that stat and ends
+at ``length``, whose stamped ctime is older than the snapshot file's
+mtime, and whose seal and columns check, takes the snapshot without
+reading or hashing the log.  This is Git's index stat cache with its
+"racy clean" rule (Git, ``Documentation/technical/racy-git.txt``): user
+space cannot set a ctime back, so any later change to the log changes its
+stat, unless it lands in the clock tick of the stamp; a stamp not older
+than the snapshot file is therefore not trusted, and its reads hash until
+the snapshot is rewritten.  What such a read gives up: damage to the
+log's prefix that leaves all five fields as they were, such as a bad disk
+block or a write below the filesystem, goes unnoticed; the snapshot's own
+bytes are still hashed.  Every other read hashes both digests: when the
+header fits the log, one worker thread reads the head with ``os.pread``
+and hashes it while the calling thread reads the log from ``cut`` to its
+end, checks the columns and then hashes the rest; when no thread can be
+started, the calling thread reads and hashes the head first.  The read
+takes the snapshot only when both digests match and the columns pass, and
+otherwise parses the bytes it has read, without reading the log again.
 """
 
 from __future__ import annotations
@@ -89,6 +104,9 @@ _CHECK_BYTES = 12
 #: snapshot's, or both this many and a tenth of the snapshot's, so that no
 #: read parses a much longer tail than that
 _TAIL_LINES = 1000
+#: whether ``st_ctime`` is the time of the last change to a file, which a
+#: write cannot set back; on Windows it is the creation time
+_CHANGE_TIMES = os.name == "posix"
 
 
 def _check_common(merchant: str, variable: str, timestamp: int) -> int:
@@ -338,6 +356,20 @@ def _column_records(columns: tuple | None, merchant: str | None = None) -> list[
     return out
 
 
+def _stamp(log: os.stat_result) -> list[int]:
+    """The ``stat`` entry of a snapshot header for a log whose stat is ``log``."""
+    return [log.st_dev, log.st_ino, log.st_size, log.st_mtime_ns, log.st_ctime_ns]
+
+
+def _seal(header: dict, payload) -> str:
+    """The hex SHA-256 of a snapshot's header entries other than ``seal``,
+    serialized as the writer does, a newline, and then ``payload``."""
+    seal = hashlib.sha256(json.dumps({key: value for key, value in header.items()
+                                      if key != "seal"}, sort_keys=True).encode("ascii") + b"\n")
+    seal.update(payload)
+    return seal.hexdigest()
+
+
 def _pread_head(fd: int, size: int) -> bytes:
     """The first ``size`` bytes of the file ``fd``, or all of a shorter one,
     read with ``os.pread``, which reads at most 0x7ffff000 bytes a call on
@@ -403,12 +435,17 @@ class EvidenceStore:
         The read takes the snapshot file when the snapshot's length fits,
         its digests match the file's first bytes and its columns pass the
         record checks, and then parses only the lines after that prefix;
-        otherwise the snapshot is ignored.  Each call builds only the
-        snapshot records it returns.  When the lines after the snapshot
-        hold more newline-terminated records than the snapshot does, or
-        more than both ``_TAIL_LINES`` (1,000) and a tenth of the snapshot's
-        records, the log's newline-terminated prefix is written as the new
-        snapshot, unless the read skipped a torn final line.
+        otherwise the snapshot is ignored.  On POSIX, a snapshot that
+        covers the whole log and is stamped, not racily, with the log's
+        stat as it is now is taken on that stamp, its seal and its columns,
+        with no byte of the log read: damage to the log that leaves its
+        stat as it was is then not seen (see the module docstring).  Each
+        call builds only the snapshot records it returns.  When the lines
+        after the snapshot hold more newline-terminated records than the
+        snapshot does, or more than both ``_TAIL_LINES`` (1,000) and a
+        tenth of the snapshot's records, the log's newline-terminated
+        prefix is written as the new snapshot, stamped with the log's stat
+        as the read took it, unless the read skipped a torn final line.
 
         Inside :meth:`pinned`, the file is not read: the records are those
         of the read on entry, which alone warns of a torn last line.
@@ -443,9 +480,11 @@ class EvidenceStore:
         the frame ``stacklevel`` calls up."""
         try:
             with self.path.open("rb") as fh:
-                head, data, start, columns = self._load_snapshot(fh)
+                log = os.fstat(fh.fileno())
+                head, data, start, columns = self._load_snapshot(fh, log)
         except (FileNotFoundError, NotADirectoryError):
-            head, data, start, columns = b"", b"", 0, None  # a missing log reads as empty
+            # a missing log reads as empty
+            head, data, start, columns, log = b"", b"", 0, None, None
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
         tail = data[start:]
@@ -480,7 +519,7 @@ class EvidenceStore:
             columns, out = None, _column_records(columns) + out
             end = start + tail.rfind(b"\n") + 1  # just past the log's last "\n"
             prefix = memoryview(b"".join((head, memoryview(data)[:end])))
-            self._save_snapshot(prefix, out[: held + kept])
+            self._save_snapshot(prefix, out[: held + kept], log)
         return columns, out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
@@ -506,28 +545,34 @@ class EvidenceStore:
         counts = {name: EvidenceCount(r, s) for name, (r, s) in tallies.items()}
         return MerchantProfile(merchant, counts, assessments)
 
-    def _load_snapshot(self, fh) -> tuple[bytes, bytes, int, tuple | None]:
-        """Read the open log ``fh`` and take its snapshot when the snapshot
-        holds a prefix of it: ``head``, ``data``, ``start`` and the checked
-        columns, where ``head + data`` is the log as read and the snapshot
-        covers it up to ``data[start]``; on a miss, ``b""``, the log, ``0``
-        and None.
+    def _load_snapshot(self, fh, log: os.stat_result) -> tuple[bytes, bytes, int, tuple | None]:
+        """Read the open log ``fh``, whose ``os.fstat`` is ``log``, and take
+        its snapshot when the snapshot holds a prefix of it: ``head``,
+        ``data``, ``start`` and the checked columns, where ``head + data`` is
+        the log as read and the snapshot covers it up to ``data[start]``; on
+        a miss, ``b""``, the log, ``0`` and None.
 
-        When the header fits the log, one worker thread reads the log's
-        first ``cut`` bytes with ``os.pread`` and hashes them in one call
-        (both release the GIL over large buffers), while this one reads
-        from ``cut`` to the end, checks the columns and then hashes the
-        rest.  With no thread, this one reads and hashes the head first;
-        without ``os.pread``, this one reads the head and hands it to the
-        worker.  What reading raises is raised here, the head's before the
-        rest's.  Then a head read short, as when the log was cut after its
-        size was taken, is a miss that returns the head alone, and a prefix
-        that does not end at a newline is a miss.  Then what hashing raises
-        is raised, the head's before the rest's and both before any error
-        of the column checks, as if the digests had been computed first."""
-        size = os.fstat(fh.fileno()).st_size
+        A snapshot stamped with ``log`` that covers the whole log, whose
+        stamped ctime is older than its own mtime and whose seal and
+        columns check is taken with no byte of the log read: ``b""``,
+        ``b""``, ``0`` and the columns.  Otherwise, when the header fits the
+        log, one worker thread reads the log's first ``cut`` bytes with
+        ``os.pread`` and hashes them in one call (both release the GIL over
+        large buffers), while this one reads from ``cut`` to the end, checks
+        the columns and then hashes the rest.  With no thread, this one
+        reads and hashes the head first; without ``os.pread``, this one
+        reads the head and hands it to the worker.  What reading raises is
+        raised here, the head's before the rest's.  Then a head read short,
+        as when the log was cut after its size was taken, is a miss that
+        returns the head alone, and a prefix that does not end at a newline
+        is a miss.  Then what hashing raises is raised, the head's before
+        the rest's and both before any error of the column checks, as if
+        the digests had been computed first."""
+        size = log.st_size
         try:
-            snapshot = self._snapshot_path.read_bytes()
+            with self._snapshot_path.open("rb") as sf:
+                written = os.fstat(sf.fileno()).st_mtime_ns
+                snapshot = sf.read()
             start = snapshot.find(b"\n") + 1 or len(snapshot)  # where the payload starts
             header = json.loads(snapshot[:start])
             length, cut = header["length"], header["cut"]
@@ -537,6 +582,13 @@ class EvidenceStore:
             fits = False
         if not fits:
             return b"", fh.read(), 0, None
+        if (_CHANGE_TIMES and length == size and log.st_ctime_ns < written
+                and header.get("stat") == _stamp(log)):
+            try:  # the log is as the read that wrote the snapshot found it
+                if header.get("seal") == _seal(header, memoryview(snapshot)[start:]):
+                    return b"", b"", 0, _snapshot_columns(snapshot, start)
+            except (ValueError, TypeError, KeyError, RecursionError):
+                pass
         fd, positional = fh.fileno(), hasattr(os, "pread")
         given = None if positional else fh.read(cut)  # without pread, this thread reads the head
         head = []  # the head's bytes, then their hex digest, or what reading or hashing raised
@@ -587,27 +639,29 @@ class EvidenceStore:
             pass
         return b"", data + rest, 0, None
 
-    def _save_snapshot(self, prefix: memoryview, records: list[Record]) -> None:
+    def _save_snapshot(self, prefix: memoryview, records: list[Record],
+                       log: os.stat_result) -> None:
         """Atomically replace the snapshot with one of ``prefix``, the log's
-        first bytes, which hold ``records``; a failed write leaves the old
-        snapshot, or none, and is not reported.  The snapshot gets the log's
-        permission bits, as it holds the same data."""
+        first bytes, which hold ``records``, stamped with ``log``, the log's
+        ``os.fstat`` as read; a failed write leaves the old snapshot, or
+        none, and is not reported.  The snapshot gets the log's permission
+        bits, as it holds the same data."""
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(records)
             cut = min(len(prefix), (len(prefix) + len(payload) + _CHECK_BYTES * len(records)) // 2)
             head, rest = hashlib.sha256(prefix[:cut]), hashlib.sha256(prefix[cut:])
             rest.update(payload)
-            header = json.dumps({"cut": cut, "digest": [head.hexdigest(), rest.hexdigest()],
-                                 "length": len(prefix), "version": SNAPSHOT_VERSION},
-                                sort_keys=True)
+            header = {"cut": cut, "digest": [head.hexdigest(), rest.hexdigest()],
+                      "length": len(prefix), "stat": _stamp(log), "version": SNAPSHOT_VERSION}
+            header["seal"] = _seal(header, payload)
             fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
                                         dir=target.parent)
         except OSError:
             return
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(header.encode("ascii") + b"\n" + payload)
+                fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
             os.chmod(temp, stat.S_IMODE(self.path.stat().st_mode))
             os.replace(temp, target)
         except OSError:

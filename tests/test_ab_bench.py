@@ -1,13 +1,19 @@
 """The summary that ``tools/ab_bench.py`` prints for paired benchmark runs,
-on fixed numbers; no benchmark process is started."""
+on fixed numbers, and how it stops a run, on a stub child; no benchmark
+process is started."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "ab_bench", Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py")
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
+_spec = importlib.util.spec_from_file_location("ab_bench", TOOL)
 ab_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_bench)
 
@@ -50,3 +56,80 @@ def test_the_printed_summary_names_both_sides_and_the_verdict():
     assert lines[2] == "  change  median 2.6  quartiles 2.5825 .. 2.6075"
     assert lines[3].split()[1:3] == ["0.956", "0.953"]
     assert lines[4] == "  change wins 9 of 10; median ratio 0.954; gain rule met"
+
+
+#: a stand-in for one benchmark run: it makes its work directory, notes its
+#: pid there and removes the directory in ``finally``, as ``bench/run.py``
+#: does; ``deaf`` ignores SIGINT
+STUB = """
+import os, shutil, signal, sys, time
+from pathlib import Path
+work = Path(sys.argv[1])
+if sys.argv[2] == "deaf":
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+work.mkdir()
+try:
+    (work / "pid").write_text(str(os.getpid()))
+    time.sleep(60)
+finally:
+    shutil.rmtree(work)
+"""
+
+#: ``run_once`` of the stub under the SIGTERM handler that ``main`` installs
+CALLER = """
+import importlib.util, signal, sys
+from pathlib import Path
+tool, grace, stub, work, mode = sys.argv[1:]
+spec = importlib.util.spec_from_file_location("ab_bench", tool)
+ab_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_bench)
+ab_bench.STOP_GRACE_S = float(grace)
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+ab_bench.run_once([sys.executable, "-c", stub, work, mode], Path.cwd())
+"""
+
+
+def stopped_run(tmp_path, signum, mode: str, grace: float) -> tuple:
+    """Start the stub under ``run_once``, send the caller ``signum`` once the
+    stub has made its work directory, and return the caller's exit status,
+    the stub's pid and whether the work directory is left."""
+    work = tmp_path / "work"
+    caller = subprocess.Popen([sys.executable, "-c", CALLER, str(TOOL), str(grace), STUB,
+                               str(work), mode])
+    try:
+        deadline = time.monotonic() + 30
+        while not (work / "pid").exists() or not (work / "pid").read_text():
+            assert time.monotonic() < deadline and caller.poll() is None
+            time.sleep(0.01)
+        pid = int((work / "pid").read_text())
+        caller.send_signal(signum)
+        status = caller.wait(timeout=30)
+    finally:
+        caller.kill()
+        caller.wait()
+    return status, pid, work.exists()
+
+
+def gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+def test_a_stopped_run_removes_its_work_directory(tmp_path, signum):
+    status, pid, left = stopped_run(tmp_path, signum, "hears", grace=30)
+    assert status != 0
+    assert not left
+    assert gone(pid)
+
+
+def test_a_run_that_ignores_sigint_is_killed_after_the_grace(tmp_path):
+    began = time.monotonic()
+    status, pid, left = stopped_run(tmp_path, signal.SIGTERM, "deaf", grace=0.5)
+    assert status == 143
+    assert time.monotonic() - began < 20
+    assert left  # killed, so its finally never ran
+    assert gone(pid)

@@ -486,6 +486,7 @@ class TestEvaluate:
     def test_a_thread_that_cannot_start_still_scores(self, seeded, monkeypatch, capsys):
         argv = ["evaluate", "--store", seeded, "--merchant", "A", "--format", "json"]
         assert main(argv) == 0  # a miss, which writes the snapshot
+        os.utime(seeded)  # a new ctime: the snapshot's stamp no longer holds
         expected = capsys.readouterr().out
         refused = []
 
@@ -497,6 +498,25 @@ class TestEvaluate:
         assert main(argv) == 0  # a hit, whose digest is computed on the calling thread
         assert len(refused) == 1
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("command", [["evaluate", "--merchant", "A"],
+                                         ["compare", "--merchant", "A", "--merchant", "B"]],
+                             ids=["evaluate", "compare"])
+    def test_json_is_byte_identical_on_a_stamped_and_a_hashed_hit(self, seeded, monkeypatch,
+                                                                   capsys, command):
+        argv = [*command, "--store", seeded, "--format", "json"]
+        assert main(argv) == 0  # a miss, which writes the snapshot
+        expected = capsys.readouterr().out
+        changed = Path(seeded).stat().st_ctime_ns  # a snapshot mtime past it: not racy
+        os.utime(seeded + store_module.SNAPSHOT_SUFFIX, ns=(changed + 1, changed + 1))
+        started, start = [], store_module.threading.Thread.start
+        monkeypatch.setattr(store_module.threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        assert main(argv) == 0  # a hit on the stamp, with no digest worker
+        assert (capsys.readouterr().out, started) == (expected, [])
+        monkeypatch.setattr(store_module, "_CHANGE_TIMES", False)
+        assert main(argv) == 0  # a hit that hashes
+        assert (capsys.readouterr().out, len(started)) == (expected, 1)
 
     def test_module_trust_overrides(self, seeded, capsys):
         code = main([

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from certaintrust import (
     CANONICAL_VARIABLES,
@@ -807,10 +807,12 @@ SAMPLE_SNAPSHOT_V4 = (
     + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
     + b"+a-"
 )
-#: the sha256 of the snapshot written for SAMPLE.  A change of the layout
-#: must bump ``store.SNAPSHOT_VERSION``, so that old snapshots are ignored;
-#: then update this pin.  A moved cut (``store._CHECK_BYTES``) changes the
-#: header alone and needs no bump, as a read takes a snapshot cut anywhere.
+#: the sha256 of the snapshot written for SAMPLE, with the ``stat`` and
+#: ``seal`` entries taken out of its header, as they vary with the log's
+#: file.  A change of the layout must bump ``store.SNAPSHOT_VERSION``, so
+#: that old snapshots are ignored; then update this pin.  A moved cut
+#: (``store._CHECK_BYTES``) changes the header alone and needs no bump, as
+#: a read takes a snapshot cut anywhere.
 SAMPLE_SNAPSHOT_SHA256 = "e3351bbf84e944ae70c004387678386d95785e3c015f418aaf8fa3550c15f8ea"
 
 
@@ -1093,10 +1095,16 @@ class TestSnapshot:
         assert len(decoded) == 3
         assert built == ["A", "B", "A"]
 
-    @pytest.mark.parametrize("damage", ["version", "length", "digest", "header", "empty", "record"])
+    @pytest.mark.parametrize("damage", ["version", "length", "digest", "header", "empty", "record",
+                                        "cut", "stat", "seal"])
     def test_a_damaged_header_falls_back_to_the_log(self, store, decoded, damage):
+        """Each damage is refused by the stat stamp's checks first, as the
+        snapshot's mtime is past the log's ctime, and then by the digests.
+        ``stat`` points the stamp at the log after a change that leaves its
+        records as they were; ``seal`` drops the seal and changes a record."""
         write_lines(store.path, SAMPLE)
         store.records()
+        assert stamp_holds(store.path)
         head, _, payload = snapshot_of(store.path).read_bytes().partition(b"\n")
         header = json.loads(head)
         if damage == "version":
@@ -1105,16 +1113,24 @@ class TestSnapshot:
             header["length"] -= 1
         elif damage == "digest":
             header["digest"] = header["digest"][::-1]
+        elif damage == "cut":
+            header["cut"] -= 1
+        elif damage == "stat":  # JSON whitespace: the same records from other bytes
+            store.path.write_bytes(store.path.read_bytes().replace(b'"kind": ', b'"kind":\t', 1))
+            header["stat"] = stat_entry(store.path)
+        elif damage == "seal":
+            del header["seal"]
         changed = json.dumps(header).encode("ascii") + b"\n" + payload
         if damage == "header":
             changed = b"[]\n" + payload
         elif damage == "empty":
             changed = b""
-        elif damage == "record":  # the third timestamp, still a valid one
+        elif damage in ("record", "seal"):  # the third timestamp, still a valid one
             at = changed.index(b"\n", changed.index(b"\n") + 1) + 1 + 16
             assert changed[at:at + 8] == (3).to_bytes(8, "little")
             changed = changed[:at] + b"\x04" + changed[at + 1:]
         snapshot_of(store.path).write_bytes(changed)
+        settle(store.path)
         decoded.clear()
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
@@ -1182,12 +1198,21 @@ class TestSnapshot:
 
     def test_the_layout_is_pinned(self, store):
         write_lines(store.path, SAMPLE)
+        stamp = stat_entry(store.path)
         store.records()
-        written = snapshot_of(store.path).read_bytes()
-        assert written.partition(b"\n")[2] == (
+        head, _, payload = snapshot_of(store.path).read_bytes().partition(b"\n")
+        assert payload == (
             json.dumps(SAMPLE_TABLE, separators=(",", ":")).encode("ascii") + b"\n"
             + pack(SAMPLE_COLUMNS))
-        assert hashlib.sha256(written).hexdigest() == SAMPLE_SNAPSHOT_SHA256
+        header = json.loads(head)
+        seal = header.pop("seal")
+        assert header.pop("stat") == stamp
+        assert seal == hashlib.sha256(json.dumps({**header, "stat": stamp}, sort_keys=True)
+                                      .encode("ascii") + b"\n" + payload).hexdigest()
+        unstamped = json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
+        assert hashlib.sha256(unstamped).hexdigest() == SAMPLE_SNAPSHOT_SHA256
+        assert head == json.dumps({**header, "seal": seal, "stat": stamp},
+                                  sort_keys=True).encode("ascii")
 
     @pytest.mark.parametrize("failing", ["replace", "mkstemp"])
     def test_a_failed_write_is_skipped_quietly(self, store, monkeypatch, failing):
@@ -1370,6 +1395,7 @@ class TestSnapshotDigestWorker:
     def log(self, store):
         write_lines(store.path, SAMPLE)
         store.records()
+        os.utime(store.path)  # a new ctime: the stamp no longer holds, so a hit hashes
         return store.path
 
     def read_joins_the_worker(self, log) -> list:
@@ -1693,6 +1719,132 @@ class TestSplitRead:
         assert [n for on_caller, n in calls if on_caller] == ["columns", length - cut, payload]
 
 
+class TestStatStamp:
+    """On POSIX, a snapshot stamped with the log's stat, whose stamped ctime
+    is older than the snapshot's mtime and whose seal and columns check, is
+    taken with no byte of the log read and no thread started; any other
+    hit hashes as ``TestSnapshotDigestWorker`` and ``TestSplitRead``
+    describe."""
+
+    @pytest.fixture
+    def log(self, store):
+        write_lines(store.path, SAMPLE)
+        store.records()
+        settle(store.path)
+        assert stamp_holds(store.path)
+        return store.path
+
+    @staticmethod
+    def read(monkeypatch, log: Path) -> tuple:
+        """A new store's records of ``log``; the log's reads, as
+        ``TestSplitRead.reads`` notes them; and the threads started."""
+        started, begin = [], threading.Thread.start
+
+        def noting(thread):
+            started.append(thread)
+            begin(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", noting)
+        preads, reads = TestSplitRead.reads(monkeypatch, log)
+        return EvidenceStore(log).records(), preads, reads, started
+
+    @staticmethod
+    def hashed(log: Path) -> list:
+        """The reads of a hit that hashes: the worker's ``pread`` of the head."""
+        return [(False, TestSnapshotDigestWorker.split(log)[0], 0)]
+
+    def test_a_stamped_hit_reads_no_byte_of_the_log(self, log, decoded, monkeypatch):
+        records, preads, reads, started = self.read(monkeypatch, log)
+        assert records == SAMPLE
+        assert (preads, reads, started, decoded) == ([], [], [], [])
+
+    @pytest.mark.parametrize("by", ["edit", "rename", "edit as the snapshot is written"])
+    def test_a_changed_log_of_the_same_size_and_mtime_is_caught(self, log, decoded,
+                                                                monkeypatch, by):
+        """A byte changed in place, or the log replaced by a file renamed
+        over it, with the size and mtime of the log as stamped; or a byte
+        changed in place after the read that writes the snapshot has taken
+        the log's stat, which only the stamped ctime tells."""
+        before, data = log.stat(), log.read_bytes()
+        at = data.index(b"Delivery") + 3
+        changed = data[:at] + b"I" + data[at + 1:]
+        target = log if by != "rename" else log.with_name("other.jsonl")
+
+        def change():
+            target.write_bytes(changed)
+            os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
+            if by == "rename":
+                os.replace(target, log)
+
+        if by == "edit as the snapshot is written":
+            def changing(records):
+                if log.read_bytes() != changed:
+                    change()
+                return payload(records)
+
+            payload = store_module._snapshot_payload
+            monkeypatch.setattr(store_module, "_snapshot_payload", changing)
+            snapshot_of(log).unlink()
+            EvidenceStore(log).records()
+            settle(log)
+        else:
+            change()
+        after = log.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert (after.st_ino == before.st_ino) == (by != "rename")
+        decoded.clear()
+        records = EvidenceStore(log).records()
+        assert records == reference_records(log)
+        assert records[0].variable == "DelIvery"
+        assert len(decoded) == 3
+
+    def test_a_payload_byte_flipped_under_a_valid_stamp_is_caught(self, log, decoded,
+                                                                  monkeypatch):
+        """The lowest byte of ``c``, 0.5 in the log: the columns still pass."""
+        data = snapshot_of(log).read_bytes()
+        assert data[-16:-8] == struct.pack("<d", 0.5)
+        snapshot_of(log).write_bytes(data[:-16] + b"\x01" + data[-15:])
+        settle(log)
+        assert stamp_holds(log)
+        records, preads, _, _ = self.read(monkeypatch, log)
+        assert records == SAMPLE
+        assert preads == self.hashed(log)
+        assert len(decoded) == 3
+
+    @pytest.mark.parametrize("later", [0, 1])
+    def test_a_stamp_as_new_as_the_snapshot_is_racy(self, log, decoded, monkeypatch, later):
+        """A snapshot whose mtime is the log's stamped ctime hashes; one a
+        nanosecond later is taken on the stamp."""
+        os.utime(snapshot_of(log), ns=(0, log.stat().st_ctime_ns + later))
+        records, preads, _, started = self.read(monkeypatch, log)
+        assert records == SAMPLE
+        assert (preads, len(started)) == ((self.hashed(log), 1) if later == 0 else ([], 0))
+        assert decoded == []
+
+    @pytest.mark.parametrize("case", ["not POSIX", "no stamp", "unterminated"])
+    def test_a_hit_the_stamp_does_not_cover_hashes(self, log, decoded, monkeypatch, case):
+        """Where ``st_ctime`` is no change time; a snapshot with no ``stat``,
+        as ``forge_snapshot`` and format 5's first writers write it; and a
+        snapshot that ends before the log's unterminated last line."""
+        expected = SAMPLE
+        if case == "not POSIX":
+            monkeypatch.setattr(store_module, "_CHANGE_TIMES", False)
+        elif case == "no stamp":
+            forge_snapshot(log, *sample_payload())
+        else:
+            with log.open("ab") as fh:
+                fh.write(line_bytes(SAMPLE[0]))
+            snapshot_of(log).unlink()
+            EvidenceStore(log).records()
+            expected = SAMPLE + SAMPLE[:1]
+        settle(log)
+        decoded.clear()
+        records, preads, _, started = self.read(monkeypatch, log)
+        assert records == expected
+        assert (preads, len(started)) == (self.hashed(log), 1)
+        assert len(decoded) == (case == "unterminated")
+
+
 MERCHANTS = ("A", "Café", "Z\u0085", "\u2028B")
 
 records_st = st.one_of(
@@ -1723,6 +1875,8 @@ steps_st = st.one_of(
     st.tuples(st.just("rewrite"), st.sampled_from(("drop", "replace", "truncate", "corrupt")),
               st.integers(0, 10_000), records_st),
     st.tuples(st.just("read")),
+    st.tuples(st.just("edit"), st.integers(0, 10_000)),
+    st.tuples(st.just("settle")),
     st.tuples(st.just("pinned"), st.sampled_from(("delete", "truncate", "flip", "digit", "stale")),
               st.integers(0, 10_000), records_st),
 )
@@ -1753,8 +1907,48 @@ def rewrite(path: Path, mode: str, position: int, record) -> None:
     path.write_bytes(data)
 
 
+def edit_in_place(path: Path, position: int) -> None:
+    """Change one byte of the log in place and put its mtime back."""
+    data = path.read_bytes() if path.exists() else b""
+    if not data:
+        return
+    at, before = position % len(data), path.stat()
+    with path.open("r+b") as fh:
+        fh.seek(at)
+        fh.write(bytes([data[at] ^ 0x01]))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+
 def snapshot_of(path: Path) -> Path:
     return path.with_name(path.name + ".snapshot")
+
+
+def settle(path: Path) -> None:
+    """Make the stamp of the log's snapshot not racy, as if the snapshot
+    had been written a clock tick after the log's last change: wait until
+    the file clock has passed the log's ctime, and give the snapshot that
+    time as its mtime with ``os.utime``."""
+    snapshot = snapshot_of(path)
+    if not (path.exists() and snapshot.exists()):
+        return
+    changed, deadline = path.stat().st_ctime_ns, time.monotonic() + 5
+    os.utime(snapshot)
+    while snapshot.stat().st_mtime_ns <= changed:
+        assert time.monotonic() < deadline, "the file clock did not pass the log's ctime"
+        time.sleep(0.001)
+        os.utime(snapshot)
+
+
+def stat_entry(path: Path) -> list:
+    """The ``stat`` header entry that stamps the log at ``path`` as it is now."""
+    log = path.stat()
+    return [log.st_dev, log.st_ino, log.st_size, log.st_mtime_ns, log.st_ctime_ns]
+
+
+def stamp_holds(path: Path) -> bool:
+    """Whether the snapshot's ``stat`` entry is the log's stat now."""
+    header = json.loads(snapshot_of(path).read_bytes().partition(b"\n")[0])
+    return header["stat"] == stat_entry(path)
 
 
 def damage_snapshot(path: Path, mode: str, position: int, earlier: list) -> None:
@@ -1811,11 +2005,15 @@ def fresh_records(path: Path) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(steps_st, max_size=25), st.sampled_from(MERCHANTS))
+@example([("append", SAMPLE), ("settle",), ("edit", 40)], "A")
 def test_long_lived_store_reads_like_a_fresh_one(steps, merchant):
     """A long-lived store, a new one (which may take the snapshot or write
     it) and a reader that never sees a snapshot agree after every step, on
     all records and on one merchant's; a second long-lived store reads
-    only that merchant's, so it may keep snapshot columns across steps."""
+    only that merchant's, so it may keep snapshot columns across steps.
+    A ``settle`` step makes the snapshot's stamp not racy, so that later
+    reads may take it on the log's stat, and an ``edit`` step changes a
+    log byte in place and puts its mtime back."""
     check_long_lived_store(steps, merchant)
 
 
@@ -1847,6 +2045,10 @@ def check_long_lived_store(steps, merchant) -> None:
                     fh.write(step[1])
             elif kind == "rewrite":
                 rewrite(path, *step[1:])
+            elif kind == "edit":
+                edit_in_place(path, step[1])
+            elif kind == "settle":
+                settle(path)
             elif kind == "snapshot":
                 damage_snapshot(path, *step[1:], earlier)
             elif kind == "pinned":

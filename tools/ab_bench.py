@@ -16,7 +16,10 @@ than the parent's interquartile range.
 
 Both sides run with the same seed and the run length of ``BENCHMARK.json``
 (``run_seconds``).  The exit status is 1 when a run fails or reports
-``"correct": false``, and 2 when the revision does not resolve.  Stdlib only.
+``"correct": false``, and 2 when the revision does not resolve.  Stopped by
+SIGTERM or Ctrl-C, it interrupts the running benchmark with SIGINT, so that
+the benchmark removes its work directory, and removes the parent's files.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: how long a stopped run has to remove its work directory before it is killed
+STOP_GRACE_S = 10.0
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -69,13 +74,29 @@ def format_summary(name: str, unit: str, better: str, summary: dict) -> list[str
 
 
 def run_once(command: list[str], where: Path) -> dict:
-    """One benchmark run in the checkout at ``where``: its last JSON line."""
-    done = subprocess.run(command, cwd=where, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
+    """One benchmark run in the checkout at ``where``: its last JSON line.
+
+    The run is its own session, so that a Ctrl-C at the terminal reaches
+    this process alone; when this process is stopped, by SIGTERM or
+    Ctrl-C, it hands the run one SIGINT, which unwinds the run's
+    ``finally`` blocks and so removes its work directory, and kills it
+    after ``STOP_GRACE_S`` seconds."""
+    with subprocess.Popen(command, cwd=where, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate()
+        except BaseException:  # a stop: SystemExit from SIGTERM, or KeyboardInterrupt
+            child.send_signal(signal.SIGINT)
+            try:  # drained, so that a full pipe cannot hold the run up
+                child.communicate(timeout=STOP_GRACE_S)
+            except subprocess.TimeoutExpired:
+                child.kill()
+            raise
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if child.returncode == 0 and lines else None
     if result is None or not result.get("correct"):
-        sys.stdout.write(done.stdout + done.stderr)
-        raise SystemExit(f"run failed in {where} (exit status {done.returncode})")
+        sys.stdout.write(stdout + stderr)
+        raise SystemExit(f"run failed in {where} (exit status {child.returncode})")
     return result
 
 
@@ -99,8 +120,8 @@ def main(argv=None) -> int:
                "--seconds", str(config["run_seconds"]), "--seed", str(args.seed)]
     metrics = config["end_to_end"]
     values = {side: {m["name"]: [] for m in metrics} for side in ("parent", "change")}
-    # a stop by SIGTERM unwinds as an exit does: the running child is killed
-    # and the parent's files are removed
+    # a stop by SIGTERM unwinds as an exit does: the running child is
+    # interrupted and the parent's files are removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     parent_dir = Path(tempfile.mkdtemp(prefix="ab_bench-"))
     try:
