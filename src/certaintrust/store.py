@@ -29,7 +29,7 @@ negative evidence, ``a`` for an assessment).  Last come ``c`` and then
 ``t_scaled`` per assessment (``<f8``):
 
     {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230,
-     "seal": "<sha256>", "stat": [2049, 131, 230, <mtime ns>, <ctime ns>], "version": 5}
+     "seal": "<sha256>", "stat": [2049, 131, 230, <mtime ns>, <ctime ns>], "version": 6}
     {"merchant":["A"],"variable":["Delivery","Privacy"],"assessments":1}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a<0.6 as <f8><3.5 as <f8>
 
@@ -37,29 +37,31 @@ Every record fits these columns, as the record constructors take only
 int64 timestamps and store ``c`` and ``t_scaled`` as floats.  A read that
 skips a torn final line writes no snapshot.
 
-Two SHA-256 digests tie the snapshot to the log: the head's covers the
-prefix's first ``cut`` bytes, and the rest's the other prefix bytes and
-then the snapshot after its header.  ``stat`` is the log's ``(st_dev,
-st_ino, st_size, st_mtime_ns, st_ctime_ns)`` as the read that wrote the
-snapshot found it, and ``seal`` one SHA-256 over the other header entries
-and the payload.  On POSIX, a read whose log still has that stat and ends
-at ``length``, whose stamped ctime is older than the snapshot file's
-mtime, and whose seal and columns check, takes the snapshot without
-reading or hashing the log.  This is Git's index stat cache with its
-"racy clean" rule (Git, ``Documentation/technical/racy-git.txt``): user
-space cannot set a ctime back, so any later change to the log changes its
-stat, unless it lands in the clock tick of the stamp; a stamp not older
-than the snapshot file is therefore not trusted, and its reads hash until
-the snapshot is rewritten.  What such a read gives up: damage to the
-log's prefix that leaves all five fields as they were, such as a bad disk
-block or a write below the filesystem, goes unnoticed; the snapshot's own
-bytes are still hashed.  Every other read hashes both digests: when the
-header fits the log, one worker thread reads the head with ``os.pread``
-and hashes it while the calling thread reads the log from ``cut`` to its
-end, checks the columns and then hashes the rest; when no thread can be
+Each byte is under one SHA-256 digest.  ``digest`` covers the prefix, the
+log's first ``length`` bytes: the head's the bytes before ``cut``, the
+rest's the others.  ``seal`` covers the header's other entries, as the
+writer serializes them, a newline and then the payload, the snapshot after
+its header.  ``stat`` is the log's ``(st_dev, st_ino, st_size,
+st_mtime_ns, st_ctime_ns)`` as the read that wrote the snapshot found it.
+Every read whose header fits the log checks the seal and then the columns
+on the calling thread; a snapshot that fails either is ignored, and no
+more of it is hashed.  On POSIX, a read whose log still has that stat and
+ends at ``length``, and whose stamped ctime is older than the snapshot
+file's mtime, takes the stamp for the prefix's digests and reads no byte
+of the log.  This is Git's index stat cache with its "racy clean" rule
+(Git, ``Documentation/technical/racy-git.txt``): user space cannot set a
+ctime back, so any later change to the log changes its stat, unless it
+lands in the clock tick of the stamp; a stamp not older than the snapshot
+file is therefore not trusted, and its reads hash until the snapshot is
+rewritten.  What such a read gives up: damage to the log's prefix that
+leaves all five fields as they were, such as a bad disk block or a write
+below the filesystem, goes unnoticed.  Every other read hashes the
+prefix: one worker thread reads the head with ``os.pread`` and hashes it
+while the calling thread reads the log from ``cut`` to its end, checks the
+seal and the columns and then hashes the rest; when no thread can be
 started, the calling thread reads and hashes the head first.  The read
-takes the snapshot only when both digests match and the columns pass, and
-otherwise parses the bytes it has read, without reading the log again.
+takes the snapshot only when both digests match, and otherwise parses the
+bytes it has read, without reading the log again.
 """
 
 from __future__ import annotations
@@ -92,13 +94,13 @@ ASSESSMENT_KIND = "assessment"
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 #: one record's column checks, in bytes of SHA-256 time: the writer cuts the
 #: digest so that the worker's read and hash of the head take as long as the
-#: calling thread's read, checks and hash of the rest (on 2 shared cores with
-#: SHA-NI, a cold hit of a 25k- or 10k-line log was fastest at 8-14 of 0-24,
-#: within 1% of each other, and took 4% longer at 20, the best value when the
-#: calling thread read the whole log before the worker started)
+#: calling thread's read, seal, checks and hash of the rest (on 2 shared
+#: cores with SHA-NI, a cold hit of a 25k- or 10k-line log was fastest at
+#: 8-14 of 0-24, within 1% of each other, and took 4% longer at 20, the best
+#: value when the calling thread read the whole log before the worker started)
 _CHECK_BYTES = 12
 #: a read rewrites the snapshot when the records after it outnumber the
 #: snapshot's, or both this many and a tenth of the snapshot's, so that no
@@ -433,14 +435,15 @@ class EvidenceStore:
 
         Each call reads the file afresh, and a missing log reads as empty.
         The read takes the snapshot file when the snapshot's length fits,
-        its digests match the file's first bytes and its columns pass the
-        record checks, and then parses only the lines after that prefix;
-        otherwise the snapshot is ignored.  On POSIX, a snapshot that
-        covers the whole log and is stamped, not racily, with the log's
-        stat as it is now is taken on that stamp, its seal and its columns,
-        with no byte of the log read: damage to the log that leaves its
-        stat as it was is then not seen (see the module docstring).  Each
-        call builds only the snapshot records it returns.  When the lines
+        its seal matches, its columns pass the record checks and its
+        digests match the file's first bytes, and then parses only the
+        lines after that prefix; otherwise the snapshot is ignored.  On
+        POSIX, a snapshot that covers the whole log and is stamped, not
+        racily, with the log's stat as it is now stands in for the digests,
+        and no byte of the log is read: damage to the log that leaves its
+        stat as it was is then not seen.  The module docstring says what
+        each hash covers.  Each call builds only the snapshot records it
+        returns.  When the lines
         after the snapshot hold more newline-terminated records than the
         snapshot does, or more than both ``_TAIL_LINES`` (1,000) and a
         tenth of the snapshot's records, the log's newline-terminated
@@ -505,13 +508,16 @@ class EvidenceStore:
                     warnings.warn(f"{self.path}: skipping torn final line ({exc})",
                                   RuntimeWarning, stacklevel=stacklevel)
                     return columns, out  # and writes no snapshot
-                number = head.count(b"\n") + data.count(b"\n", 0, start) + i + 1
-                raise StorageFailure(f"{self.path}: corrupt record on line {number}") from exc
-            try:
-                out.append(record_from_dict(fields))
-            except (ValueError, RecursionError) as exc:
-                number = head.count(b"\n") + data.count(b"\n", 0, start) + i + 1
-                raise StorageFailure(f"{self.path}: invalid record on line {number}: {exc}") from exc
+                problem, detail, cause = "corrupt", "", exc
+            else:
+                try:
+                    out.append(record_from_dict(fields))
+                    continue
+                except (ValueError, RecursionError) as exc:
+                    problem, detail, cause = "invalid", f": {exc}", exc
+            number = head.count(b"\n") + data.count(b"\n", 0, start) + i + 1
+            message = f"{self.path}: {problem} record on line {number}{detail}"
+            raise StorageFailure(message) from cause
         # the records of newline-terminated lines: all but an unterminated last line's
         kept = len(out) - bool(lines[-1].strip())
         held = len(columns[0]) if columns else 0  # the records of the snapshot
@@ -552,22 +558,21 @@ class EvidenceStore:
         the log as read and the snapshot covers it up to ``data[start]``; on
         a miss, ``b""``, the log, ``0`` and None.
 
-        A snapshot stamped with ``log`` that covers the whole log, whose
-        stamped ctime is older than its own mtime and whose seal and
-        columns check is taken with no byte of the log read: ``b""``,
-        ``b""``, ``0`` and the columns.  Otherwise, when the header fits the
-        log, one worker thread reads the log's first ``cut`` bytes with
-        ``os.pread`` and hashes them in one call (both release the GIL over
-        large buffers), while this one reads from ``cut`` to the end, checks
-        the columns and then hashes the rest.  With no thread, this one
-        reads and hashes the head first; without ``os.pread``, this one
-        reads the head and hands it to the worker.  What reading raises is
-        raised here, the head's before the rest's.  Then a head read short,
+        Once the header fits the log, this thread checks the seal and then
+        the columns.  When the stamp vouches for the log, as the module
+        docstring says, that is all: a hit returns ``b""``, ``b""``, ``0``
+        and the columns, with no byte of the log read, and a miss reads the
+        log.  Otherwise one worker thread first reads the log's first
+        ``cut`` bytes with ``os.pread`` and hashes them in one call (both
+        release the GIL over large buffers), while this one reads from
+        ``cut`` to the end, checks the seal and the columns and, when they
+        pass, hashes the rest of the prefix.  With no thread, this one reads
+        and hashes the head first; without ``os.pread``, this one reads the
+        head and hands it to the worker.  What reading or hashing raises is
+        raised here, the worker's before this thread's.  A head read short,
         as when the log was cut after its size was taken, is a miss that
-        returns the head alone, and a prefix that does not end at a newline
-        is a miss.  Then what hashing raises is raised, the head's before
-        the rest's and both before any error of the column checks, as if
-        the digests had been computed first."""
+        returns the head alone; a prefix that does not end at a newline, or
+        whose digests do not match, is a miss."""
         size = log.st_size
         try:
             with self._snapshot_path.open("rb") as sf:
@@ -582,77 +587,68 @@ class EvidenceStore:
             fits = False
         if not fits:
             return b"", fh.read(), 0, None
-        if (_CHANGE_TIMES and length == size and log.st_ctime_ns < written
-                and header.get("stat") == _stamp(log)):
-            try:  # the log is as the read that wrote the snapshot found it
-                if header.get("seal") == _seal(header, memoryview(snapshot)[start:]):
-                    return b"", b"", 0, _snapshot_columns(snapshot, start)
-            except (ValueError, TypeError, KeyError, RecursionError):
-                pass
-        fd, positional = fh.fileno(), hasattr(os, "pread")
-        given = None if positional else fh.read(cut)  # without pread, this thread reads the head
+        # the log is as the read that wrote the snapshot found it
+        stamped = (_CHANGE_TIMES and length == size and log.st_ctime_ns < written
+                   and header.get("stat") == _stamp(log))
         head = []  # the head's bytes, then their hex digest, or what reading or hashing raised
+        worker: threading.Thread | None = None
+        if not stamped:
+            fd, positional = fh.fileno(), hasattr(os, "pread")
+            given = None if positional else fh.read(cut)  # no pread: this thread reads the head
 
-        def hash_head() -> None:
-            try:
-                head.append(_pread_head(fd, cut) if positional else given)
-                head.append(hashlib.sha256(head[0]).hexdigest())
-            except BaseException as exc:
-                head.append(exc)
+            def hash_head() -> None:
+                try:
+                    head.append(_pread_head(fd, cut) if positional else given)
+                    head.append(hashlib.sha256(head[0]).hexdigest())
+                except BaseException as exc:
+                    head.append(exc)
 
-        worker: threading.Thread | None = threading.Thread(target=hash_head)
-        try:
-            worker.start()
-        except RuntimeError:  # no thread can be started: read and hash the head here, first
-            worker = None
-            hash_head()
-        try:
-            fh.seek(cut)
-            rest = fh.read()  # the prefix from the cut, then the tail
+            worker = threading.Thread(target=hash_head)
             try:
-                columns = _snapshot_columns(snapshot, start)
-            except Exception as exc:
-                columns = exc
-            try:
-                digest = hashlib.sha256(memoryview(rest)[:length - cut])
-                digest.update(memoryview(snapshot)[start:])
-                second = digest.hexdigest()
-            except Exception as exc:
-                second = exc
-        finally:  # joined whatever this thread raises; the head's read error replaces it
+                worker.start()
+            except RuntimeError:  # no thread can be started: read and hash the head here, first
+                worker = None
+                hash_head()
+        try:
+            if not stamped:
+                fh.seek(cut)
+                rest = fh.read()  # the prefix from the cut, then the tail
+            try:  # the seal, then the columns
+                sealed = header.get("seal") == _seal(header, memoryview(snapshot)[start:])
+                columns = _snapshot_columns(snapshot, start) if sealed else None
+            except (ValueError, TypeError, KeyError, RecursionError):
+                columns = None
+            if stamped:  # no worker to join: a hit, or a miss that reads the log now
+                return (b"", b"", 0, columns) if columns else (b"", fh.read(), 0, None)
+            second = columns and hashlib.sha256(memoryview(rest)[:length - cut]).hexdigest()
+        finally:  # joined whatever this thread raises; the head's error replaces it
             if worker is not None:
                 worker.join()
-            if isinstance(head[0], BaseException):
-                raise head[0]
+            if head and isinstance(head[-1], BaseException):
+                raise head[-1]
         data = head[0]
         if len(data) < cut:  # the log was cut after its size was taken: parse what the head holds
             return b"", data, 0, None
         last = rest[length - cut - 1:length - cut] if cut < length else data[length - 1:length]
-        try:
-            if last == b"\n":  # a prefix read whole, of whole lines
-                for outcome in head[1], second, columns:  # as if the digests had come first
-                    if isinstance(outcome, BaseException):
-                        raise outcome
-                if [head[1], second] == header["digest"]:
-                    return data, rest, length - cut, columns
-        except (ValueError, TypeError, KeyError, RecursionError):
-            pass
+        if columns and last == b"\n" and [head[1], second] == header.get("digest"):
+            return data, rest, length - cut, columns  # a prefix read whole, of whole lines
         return b"", data + rest, 0, None
 
     def _save_snapshot(self, prefix: memoryview, records: list[Record],
                        log: os.stat_result) -> None:
         """Atomically replace the snapshot with one of ``prefix``, the log's
         first bytes, which hold ``records``, stamped with ``log``, the log's
-        ``os.fstat`` as read; a failed write leaves the old snapshot, or
-        none, and is not reported.  The snapshot gets the log's permission
-        bits, as it holds the same data."""
+        ``os.fstat`` as read: this thread computes both digests of the
+        prefix and then the seal, as the module docstring defines them.  A
+        failed write leaves the old snapshot, or none, and is not reported.
+        The snapshot gets the log's permission bits, as it holds the same
+        data."""
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(records)
             cut = min(len(prefix), (len(prefix) + len(payload) + _CHECK_BYTES * len(records)) // 2)
-            head, rest = hashlib.sha256(prefix[:cut]), hashlib.sha256(prefix[cut:])
-            rest.update(payload)
-            header = {"cut": cut, "digest": [head.hexdigest(), rest.hexdigest()],
+            header = {"cut": cut, "digest": [hashlib.sha256(prefix[:cut]).hexdigest(),
+                                             hashlib.sha256(prefix[cut:]).hexdigest()],
                       "length": len(prefix), "stat": _stamp(log), "version": SNAPSHOT_VERSION}
             header["seal"] = _seal(header, payload)
             fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
@@ -662,7 +658,7 @@ class EvidenceStore:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload)
-            os.chmod(temp, stat.S_IMODE(self.path.stat().st_mode))
+            os.chmod(temp, stat.S_IMODE(log.st_mode))
             os.replace(temp, target)
         except OSError:
             with contextlib.suppress(OSError):

@@ -737,7 +737,7 @@ def replaced(monkeypatch):
 
 
 def pack(columns: dict) -> bytes:
-    """Snapshot columns as format 5 lays them out: the timestamps as
+    """Snapshot columns as formats 5 and 6 lay them out: the timestamps as
     ``<i8`` (none when null), merchant and variable ids as ``<u4``, the
     kind bytes, then ``c`` and ``t_scaled`` as ``<f8``."""
     stamps, mids, vids = columns["timestamp"], columns["merchant"], columns["variable"]
@@ -747,16 +747,27 @@ def pack(columns: dict) -> bytes:
         struct.pack(f"<{len(cs)}d", *cs) + struct.pack(f"<{len(ts)}d", *ts))
 
 
+def sealed(header: dict, payload: bytes) -> dict:
+    """``header`` with the ``seal`` of format 6: the SHA-256 of its other
+    entries as ``json.dumps(sort_keys=True)`` writes them, a newline and
+    then ``payload``."""
+    others = {key: value for key, value in header.items() if key != "seal"}
+    line = json.dumps(others, sort_keys=True).encode("ascii") + b"\n"
+    return {**others, "seal": hashlib.sha256(line + payload).hexdigest()}
+
+
 def forge_snapshot(path: Path, table, blob: bytes, length: int | None = None) -> None:
-    """A snapshot of the log's first ``length`` bytes (all by default)
-    holding ``table`` and ``blob``, with valid digests cut halfway."""
+    """A sealed, unstamped snapshot of the log's first ``length`` bytes
+    (all by default) holding ``table`` and ``blob``, with valid digests cut
+    halfway."""
     prefix = path.read_bytes()[:length]
     payload = json.dumps(table).encode("ascii") + b"\n" + blob
     cut = len(prefix) // 2
     header = {"cut": cut, "digest": [hashlib.sha256(prefix[:cut]).hexdigest(),
-                                     hashlib.sha256(prefix[cut:] + payload).hexdigest()],
+                                     hashlib.sha256(prefix[cut:]).hexdigest()],
               "length": len(prefix), "version": store_module.SNAPSHOT_VERSION}
-    snapshot_of(path).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+    snapshot_of(path).write_bytes(json.dumps(sealed(header, payload)).encode("ascii") + b"\n"
+                                  + payload)
 
 
 SAMPLE = [
@@ -764,7 +775,7 @@ SAMPLE = [
     DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
     EvidenceRecord("A", "Portal", "negative", 3),
 ]
-#: SAMPLE's snapshot in format 5: its table line and its columns
+#: SAMPLE's snapshot payload in formats 5 and 6: its table line and its columns
 SAMPLE_TABLE = {"merchant": ["A", "B"], "variable": ["Delivery", "Privacy", "Portal"],
                 "assessments": 1}
 SAMPLE_COLUMNS = {"timestamp": [1, 2, 3], "merchant": [0, 1, 0], "variable": [0, 1, 2],
@@ -807,20 +818,31 @@ SAMPLE_SNAPSHOT_V4 = (
     + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
     + b"+a-"
 )
+#: the snapshot that format 5 (the payload under the rest's digest too)
+#: wrote for SAMPLE's log, with the ``stat`` and ``seal`` entries taken out
+#: of its header; its sha256 was format 5's layout pin
+SAMPLE_SNAPSHOT_V5 = (
+    b'{"cut": 245, "digest": ["55d580cd9cbdd6774d926b0a3c217d52eac7ad88d5a83c5ae87c56f2c38b3330",'
+    b' "b62a52b569c3607bd357fc2536de52734c259d4c3c8cc640f4fa4f7000941a87"], "length": 306,'
+    b' "version": 5}\n'
+    b'{"merchant":["A","B"],"variable":["Delivery","Privacy","Portal"],"assessments":1}\n'
+    + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
+    + b"+a-" + struct.pack("<d", 0.5) + struct.pack("<d", 2.5)
+)
 #: the sha256 of the snapshot written for SAMPLE, with the ``stat`` and
 #: ``seal`` entries taken out of its header, as they vary with the log's
 #: file.  A change of the layout must bump ``store.SNAPSHOT_VERSION``, so
 #: that old snapshots are ignored; then update this pin.  A moved cut
 #: (``store._CHECK_BYTES``) changes the header alone and needs no bump, as
 #: a read takes a snapshot cut anywhere.
-SAMPLE_SNAPSHOT_SHA256 = "e3351bbf84e944ae70c004387678386d95785e3c015f418aaf8fa3550c15f8ea"
+SAMPLE_SNAPSHOT_SHA256 = "4f1b72bc0a7d37fe04da92983584e5307f59c5a1fcba7960167a9edf688f4b71"
 
 
 def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
     """SAMPLE's snapshot table and blob with the entries of ``table`` and
     ``columns`` replaced.  A ``timestamp`` entry in ``table`` takes the
     timestamps out of the columns, as format 3 did when one fell outside
-    int64; format 5 has no such layout and refuses the blob, whose rows
+    int64; formats 5 and 6 have no such layout and refuse the blob, whose rows
     are then 9 bytes, not 17."""
     table, columns = {**SAMPLE_TABLE, **(table or {})}, {**SAMPLE_COLUMNS, **(columns or {})}
     if "timestamp" in table:
@@ -981,7 +1003,7 @@ class TestSnapshot:
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
 
-    # the cases of format 1 keep their ids; where format 5 cannot hold the
+    # the cases of format 1 keep their ids; where the columns cannot hold the
     # value (a bool, a string, a dict), the count of assessments holds it
     @pytest.mark.parametrize("table, columns", [
         pytest.param({"merchant": ["A", " "]}, None, id="merchant-value0"),
@@ -1098,10 +1120,12 @@ class TestSnapshot:
     @pytest.mark.parametrize("damage", ["version", "length", "digest", "header", "empty", "record",
                                         "cut", "stat", "seal"])
     def test_a_damaged_header_falls_back_to_the_log(self, store, decoded, damage):
-        """Each damage is refused by the stat stamp's checks first, as the
-        snapshot's mtime is past the log's ctime, and then by the digests.
-        ``stat`` points the stamp at the log after a change that leaves its
-        records as they were; ``seal`` drops the seal and changes a record."""
+        """The snapshot's mtime is past the log's ctime, so a header that
+        fits the log and holds its stat is checked on the stamp; every
+        damage that keeps the header readable is refused by the seal, which
+        covers the other header entries and the payload.  ``stat`` points
+        the stamp at the log after a change that leaves its records as they
+        were; ``seal`` drops the seal and changes a record."""
         write_lines(store.path, SAMPLE)
         store.records()
         assert stamp_holds(store.path)
@@ -1150,13 +1174,14 @@ class TestSnapshot:
     @staticmethod
     def check_replaced(store, decoded, old: bytes) -> None:
         """SAMPLE's log with the snapshot ``old`` next to it: the first
-        read parses the log and writes format 5, which the next read takes."""
+        read parses the log and writes the current format, which the next
+        read takes."""
         write_lines(store.path, SAMPLE)
         snapshot_of(store.path).write_bytes(old)
         assert store.records() == SAMPLE
         assert len(decoded) == 3
         written = snapshot_of(store.path).read_bytes()
-        assert json.loads(written.partition(b"\n")[0])["version"] == 5
+        assert json.loads(written.partition(b"\n")[0])["version"] == store_module.SNAPSHOT_VERSION
         assert written.partition(b"\n")[2] == (
             json.dumps(SAMPLE_TABLE, separators=(",", ":")).encode("ascii") + b"\n"
             + pack(SAMPLE_COLUMNS))
@@ -1173,6 +1198,11 @@ class TestSnapshot:
         assert hashlib.sha256(SAMPLE_SNAPSHOT_V4).hexdigest() == (  # format 4's layout pin
             "81db8a563f7b94107f39a80c8449003e0e72795843efc1daeb41cd33cc4addc5")
         self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V4)
+
+    def test_a_format_5_snapshot_is_replaced(self, store, decoded):
+        assert hashlib.sha256(SAMPLE_SNAPSHOT_V5).hexdigest() == (  # format 5's layout pin
+            "e3351bbf84e944ae70c004387678386d95785e3c015f418aaf8fa3550c15f8ea")
+        self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V5)
 
     @pytest.mark.parametrize("kind, c, t_scaled", [(b"b", 1, 2.5), (b"c", 0.5, 3), (b"d", 0, 7)])
     def test_an_int_marked_snapshot_is_replaced(self, store, decoded, kind, c, t_scaled):
@@ -1286,11 +1316,11 @@ class TestSnapshot:
 
 
 class TestSnapshotCut:
-    """Since format 3 the snapshot's SHA-256 is cut in two at ``cut``: the
+    """Since format 3 the prefix's SHA-256 is cut in two at ``cut``: the
     head digest covers the log's first ``cut`` bytes, the rest digest the
-    other bytes of the prefix and then the snapshot after its header.  A
-    header whose cut or digests do not hold exactly that is ignored for
-    the log."""
+    other bytes of the prefix; since format 6 the payload is under the seal
+    alone.  A header whose cut or digests do not hold exactly that is
+    ignored for the log."""
 
     @pytest.fixture
     def log(self, store):
@@ -1303,15 +1333,17 @@ class TestSnapshotCut:
     @staticmethod
     def reforge(log: Path, **changes) -> None:
         """Rewrite the snapshot's header with ``changes`` (``None`` drops an
-        entry).  A changed ``cut`` or ``length`` gets the digests that
-        slicing the log at them gives, as a read slices it, when it can."""
+        entry) and seal it again, as ``forge_snapshot`` does.  A changed
+        ``cut`` or ``length`` gets the digests that slicing the log at them
+        gives, as a read slices it, when it can."""
         head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
         header = {**json.loads(head), **changes}
         cut, length, data = header.get("cut"), header["length"], log.read_bytes()
         if ("cut" in changes or "length" in changes) and isinstance(cut, int):
             header["digest"] = [hashlib.sha256(data[:cut]).hexdigest(),
-                                hashlib.sha256(data[cut:length] + payload).hexdigest()]
-        header = {key: value for key, value in header.items() if value is not None}
+                                hashlib.sha256(data[cut:length]).hexdigest()]
+        header = sealed({key: value for key, value in header.items() if value is not None},
+                        payload)
         snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
 
     @staticmethod
@@ -1319,12 +1351,14 @@ class TestSnapshotCut:
         return json.loads(snapshot_of(log).read_bytes().partition(b"\n")[0])
 
     def test_the_digests_cover_the_prefix_at_the_cut_then_the_payload(self, log):
+        """Format 6: the digests cover the prefix alone, cut at ``cut``, and
+        the seal covers the payload after the header's other entries."""
         header, snapshot = self.header(log), snapshot_of(log).read_bytes()
         cut, length, data = header["cut"], header["length"], log.read_bytes()
         assert 0 < cut <= length < len(data)
-        assert header["digest"] == [
-            hashlib.sha256(data[:cut]).hexdigest(),
-            hashlib.sha256(data[cut:length] + snapshot.partition(b"\n")[2]).hexdigest()]
+        assert header["digest"] == [hashlib.sha256(data[:cut]).hexdigest(),
+                                    hashlib.sha256(data[cut:length]).hexdigest()]
+        assert header == sealed(header, snapshot.partition(b"\n")[2])
 
     @pytest.mark.parametrize("damage", ["head", "rest", "swapped", "one", "format 2"])
     def test_a_wrong_digest_falls_back_to_the_log(self, log, decoded, damage):
@@ -1387,9 +1421,9 @@ class TestSnapshotCut:
 
 
 class TestSnapshotDigestWorker:
-    """A cold read hashes the head of the snapshot's digest on one worker
-    thread while it checks the columns and hashes the rest, and joins the
-    worker before it returns."""
+    """A cold read hashes the head of the prefix's digest on one worker
+    thread while it checks the seal and the columns and hashes the rest,
+    and joins the worker before it returns."""
 
     @pytest.fixture
     def log(self, store):
@@ -1448,9 +1482,7 @@ class TestSnapshotDigestWorker:
     def test_a_snapshot_that_is_ignored_leaves_no_thread(self, log, decoded, monkeypatch,
                                                          damage):
         if damage == "digest":
-            head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
-            header = {**json.loads(head), "digest": hashlib.sha256(b"").hexdigest()}
-            snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+            TestSnapshotCut.reforge(log, digest=hashlib.sha256(b"").hexdigest())
         elif damage == "columns":
             forge_snapshot(log, *sample_payload(None, {"c": [1.5]}))
         elif damage == "short":
@@ -1480,10 +1512,16 @@ class TestSnapshotDigestWorker:
 
     def test_a_digest_that_raises_value_error_ignores_the_snapshot(self, log, decoded,
                                                                    monkeypatch):
+        """Since format 6, an error from the head's hash reaches the caller,
+        whatever its type, as hashing bytes raises nothing a snapshot can
+        cause."""
         threads = self.hash_in_worker(monkeypatch, ValueError)
+        before = threading.active_count()
         decoded.clear()
-        assert self.read_joins_the_worker(log) == SAMPLE
-        assert len(decoded) == 3
+        with pytest.raises(ValueError, match="no digest"):
+            EvidenceStore(log).records()
+        assert threading.active_count() == before
+        assert decoded == []
         assert len(threads) == 1
 
     @pytest.mark.parametrize("columns_fail", [False, True])
@@ -1493,7 +1531,7 @@ class TestSnapshotDigestWorker:
             raise ValueError("column check failed")
 
         self.hash_in_worker(monkeypatch, MemoryError)
-        if columns_fail:  # the digest's error wins, as if it had been computed first
+        if columns_fail:  # the worker's error wins over the miss
             monkeypatch.setattr(store_module, "_snapshot_columns", reject)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="no digest"):
@@ -1510,9 +1548,7 @@ class TestSnapshotDigestWorker:
             raise RuntimeError("can't start new thread")
 
         if damage:
-            head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
-            header = {**json.loads(head), "digest": hashlib.sha256(b"").hexdigest()}
-            snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+            TestSnapshotCut.reforge(log, digest=hashlib.sha256(b"").hexdigest())
         monkeypatch.setattr(threading.Thread, "start", refuse)
         threads = self.hash_in_worker(monkeypatch)
         decoded.clear()
@@ -1564,35 +1600,56 @@ class TestSnapshotDigestWorker:
         header = json.loads(head)
         return header["cut"], header["length"], len(payload)
 
+    @staticmethod
+    def seal_calls(log) -> list:
+        """The byte counts that the seal of the log's snapshot hashes, in
+        order: its header's other entries and a newline, then the payload."""
+        head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
+        others = {key: value for key, value in json.loads(head).items() if key != "seal"}
+        return [len(json.dumps(others, sort_keys=True)) + 1, len(payload)]
+
     def test_the_worker_hashes_the_head_in_one_call(self, log, decoded, monkeypatch):
-        cut, length, payload = self.split(log)
+        cut, length, _ = self.split(log)
         calls = self.hash_halves(monkeypatch)
         assert self.read_joins_the_worker(log) == SAMPLE
         assert decoded == []
         assert [n for on_caller, n in calls if not on_caller] == [cut]
-        assert [n for on_caller, n in calls if on_caller] == ["columns", length - cut, payload]
+        assert [n for on_caller, n in calls if on_caller] == [
+            *self.seal_calls(log), "columns", length - cut]
 
     @pytest.mark.parametrize("half", ["head", "rest"])
     def test_a_value_error_from_either_half_ignores_the_snapshot(self, log, decoded,
                                                                   monkeypatch, half):
+        """Since format 6, an error from either half's hash reaches the
+        caller, whatever its type, as hashing bytes raises nothing a
+        snapshot can cause."""
         self.hash_halves(monkeypatch, half, ValueError)
+        before = threading.active_count()
         decoded.clear()
-        assert self.read_joins_the_worker(log) == SAMPLE
-        assert len(decoded) == 3
+        with pytest.raises(ValueError, match="no digest"):
+            EvidenceStore(log).records()
+        assert threading.active_count() == before
+        assert decoded == []
 
     @pytest.mark.parametrize("columns_fail", [False, True])
     @pytest.mark.parametrize("half", ["head", "rest"])
     def test_a_memory_error_from_either_half_reaches_the_caller(self, log, monkeypatch, half,
                                                                  columns_fail):
+        """When the columns fail, the read is a miss that never hashes the
+        rest, whose error then cannot arise; the head's, which the worker
+        raised meanwhile, still reaches the caller."""
         def reject(*args):
             raise ValueError("column check failed")
 
         calls = self.hash_halves(monkeypatch, half, MemoryError)
-        if columns_fail:  # the digest's error wins, as if it had been computed first
+        if columns_fail:
             monkeypatch.setattr(store_module, "_snapshot_columns", reject)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="no digest"):
-            EvidenceStore(log).records()
+        if columns_fail and half == "rest":
+            assert EvidenceStore(log).records() == SAMPLE
+        else:
+            with pytest.raises(MemoryError, match="no digest"):
+                EvidenceStore(log).records()
         assert threading.active_count() == before
         assert any(not on_caller for on_caller, _ in calls) == (half == "rest")
 
@@ -1601,12 +1658,13 @@ class TestSnapshotDigestWorker:
         def refuse(thread):
             raise RuntimeError("can't start new thread")
 
-        cut, length, payload = self.split(log)
+        cut, length, _ = self.split(log)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         calls = self.hash_halves(monkeypatch)
         assert self.read_joins_the_worker(log) == SAMPLE
         assert decoded == []
-        assert calls == [(True, cut), (True, "columns"), (True, length - cut), (True, payload)]
+        assert calls == [(True, cut), *[(True, n) for n in self.seal_calls(log)],
+                         (True, "columns"), (True, length - cut)]
 
 
 class TestSplitRead:
@@ -1710,13 +1768,14 @@ class TestSplitRead:
 
     def test_without_pread_the_worker_hashes_the_head_it_is_handed(self, log, decoded,
                                                                    monkeypatch):
-        cut, length, payload = TestSnapshotDigestWorker.split(log)
+        cut, length, _ = TestSnapshotDigestWorker.split(log)
         monkeypatch.delattr(store_module.os, "pread")
         calls = TestSnapshotDigestWorker.hash_halves(monkeypatch)
         assert TestSnapshotDigestWorker().read_joins_the_worker(log) == SAMPLE
         assert decoded == []
         assert [n for on_caller, n in calls if not on_caller] == [cut]
-        assert [n for on_caller, n in calls if on_caller] == ["columns", length - cut, payload]
+        assert [n for on_caller, n in calls if on_caller] == [
+            *TestSnapshotDigestWorker.seal_calls(log), "columns", length - cut]
 
 
 class TestStatStamp:
@@ -1806,10 +1865,41 @@ class TestStatStamp:
         snapshot_of(log).write_bytes(data[:-16] + b"\x01" + data[-15:])
         settle(log)
         assert stamp_holds(log)
-        records, preads, _, _ = self.read(monkeypatch, log)
+        records, preads, _, started = self.read(monkeypatch, log)
         assert records == SAMPLE
-        assert preads == self.hashed(log)
+        assert (preads, started) == ([], [])  # a miss on the seal: no head read, no worker
         assert len(decoded) == 3
+
+    @pytest.mark.parametrize("path", ["stamped", "hashed"])
+    @pytest.mark.parametrize("seal", ["missing", "wrong", "another header"])
+    def test_a_bad_seal_is_a_miss_that_rewrites_the_snapshot(self, log, decoded, replaced,
+                                                             monkeypatch, seal, path):
+        """A seal that is missing, that is no seal of the header, or that
+        seals the same payload under another header: the read parses the
+        log, reading no head and starting no worker when the stamp holds,
+        and writes a snapshot that the next read takes."""
+        head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
+        header = json.loads(head)
+        if seal == "missing":
+            del header["seal"]
+        elif seal == "wrong":
+            header["seal"] = hashlib.sha256(b"").hexdigest()
+        else:
+            header["seal"] = sealed({**header, "cut": header["cut"] - 1}, payload)["seal"]
+        snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        if path == "hashed":
+            os.utime(log)  # a new ctime: the stamp no longer holds
+        settle(log)
+        assert stamp_holds(log) == (path == "stamped")
+        expected = ([], 0) if path == "stamped" else (self.hashed(log), 1)
+        records, preads, _, started = self.read(monkeypatch, log)
+        assert records == SAMPLE
+        assert (preads, len(started)) == expected
+        assert len(decoded) == 3
+        assert replaced == ["log.jsonl.snapshot"]
+        decoded.clear()
+        assert EvidenceStore(log).records() == SAMPLE
+        assert decoded == []
 
     @pytest.mark.parametrize("later", [0, 1])
     def test_a_stamp_as_new_as_the_snapshot_is_racy(self, log, decoded, monkeypatch, later):
@@ -1824,7 +1914,7 @@ class TestStatStamp:
     @pytest.mark.parametrize("case", ["not POSIX", "no stamp", "unterminated"])
     def test_a_hit_the_stamp_does_not_cover_hashes(self, log, decoded, monkeypatch, case):
         """Where ``st_ctime`` is no change time; a snapshot with no ``stat``,
-        as ``forge_snapshot`` and format 5's first writers write it; and a
+        as ``forge_snapshot`` writes it; and a
         snapshot that ends before the log's unterminated last line."""
         expected = SAMPLE
         if case == "not POSIX":

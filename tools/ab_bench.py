@@ -6,10 +6,16 @@ that ``BENCHMARK.json`` names, with ``--workload W --trace 0``, there and in
 the working tree, in ABBA order: pair ``i`` runs the parent first when ``i``
 is even.  From each run's last JSON line it takes every end-to-end metric of
 ``BENCHMARK.json`` and prints, per metric, each side's median and quartiles,
-the ratio of each pair (change over parent), the change's wins and whether
-the gain rule holds: the change wins at least nine pairs in ten, ties
-counting for neither, and its median is better than the parent's by more
-than the parent's interquartile range.
+the ratio of each pair (change over parent), the change's wins, whether
+the gain rule holds and the no-regression verdict.  The gain rule holds
+when the change wins at least nine pairs in ten, ties counting for
+neither, and its median is better than the parent's by more than the
+parent's interquartile range.  The verdict, against the metric's ``bound``
+in ``BENCHMARK.json`` (a fraction of the parent's median), is
+``unresolved`` when the parent's interquartile range is wider than the
+bound and not every run of the change is better than every run of the
+parent; otherwise ``broken`` when the change's median is worse than the
+parent's by more than the bound, and ``held`` when it is not.
 
     python3 tools/ab_bench.py HEAD --workload rank_store
     python3 tools/ab_bench.py main --workload score_fuzzy --pairs 10 --seed 2
@@ -45,18 +51,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """The paired comparison of one metric, whose pair ``i`` is
-    ``(parent[i], change[i])`` and which is better ``"lower"`` or ``"higher"``."""
+    ``(parent[i], change[i])``, which is better ``"lower"`` or ``"higher"``
+    and which may worsen by ``bound``, a fraction of the parent's median."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+    overlap = max(sign * c for c in change) >= min(sign * p for p in parent)
+    if pq3 - pq1 > bound * abs(pmed) and overlap:
+        verdict = "unresolved"
+    elif sign * (cmed - pmed) > bound * abs(pmed):
+        verdict = "broken"
+    else:
+        verdict = "held"
     return {
         "parent": (pq1, pmed, pq3),
         "change": (cq1, cmed, cq3),
         "ratios": [c / p if p else float("nan") for p, c in zip(parent, change)],
         "wins": wins,
         "gain": 10 * wins >= 9 * len(parent) and sign * (pmed - cmed) > pq3 - pq1,
+        "bound": bound,
+        "verdict": verdict,
     }
 
 
@@ -70,6 +86,7 @@ def format_summary(name: str, unit: str, better: str, summary: dict) -> list[str
     lines.append(f"  change wins {summary['wins']} of {len(ratios)}; median ratio "
                  f"{statistics.median(ratios):.3f}; gain rule "
                  f"{'met' if summary['gain'] else 'not met'}")
+    lines.append(f"  no regression beyond {summary['bound']:.0%}: {summary['verdict']}")
     return lines
 
 
@@ -147,7 +164,7 @@ def main(argv=None) -> int:
         shutil.rmtree(parent_dir, ignore_errors=True)
     for m in metrics:
         summary = summarize(values["parent"][m["name"]], values["change"][m["name"]],
-                            m["better"])
+                            m["better"], m["bound"])
         print("\n".join(format_summary(m["name"], m["unit"], m["better"], summary)))
     return 0
 
