@@ -28,8 +28,8 @@ record: the timestamps (``<i8``), merchant ids and variable ids
 negative evidence, ``a`` for an assessment).  Last come ``c`` and then
 ``t_scaled`` per assessment (``<f8``):
 
-    {"cut": 190, "digest": ["<head sha256>", "<rest sha256>"], "length": 230,
-     "seal": "<sha256>", "stat": [2049, 131, 230, <mtime ns>, <ctime ns>], "version": 6}
+    {"digest": "<sha256>", "length": 230, "seal": "<sha256>",
+     "stat": [2049, 131, 230, <mtime ns>, <ctime ns>], "version": 7}
     {"merchant":["A"],"variable":["Delivery","Privacy"],"assessments":1}
     <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a<0.6 as <f8><3.5 as <f8>
 
@@ -38,30 +38,27 @@ int64 timestamps and store ``c`` and ``t_scaled`` as floats.  A read that
 skips a torn final line writes no snapshot.
 
 Each byte is under one SHA-256 digest.  ``digest`` covers the prefix, the
-log's first ``length`` bytes: the head's the bytes before ``cut``, the
-rest's the others.  ``seal`` covers the header's other entries, as the
-writer serializes them, a newline and then the payload, the snapshot after
-its header.  ``stat`` is the log's ``(st_dev, st_ino, st_size,
-st_mtime_ns, st_ctime_ns)`` as the read that wrote the snapshot found it.
-Every read whose header fits the log checks the seal and then the columns
-on the calling thread; a snapshot that fails either is ignored, and no
-more of it is hashed.  On POSIX, a read whose log still has that stat and
-ends at ``length``, and whose stamped ctime is older than the snapshot
-file's mtime, takes the stamp for the prefix's digests and reads no byte
-of the log.  This is Git's index stat cache with its "racy clean" rule
-(Git, ``Documentation/technical/racy-git.txt``): user space cannot set a
-ctime back, so any later change to the log changes its stat, unless it
-lands in the clock tick of the stamp; a stamp not older than the snapshot
-file is therefore not trusted, and its reads hash until the snapshot is
+log's first ``length`` bytes.  ``seal`` covers the header's other entries,
+as the writer serializes them, a newline and then the payload, the
+snapshot after its header.  ``stat`` is the log's ``(st_dev, st_ino,
+st_size, st_mtime_ns, st_ctime_ns)`` as the read that wrote the snapshot
+found it.  Every read whose header fits the log checks the seal and then
+the columns; a snapshot that fails either is ignored, and no byte of the
+log is hashed.  On POSIX, a read whose log still has that stat and ends
+at ``length``, and whose stamped ctime is older than the snapshot file's
+mtime, takes the stamp for the prefix's digest and reads no byte of the
+log.  This is Git's index stat cache with its "racy clean" rule (Git,
+``Documentation/technical/racy-git.txt``): user space cannot set a ctime
+back, so any later change to the log changes its stat, unless it lands in
+the clock tick of the stamp; a stamp not older than the snapshot file is
+therefore not trusted, and its reads hash until the snapshot is
 rewritten.  What such a read gives up: damage to the log's prefix that
 leaves all five fields as they were, such as a bad disk block or a write
-below the filesystem, goes unnoticed.  Every other read hashes the
-prefix: one worker thread reads the head with ``os.pread`` and hashes it
-while the calling thread reads the log from ``cut`` to its end, checks the
-seal and the columns and then hashes the rest; when no thread can be
-started, the calling thread reads and hashes the head first.  The read
-takes the snapshot only when both digests match, and otherwise parses the
-bytes it has read, without reading the log again.
+below the filesystem, goes unnoticed.  Every other read reads the whole
+log once and hashes the prefix, all on the calling thread.  It takes the
+snapshot only when the digest matches and the prefix ends at a newline,
+and otherwise parses the bytes it has read, without reading the log
+again.
 """
 
 from __future__ import annotations
@@ -74,7 +71,6 @@ import operator
 import os
 import stat
 import tempfile
-import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -94,14 +90,7 @@ ASSESSMENT_KIND = "assessment"
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
-SNAPSHOT_VERSION = 6
-#: one record's column checks, in bytes of SHA-256 time: the writer cuts the
-#: digest so that the worker's read and hash of the head take as long as the
-#: calling thread's read, seal, checks and hash of the rest (on 2 shared
-#: cores with SHA-NI, a cold hit of a 25k- or 10k-line log was fastest at
-#: 8-14 of 0-24, within 1% of each other, and took 4% longer at 20, the best
-#: value when the calling thread read the whole log before the worker started)
-_CHECK_BYTES = 12
+SNAPSHOT_VERSION = 7
 #: a read rewrites the snapshot when the records after it outnumber the
 #: snapshot's, or both this many and a tenth of the snapshot's, so that no
 #: read parses a much longer tail than that
@@ -372,16 +361,6 @@ def _seal(header: dict, payload) -> str:
     return seal.hexdigest()
 
 
-def _pread_head(fd: int, size: int) -> bytes:
-    """The first ``size`` bytes of the file ``fd``, or all of a shorter one,
-    read with ``os.pread``, which reads at most 0x7ffff000 bytes a call on
-    Linux."""
-    data = os.pread(fd, size, 0)
-    while len(data) != size and (more := os.pread(fd, size - len(data), len(data))):
-        data += more
-    return data
-
-
 class EvidenceStore:
     """Single-writer append-only store over one JSON-lines file."""
 
@@ -436,15 +415,16 @@ class EvidenceStore:
         Each call reads the file afresh, and a missing log reads as empty.
         The read takes the snapshot file when the snapshot's length fits,
         its seal matches, its columns pass the record checks and its
-        digests match the file's first bytes, and then parses only the
+        digest matches the file's first bytes, and then parses only the
         lines after that prefix; otherwise the snapshot is ignored.  On
         POSIX, a snapshot that covers the whole log and is stamped, not
-        racily, with the log's stat as it is now stands in for the digests,
+        racily, with the log's stat as it is now stands in for the digest,
         and no byte of the log is read: damage to the log that leaves its
-        stat as it was is then not seen.  The module docstring says what
+        stat as it was is then not seen.  Any other call reads the whole
+        log once, on the calling thread.  The module docstring says what
         each hash covers.  Each call builds only the snapshot records it
-        returns.  When the lines
-        after the snapshot hold more newline-terminated records than the
+        returns.  When the lines after the snapshot hold more
+        newline-terminated records than the
         snapshot does, or more than both ``_TAIL_LINES`` (1,000) and a
         tenth of the snapshot's records, the log's newline-terminated
         prefix is written as the new snapshot, stamped with the log's stat
@@ -479,15 +459,18 @@ class EvidenceStore:
     def _read(self, stacklevel: int) -> tuple[tuple | None, list[Record]]:
         """Read and validate the log and rewrite the snapshot as
         :meth:`records` describes, and return the checked snapshot columns,
-        or None, and the records not in them.  A torn-line warning names
-        the frame ``stacklevel`` calls up."""
+        or None, and the records not in them.  The log's bytes as
+        :meth:`_load_snapshot` read them, none on a stamped hit, give the
+        lines after the snapshot, a bad line's number and the prefix of a
+        rewrite.  A torn-line warning names the frame ``stacklevel`` calls
+        up."""
         try:
             with self.path.open("rb") as fh:
                 log = os.fstat(fh.fileno())
-                head, data, start, columns = self._load_snapshot(fh, log)
+                data, start, columns = self._load_snapshot(fh, log)
         except (FileNotFoundError, NotADirectoryError):
             # a missing log reads as empty
-            head, data, start, columns, log = b"", b"", 0, None, None
+            data, start, columns, log = b"", 0, None, None
         except OSError as exc:
             raise StorageFailure(f"cannot read {self.path}: {exc}") from exc
         tail = data[start:]
@@ -515,7 +498,7 @@ class EvidenceStore:
                     continue
                 except (ValueError, RecursionError) as exc:
                     problem, detail, cause = "invalid", f": {exc}", exc
-            number = head.count(b"\n") + data.count(b"\n", 0, start) + i + 1
+            number = data.count(b"\n", 0, start) + i + 1
             message = f"{self.path}: {problem} record on line {number}{detail}"
             raise StorageFailure(message) from cause
         # the records of newline-terminated lines: all but an unterminated last line's
@@ -524,8 +507,7 @@ class EvidenceStore:
         if kept > min(held, max(_TAIL_LINES, held // 10)):
             columns, out = None, _column_records(columns) + out
             end = start + tail.rfind(b"\n") + 1  # just past the log's last "\n"
-            prefix = memoryview(b"".join((head, memoryview(data)[:end])))
-            self._save_snapshot(prefix, out[: held + kept], log)
+            self._save_snapshot(memoryview(data)[:end], out[: held + kept], log)
         return columns, out
 
     def counts(self, merchant: str, variable: str) -> EvidenceCount:
@@ -551,105 +533,61 @@ class EvidenceStore:
         counts = {name: EvidenceCount(r, s) for name, (r, s) in tallies.items()}
         return MerchantProfile(merchant, counts, assessments)
 
-    def _load_snapshot(self, fh, log: os.stat_result) -> tuple[bytes, bytes, int, tuple | None]:
+    def _load_snapshot(self, fh, log: os.stat_result) -> tuple[bytes, int, tuple | None]:
         """Read the open log ``fh``, whose ``os.fstat`` is ``log``, and take
-        its snapshot when the snapshot holds a prefix of it: ``head``,
-        ``data``, ``start`` and the checked columns, where ``head + data`` is
-        the log as read and the snapshot covers it up to ``data[start]``; on
-        a miss, ``b""``, the log, ``0`` and None.
+        its snapshot when the snapshot holds a prefix of it: the log as
+        read, where the snapshot ends in it, and the checked columns; on a
+        miss, the log, ``0`` and None.
 
-        Once the header fits the log, this thread checks the seal and then
-        the columns.  When the stamp vouches for the log, as the module
-        docstring says, that is all: a hit returns ``b""``, ``b""``, ``0``
-        and the columns, with no byte of the log read, and a miss reads the
-        log.  Otherwise one worker thread first reads the log's first
-        ``cut`` bytes with ``os.pread`` and hashes them in one call (both
-        release the GIL over large buffers), while this one reads from
-        ``cut`` to the end, checks the seal and the columns and, when they
-        pass, hashes the rest of the prefix.  With no thread, this one reads
-        and hashes the head first; without ``os.pread``, this one reads the
-        head and hands it to the worker.  What reading or hashing raises is
-        raised here, the worker's before this thread's.  A head read short,
-        as when the log was cut after its size was taken, is a miss that
-        returns the head alone; a prefix that does not end at a newline, or
-        whose digests do not match, is a miss."""
-        size = log.st_size
+        All of it runs on the calling thread, in this order.  The header
+        must fit the log, and then the seal and the columns must check; a
+        snapshot that fails any of these is a miss that hashes no byte of
+        the log.  When the stamp vouches for the log, as the module
+        docstring says, the read is a hit that returns ``b""``, ``0`` and
+        the columns, with no byte of the log read.  Otherwise the log is
+        read whole, once, and the read is a hit only when the prefix ends
+        at a newline and its digest matches; so a log cut after its size
+        was taken is a miss that parses what was read.  What reading or
+        hashing raises reaches the caller."""
         try:
             with self._snapshot_path.open("rb") as sf:
                 written = os.fstat(sf.fileno()).st_mtime_ns
                 snapshot = sf.read()
             start = snapshot.find(b"\n") + 1 or len(snapshot)  # where the payload starts
             header = json.loads(snapshot[:start])
-            length, cut = header["length"], header["cut"]
-            fits = (header["version"] == SNAPSHOT_VERSION and type(length) is type(cut) is int
-                    and 0 <= cut <= length <= size)
+            length = header["length"]
+            columns = (_snapshot_columns(snapshot, start)  # the seal, then the columns
+                       if header["version"] == SNAPSHOT_VERSION and type(length) is int
+                       and 0 < length <= log.st_size
+                       and header.get("seal") == _seal(header, memoryview(snapshot)[start:])
+                       else None)
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
-            fits = False
-        if not fits:
-            return b"", fh.read(), 0, None
+            columns = None
+        if columns is None:
+            return fh.read(), 0, None
         # the log is as the read that wrote the snapshot found it
-        stamped = (_CHANGE_TIMES and length == size and log.st_ctime_ns < written
-                   and header.get("stat") == _stamp(log))
-        head = []  # the head's bytes, then their hex digest, or what reading or hashing raised
-        worker: threading.Thread | None = None
-        if not stamped:
-            fd, positional = fh.fileno(), hasattr(os, "pread")
-            given = None if positional else fh.read(cut)  # no pread: this thread reads the head
-
-            def hash_head() -> None:
-                try:
-                    head.append(_pread_head(fd, cut) if positional else given)
-                    head.append(hashlib.sha256(head[0]).hexdigest())
-                except BaseException as exc:
-                    head.append(exc)
-
-            worker = threading.Thread(target=hash_head)
-            try:
-                worker.start()
-            except RuntimeError:  # no thread can be started: read and hash the head here, first
-                worker = None
-                hash_head()
-        try:
-            if not stamped:
-                fh.seek(cut)
-                rest = fh.read()  # the prefix from the cut, then the tail
-            try:  # the seal, then the columns
-                sealed = header.get("seal") == _seal(header, memoryview(snapshot)[start:])
-                columns = _snapshot_columns(snapshot, start) if sealed else None
-            except (ValueError, TypeError, KeyError, RecursionError):
-                columns = None
-            if stamped:  # no worker to join: a hit, or a miss that reads the log now
-                return (b"", b"", 0, columns) if columns else (b"", fh.read(), 0, None)
-            second = columns and hashlib.sha256(memoryview(rest)[:length - cut]).hexdigest()
-        finally:  # joined whatever this thread raises; the head's error replaces it
-            if worker is not None:
-                worker.join()
-            if head and isinstance(head[-1], BaseException):
-                raise head[-1]
-        data = head[0]
-        if len(data) < cut:  # the log was cut after its size was taken: parse what the head holds
-            return b"", data, 0, None
-        last = rest[length - cut - 1:length - cut] if cut < length else data[length - 1:length]
-        if columns and last == b"\n" and [head[1], second] == header.get("digest"):
-            return data, rest, length - cut, columns  # a prefix read whole, of whole lines
-        return b"", data + rest, 0, None
+        if (_CHANGE_TIMES and length == log.st_size and log.st_ctime_ns < written
+                and header.get("stat") == _stamp(log)):
+            return b"", 0, columns
+        data = fh.read()
+        if (data[length - 1:length] == b"\n"  # a prefix read whole, of whole lines
+                and hashlib.sha256(memoryview(data)[:length]).hexdigest() == header.get("digest")):
+            return data, length, columns
+        return data, 0, None
 
     def _save_snapshot(self, prefix: memoryview, records: list[Record],
                        log: os.stat_result) -> None:
         """Atomically replace the snapshot with one of ``prefix``, the log's
         first bytes, which hold ``records``, stamped with ``log``, the log's
-        ``os.fstat`` as read: this thread computes both digests of the
-        prefix and then the seal, as the module docstring defines them.  A
-        failed write leaves the old snapshot, or none, and is not reported.
-        The snapshot gets the log's permission bits, as it holds the same
-        data."""
+        ``os.fstat`` as read: the digest of the prefix and then the seal, as
+        the module docstring defines them.  A failed write leaves the old
+        snapshot, or none, and is not reported.  The snapshot gets the
+        log's permission bits, as it holds the same data."""
         target = self._snapshot_path
         try:
             payload = _snapshot_payload(records)
-            cut = min(len(prefix), (len(prefix) + len(payload) + _CHECK_BYTES * len(records)) // 2)
-            header = {"cut": cut, "digest": [hashlib.sha256(prefix[:cut]).hexdigest(),
-                                             hashlib.sha256(prefix[cut:]).hexdigest()],
-                      "length": len(prefix), "stat": _stamp(log), "version": SNAPSHOT_VERSION}
+            header = {"digest": hashlib.sha256(prefix).hexdigest(), "length": len(prefix),
+                      "stat": _stamp(log), "version": SNAPSHOT_VERSION}
             header["seal"] = _seal(header, payload)
             fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp",
                                         dir=target.parent)

@@ -1,11 +1,13 @@
 """Command-line tests, driven through cli.main with captured output."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -494,9 +496,9 @@ class TestEvaluate:
             refused.append(thread)
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(store_module.threading.Thread, "start", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         assert main(argv) == 0  # a hit, whose digest is computed on the calling thread
-        assert len(refused) == 1
+        assert refused == []
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("command", [["evaluate", "--merchant", "A"],
@@ -507,16 +509,18 @@ class TestEvaluate:
         argv = [*command, "--store", seeded, "--format", "json"]
         assert main(argv) == 0  # a miss, which writes the snapshot
         expected = capsys.readouterr().out
+        snapshot = Path(seeded + store_module.SNAPSHOT_SUFFIX)
         changed = Path(seeded).stat().st_ctime_ns  # a snapshot mtime past it: not racy
-        os.utime(seeded + store_module.SNAPSHOT_SUFFIX, ns=(changed + 1, changed + 1))
-        started, start = [], store_module.threading.Thread.start
-        monkeypatch.setattr(store_module.threading.Thread, "start",
-                            lambda thread: started.append(thread) or start(thread))
-        assert main(argv) == 0  # a hit on the stamp, with no digest worker
-        assert (capsys.readouterr().out, started) == (expected, [])
+        os.utime(snapshot, ns=(changed + 1, changed + 1))
+        length = json.loads(snapshot.read_bytes().partition(b"\n")[0])["length"]
+        hashed, sha256 = [], hashlib.sha256  # the byte count of each buffer hashed whole
+        monkeypatch.setattr(store_module.hashlib, "sha256",
+                            lambda data=b"": hashed.append(len(data)) or sha256(data))
+        assert main(argv) == 0  # a hit on the stamp, with no prefix digest
+        assert (capsys.readouterr().out, hashed.count(length)) == (expected, 0)
         monkeypatch.setattr(store_module, "_CHANGE_TIMES", False)
-        assert main(argv) == 0  # a hit that hashes
-        assert (capsys.readouterr().out, len(started)) == (expected, 1)
+        assert main(argv) == 0  # a hit that hashes the prefix once
+        assert (capsys.readouterr().out, hashed.count(length)) == (expected, 1)
 
     def test_module_trust_overrides(self, seeded, capsys):
         code = main([

@@ -737,7 +737,7 @@ def replaced(monkeypatch):
 
 
 def pack(columns: dict) -> bytes:
-    """Snapshot columns as formats 5 and 6 lay them out: the timestamps as
+    """Snapshot columns as formats 5 to 7 lay them out: the timestamps as
     ``<i8`` (none when null), merchant and variable ids as ``<u4``, the
     kind bytes, then ``c`` and ``t_scaled`` as ``<f8``."""
     stamps, mids, vids = columns["timestamp"], columns["merchant"], columns["variable"]
@@ -748,7 +748,7 @@ def pack(columns: dict) -> bytes:
 
 
 def sealed(header: dict, payload: bytes) -> dict:
-    """``header`` with the ``seal`` of format 6: the SHA-256 of its other
+    """``header`` with the ``seal`` of formats 6 and 7: the SHA-256 of its other
     entries as ``json.dumps(sort_keys=True)`` writes them, a newline and
     then ``payload``."""
     others = {key: value for key, value in header.items() if key != "seal"}
@@ -758,14 +758,11 @@ def sealed(header: dict, payload: bytes) -> dict:
 
 def forge_snapshot(path: Path, table, blob: bytes, length: int | None = None) -> None:
     """A sealed, unstamped snapshot of the log's first ``length`` bytes
-    (all by default) holding ``table`` and ``blob``, with valid digests cut
-    halfway."""
+    (all by default) holding ``table`` and ``blob``, with a valid digest."""
     prefix = path.read_bytes()[:length]
     payload = json.dumps(table).encode("ascii") + b"\n" + blob
-    cut = len(prefix) // 2
-    header = {"cut": cut, "digest": [hashlib.sha256(prefix[:cut]).hexdigest(),
-                                     hashlib.sha256(prefix[cut:]).hexdigest()],
-              "length": len(prefix), "version": store_module.SNAPSHOT_VERSION}
+    header = {"digest": hashlib.sha256(prefix).hexdigest(), "length": len(prefix),
+              "version": store_module.SNAPSHOT_VERSION}
     snapshot_of(path).write_bytes(json.dumps(sealed(header, payload)).encode("ascii") + b"\n"
                                   + payload)
 
@@ -775,7 +772,7 @@ SAMPLE = [
     DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
     EvidenceRecord("A", "Portal", "negative", 3),
 ]
-#: SAMPLE's snapshot payload in formats 5 and 6: its table line and its columns
+#: SAMPLE's snapshot payload in formats 5 to 7: its table line and its columns
 SAMPLE_TABLE = {"merchant": ["A", "B"], "variable": ["Delivery", "Privacy", "Portal"],
                 "assessments": 1}
 SAMPLE_COLUMNS = {"timestamp": [1, 2, 3], "merchant": [0, 1, 0], "variable": [0, 1, 2],
@@ -829,20 +826,29 @@ SAMPLE_SNAPSHOT_V5 = (
     + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
     + b"+a-" + struct.pack("<d", 0.5) + struct.pack("<d", 2.5)
 )
+#: the snapshot that format 6 (the prefix's digest cut in two at ``cut``)
+#: wrote for SAMPLE's log, with the ``stat`` and ``seal`` entries taken out
+#: of its header; its sha256 was format 6's layout pin
+SAMPLE_SNAPSHOT_V6 = (
+    b'{"cut": 245, "digest": ["55d580cd9cbdd6774d926b0a3c217d52eac7ad88d5a83c5ae87c56f2c38b3330",'
+    b' "eaca308060799eedd5af33021137ada0aeec4280b09e7fd6b60c2620957d0000"], "length": 306,'
+    b' "version": 6}\n'
+    b'{"merchant":["A","B"],"variable":["Delivery","Privacy","Portal"],"assessments":1}\n'
+    + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
+    + b"+a-" + struct.pack("<d", 0.5) + struct.pack("<d", 2.5)
+)
 #: the sha256 of the snapshot written for SAMPLE, with the ``stat`` and
 #: ``seal`` entries taken out of its header, as they vary with the log's
 #: file.  A change of the layout must bump ``store.SNAPSHOT_VERSION``, so
-#: that old snapshots are ignored; then update this pin.  A moved cut
-#: (``store._CHECK_BYTES``) changes the header alone and needs no bump, as
-#: a read takes a snapshot cut anywhere.
-SAMPLE_SNAPSHOT_SHA256 = "4f1b72bc0a7d37fe04da92983584e5307f59c5a1fcba7960167a9edf688f4b71"
+#: that old snapshots are ignored; then update this pin.
+SAMPLE_SNAPSHOT_SHA256 = "ea2fd2a170a88a2c328fabee7ba37bec281ff542a772575cb82c76bae921903d"
 
 
 def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
     """SAMPLE's snapshot table and blob with the entries of ``table`` and
     ``columns`` replaced.  A ``timestamp`` entry in ``table`` takes the
     timestamps out of the columns, as format 3 did when one fell outside
-    int64; formats 5 and 6 have no such layout and refuse the blob, whose rows
+    int64; formats 5 to 7 have no such layout and refuse the blob, whose rows
     are then 9 bytes, not 17."""
     table, columns = {**SAMPLE_TABLE, **(table or {})}, {**SAMPLE_COLUMNS, **(columns or {})}
     if "timestamp" in table:
@@ -1123,9 +1129,10 @@ class TestSnapshot:
         """The snapshot's mtime is past the log's ctime, so a header that
         fits the log and holds its stat is checked on the stamp; every
         damage that keeps the header readable is refused by the seal, which
-        covers the other header entries and the payload.  ``stat`` points
-        the stamp at the log after a change that leaves its records as they
-        were; ``seal`` drops the seal and changes a record."""
+        covers the other header entries and the payload.  ``cut`` adds the
+        entry that format 6 had; ``stat`` points the stamp at the log after
+        a change that leaves its records as they were; ``seal`` drops the
+        seal and changes a record."""
         write_lines(store.path, SAMPLE)
         store.records()
         assert stamp_holds(store.path)
@@ -1138,7 +1145,7 @@ class TestSnapshot:
         elif damage == "digest":
             header["digest"] = header["digest"][::-1]
         elif damage == "cut":
-            header["cut"] -= 1
+            header["cut"] = header["length"] // 2
         elif damage == "stat":  # JSON whitespace: the same records from other bytes
             store.path.write_bytes(store.path.read_bytes().replace(b'"kind": ', b'"kind":\t', 1))
             header["stat"] = stat_entry(store.path)
@@ -1204,6 +1211,11 @@ class TestSnapshot:
             "e3351bbf84e944ae70c004387678386d95785e3c015f418aaf8fa3550c15f8ea")
         self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V5)
 
+    def test_a_format_6_snapshot_is_replaced(self, store, decoded):
+        assert hashlib.sha256(SAMPLE_SNAPSHOT_V6).hexdigest() == (  # format 6's layout pin
+            "4f1b72bc0a7d37fe04da92983584e5307f59c5a1fcba7960167a9edf688f4b71")
+        self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V6)
+
     @pytest.mark.parametrize("kind, c, t_scaled", [(b"b", 1, 2.5), (b"c", 0.5, 3), (b"d", 0, 7)])
     def test_an_int_marked_snapshot_is_replaced(self, store, decoded, kind, c, t_scaled):
         """Format 5 once marked an assessment whose ``c``, ``t_scaled`` or
@@ -1235,6 +1247,7 @@ class TestSnapshot:
             json.dumps(SAMPLE_TABLE, separators=(",", ":")).encode("ascii") + b"\n"
             + pack(SAMPLE_COLUMNS))
         header = json.loads(head)
+        assert list(header) == ["digest", "length", "seal", "stat", "version"]
         seal = header.pop("seal")
         assert header.pop("stat") == stamp
         assert seal == hashlib.sha256(json.dumps({**header, "stat": stamp}, sort_keys=True)
@@ -1316,11 +1329,10 @@ class TestSnapshot:
 
 
 class TestSnapshotCut:
-    """Since format 3 the prefix's SHA-256 is cut in two at ``cut``: the
-    head digest covers the log's first ``cut`` bytes, the rest digest the
-    other bytes of the prefix; since format 6 the payload is under the seal
-    alone.  A header whose cut or digests do not hold exactly that is
-    ignored for the log."""
+    """The prefix's digest.  Formats 3 to 6 cut it in two at ``cut``; since
+    format 7 one SHA-256 covers exactly the log's first ``length`` bytes,
+    and the payload is under the seal alone.  A header whose length or
+    digest does not hold exactly that is ignored for the log."""
 
     @pytest.fixture
     def log(self, store):
@@ -1334,14 +1346,12 @@ class TestSnapshotCut:
     def reforge(log: Path, **changes) -> None:
         """Rewrite the snapshot's header with ``changes`` (``None`` drops an
         entry) and seal it again, as ``forge_snapshot`` does.  A changed
-        ``cut`` or ``length`` gets the digests that slicing the log at them
-        gives, as a read slices it, when it can."""
+        ``length`` that is an int gets the digest that slicing the log at it
+        gives, as a read slices it."""
         head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
         header = {**json.loads(head), **changes}
-        cut, length, data = header.get("cut"), header["length"], log.read_bytes()
-        if ("cut" in changes or "length" in changes) and isinstance(cut, int):
-            header["digest"] = [hashlib.sha256(data[:cut]).hexdigest(),
-                                hashlib.sha256(data[cut:length]).hexdigest()]
+        if "length" in changes and type(header["length"]) is int:
+            header["digest"] = hashlib.sha256(log.read_bytes()[:header["length"]]).hexdigest()
         header = sealed({key: value for key, value in header.items() if value is not None},
                         payload)
         snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
@@ -1350,80 +1360,183 @@ class TestSnapshotCut:
     def header(log: Path) -> dict:
         return json.loads(snapshot_of(log).read_bytes().partition(b"\n")[0])
 
-    def test_the_digests_cover_the_prefix_at_the_cut_then_the_payload(self, log):
-        """Format 6: the digests cover the prefix alone, cut at ``cut``, and
-        the seal covers the payload after the header's other entries."""
+    def test_the_digest_covers_exactly_the_prefix(self, log):
+        """Format 7: one digest over the log's first ``length`` bytes, which
+        end at a newline, and the seal over the payload after the header's
+        other entries."""
         header, snapshot = self.header(log), snapshot_of(log).read_bytes()
-        cut, length, data = header["cut"], header["length"], log.read_bytes()
-        assert 0 < cut <= length < len(data)
-        assert header["digest"] == [hashlib.sha256(data[:cut]).hexdigest(),
-                                    hashlib.sha256(data[cut:length]).hexdigest()]
+        length, data = header["length"], log.read_bytes()
+        assert 0 < length < len(data) and data[length - 1:length] == b"\n"
+        assert header["digest"] == hashlib.sha256(data[:length]).hexdigest()
         assert header == sealed(header, snapshot.partition(b"\n")[2])
 
-    @pytest.mark.parametrize("damage", ["head", "rest", "swapped", "one", "format 2"])
+    @pytest.mark.parametrize("damage", ["head", "rest", "past the end", "swapped", "one",
+                                        "format 2"])
     def test_a_wrong_digest_falls_back_to_the_log(self, log, decoded, damage):
+        """The digest of the prefix less its last byte (``head``) or its
+        first (``rest``), or with the log's next byte; the right digest
+        with its halves swapped, or as a list, as format 6 held its two;
+        and one digest over the prefix and the payload, as format 2 held
+        it."""
         header, snapshot = self.header(log), snapshot_of(log).read_bytes()
-        digests, empty = header["digest"], hashlib.sha256(b"").hexdigest()
+        data, length, digest = log.read_bytes(), header["length"], header["digest"]
         if damage == "head":
-            digests = [empty, digests[1]]
+            digest = hashlib.sha256(data[:length - 1]).hexdigest()
         elif damage == "rest":
-            digests = [digests[0], empty]
+            digest = hashlib.sha256(data[1:length]).hexdigest()
+        elif damage == "past the end":
+            digest = hashlib.sha256(data[:length + 1]).hexdigest()
         elif damage == "swapped":
-            digests = digests[::-1]
+            digest = digest[32:] + digest[:32]
         elif damage == "one":
-            digests = digests[:1]
-        else:  # one digest over the prefix and the payload, as format 2 held it
-            digests = hashlib.sha256(log.read_bytes()[:header["length"]]
-                                     + snapshot.partition(b"\n")[2]).hexdigest()
-        self.reforge(log, digest=digests)
+            digest = [digest]
+        else:
+            digest = hashlib.sha256(data[:length] + snapshot.partition(b"\n")[2]).hexdigest()
+        self.reforge(log, digest=digest)
         decoded.clear()
         assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
         assert len(decoded) == 4
 
-    @pytest.mark.parametrize("cut", [-1, "length + 1", 1.0, "0", True, None],
-                             ids=["-1", "length+1", "1.0", "'0'", "True", "missing"])
-    def test_a_cut_out_of_range_or_not_an_int_falls_back_to_the_log(self, log, decoded, cut):
-        if cut == "length + 1":
-            cut = self.header(log)["length"] + 1
-        self.reforge(log, cut=cut)
+    @pytest.mark.parametrize("length", [-1, "size + 1", 1.0, "0", True, None],
+                             ids=["-1", "size+1", "1.0", "'0'", "True", "missing"])
+    def test_a_length_out_of_range_or_not_an_int_is_ignored(self, log, decoded, length):
+        if length == "size + 1":
+            length = log.stat().st_size + 1
+        self.reforge(log, length=length)
         decoded.clear()
         assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
         assert len(decoded) == 4
 
     def test_a_zero_length_falls_back_to_the_log(self, log, decoded):
-        self.reforge(log, cut=0, length=0)
+        self.reforge(log, length=0)
         decoded.clear()
         assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
         assert len(decoded) == 4
 
-    @pytest.mark.parametrize("at", ["start", "end"])
-    def test_a_cut_at_either_end_is_taken(self, log, decoded, at):
-        self.reforge(log, cut=0 if at == "start" else self.header(log)["length"])
-        decoded.clear()
-        assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]
-        assert len(decoded) == 1
-
-    @pytest.mark.parametrize("offset", [-1, 0])
-    def test_a_byte_changed_beside_the_cut_is_seen(self, log, decoded, offset):
-        """``Deli|very`` with the cut at ``|``: an upper-case ``I`` is the
-        head's last byte, and an upper-case ``V`` the rest's first."""
-        data = log.read_bytes()
-        cut = data.index(b"Delivery") + 4
-        self.reforge(log, cut=cut)
+    @pytest.mark.parametrize("line", ["first", "last"])
+    def test_a_byte_changed_in_the_prefix_is_seen(self, log, decoded, line):
+        """``Delivery`` on the prefix's first line, or ``Portal`` on its
+        last, with the case of one letter flipped: the record still checks,
+        so only the digest tells."""
         assert EvidenceStore(log).records() == SAMPLE + SAMPLE[:1]  # a hit
-        at = cut + offset
+        data = log.read_bytes()
+        at = data.index(b"Delivery" if line == "first" else b"Portal") + 3
         log.write_bytes(data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1:])
         decoded.clear()
         records = EvidenceStore(log).records()
         assert records == reference_records(log)
-        assert records[0].variable == ("DelIvery", "DeliVery")[offset + 1]
+        assert (records[0].variable, records[2].variable) == (
+            ("DelIvery", "Portal") if line == "first" else ("Delivery", "PorTal"))
         assert len(decoded) == 4
 
 
+def seal_calls(log: Path) -> list:
+    """The byte counts that the seal of the log's snapshot hashes, in order:
+    its header's other entries and a newline, then the payload."""
+    head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
+    others = {key: value for key, value in json.loads(head).items() if key != "seal"}
+    return [len(json.dumps(others, sort_keys=True)) + 1, len(payload)]
+
+
+def noted_hashes(monkeypatch, error=None) -> list:
+    """Patch ``sha256`` to note the byte count of each buffer it hashes, in
+    order, ``_snapshot_columns`` to note ``"columns"`` and ``_save_snapshot``
+    to note ``"save"`` before it writes.  With ``error``, the prefix digest
+    of the read, the ``sha256`` call that ``_load_snapshot`` makes itself,
+    raises it."""
+    calls = []
+
+    class Noted:
+        def __init__(self, data=None):
+            if error is not None and sys._getframe(1).f_code.co_name == "_load_snapshot":
+                raise error("no digest")
+            self.sha = sha256()
+            if data is not None:
+                self.update(data)
+
+        def update(self, data):
+            calls.append(len(data))
+            self.sha.update(data)
+
+        def hexdigest(self):
+            return self.sha.hexdigest()
+
+    def columns(*args):
+        calls.append("columns")
+        return check(*args)
+
+    def save(*args):
+        calls.append("save")
+        return write(*args)
+
+    sha256, check = hashlib.sha256, store_module._snapshot_columns
+    write = EvidenceStore._save_snapshot
+    monkeypatch.setattr(store_module.hashlib, "sha256", Noted)
+    monkeypatch.setattr(store_module, "_snapshot_columns", columns)
+    monkeypatch.setattr(EvidenceStore, "_save_snapshot", save)
+    return calls
+
+
+def loaded(calls: list) -> list:
+    """The calls that ``noted_hashes`` noted before the read wrote a snapshot."""
+    return calls[:calls.index("save")] if "save" in calls else calls
+
+
+def threads_started(monkeypatch, refuse: bool = False) -> list:
+    """Patch ``threading.Thread.start`` to note each thread started and,
+    with ``refuse``, to raise, as at a process's thread limit."""
+    started, begin = [], threading.Thread.start
+
+    def noting(thread):
+        started.append(thread)
+        if refuse:
+            raise RuntimeError("can't start new thread")
+        begin(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", noting)
+    return started
+
+
+def noted_reads(monkeypatch, log: Path, error: OSError | None = None) -> list:
+    """Note each read through the file object that the store opens on
+    ``log``, as ``(offset, bytes read)``; with ``error``, each read raises
+    it instead."""
+    reads, opened = [], Path.open
+
+    class Noted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def fileno(self):
+            return self.fh.fileno()
+
+        def read(self, *args):
+            if error is not None:
+                raise error
+            at = self.fh.tell()
+            data = self.fh.read(*args)
+            reads.append((at, len(data)))
+            return data
+
+    def noting_open(path, *args, **kwargs):
+        fh = opened(path, *args, **kwargs)
+        return Noted(fh) if path == log else fh
+
+    monkeypatch.setattr(Path, "open", noting_open)
+    return reads
+
+
 class TestSnapshotDigestWorker:
-    """A cold read hashes the head of the prefix's digest on one worker
-    thread while it checks the seal and the columns and hashes the rest,
-    and joins the worker before it returns."""
+    """Formats 3 to 6 hashed the head of the prefix on a worker thread.
+    Since format 7 a read starts no thread, and hashes the prefix with one
+    ``sha256`` call on the calling thread, after the seal and the columns
+    have passed; what that call raises reaches the caller."""
 
     @pytest.fixture
     def log(self, store):
@@ -1431,52 +1544,6 @@ class TestSnapshotDigestWorker:
         store.records()
         os.utime(store.path)  # a new ctime: the stamp no longer holds, so a hit hashes
         return store.path
-
-    def read_joins_the_worker(self, log) -> list:
-        before = threading.active_count()
-        records = EvidenceStore(log).records()
-        assert threading.active_count() == before
-        return records
-
-    @staticmethod
-    def hash_in_worker(monkeypatch, error=None) -> list:
-        """Patch ``sha256`` so that the digest worker's hash raises
-        ``error``, or, with none, stays alive a moment after its digest is
-        handed over; the snapshot write of the calling thread hashes as
-        usual.  Returns the ids of the threads that hashed off the calling
-        thread."""
-        caller, threads = threading.get_ident(), []
-
-        class Lingering:
-            def __init__(self, data):
-                self.sha = sha256(data)
-
-            def update(self, data):
-                self.sha.update(data)
-
-            def hexdigest(self):
-                return self.sha.hexdigest()
-
-            def __del__(self):
-                time.sleep(0.05)
-
-        def patched(data=b""):
-            if threading.get_ident() == caller:
-                return sha256(data)
-            threads.append(threading.get_ident())
-            if error is not None:
-                raise error("no digest")
-            return Lingering(data)
-
-        sha256 = hashlib.sha256
-        monkeypatch.setattr(store_module.hashlib, "sha256", patched)
-        return threads
-
-    def test_a_hit_hashes_on_one_worker_and_joins_it(self, log, decoded, monkeypatch):
-        threads = self.hash_in_worker(monkeypatch)
-        assert self.read_joins_the_worker(log) == SAMPLE
-        assert decoded == []
-        assert len(threads) == 1
 
     @pytest.mark.parametrize("damage", ["digest", "columns", "short", "missing"])
     def test_a_snapshot_that_is_ignored_leaves_no_thread(self, log, decoded, monkeypatch,
@@ -1489,11 +1556,11 @@ class TestSnapshotDigestWorker:
             snapshot_of(log).write_bytes(snapshot_of(log).read_bytes()[:20])
         else:
             snapshot_of(log).unlink()
-        threads = self.hash_in_worker(monkeypatch)
+        started = threads_started(monkeypatch)
         decoded.clear()
-        assert self.read_joins_the_worker(log) == SAMPLE
+        assert EvidenceStore(log).records() == SAMPLE
         assert len(decoded) == 3
-        assert len(threads) == (damage in ("digest", "columns"))
+        assert started == []
 
     @pytest.mark.parametrize("error", [ValueError, MemoryError])
     def test_a_failing_column_check_leaves_no_thread(self, log, monkeypatch, error):
@@ -1501,247 +1568,54 @@ class TestSnapshotDigestWorker:
             raise error("column check failed")
 
         monkeypatch.setattr(store_module, "_snapshot_columns", fail)
-        self.hash_in_worker(monkeypatch)
-        before = threading.active_count()
+        started = threads_started(monkeypatch)
         if error is ValueError:
-            assert self.read_joins_the_worker(log) == SAMPLE
+            assert EvidenceStore(log).records() == SAMPLE
         else:
             with pytest.raises(MemoryError, match="column check failed"):
                 EvidenceStore(log).records()
-        assert threading.active_count() == before
+        assert started == []
 
     def test_a_digest_that_raises_value_error_ignores_the_snapshot(self, log, decoded,
                                                                    monkeypatch):
-        """Since format 6, an error from the head's hash reaches the caller,
-        whatever its type, as hashing bytes raises nothing a snapshot can
-        cause."""
-        threads = self.hash_in_worker(monkeypatch, ValueError)
-        before = threading.active_count()
+        """Since format 6, an error from the prefix digest reaches the
+        caller, whatever its type, as hashing bytes raises nothing a
+        snapshot can cause."""
+        noted_hashes(monkeypatch, ValueError)
         decoded.clear()
         with pytest.raises(ValueError, match="no digest"):
             EvidenceStore(log).records()
-        assert threading.active_count() == before
         assert decoded == []
-        assert len(threads) == 1
 
     @pytest.mark.parametrize("columns_fail", [False, True])
     def test_a_digest_that_raises_memory_error_reaches_the_caller(self, log, monkeypatch,
                                                                   columns_fail):
-        def reject(*args):
-            raise ValueError("column check failed")
-
-        self.hash_in_worker(monkeypatch, MemoryError)
-        if columns_fail:  # the worker's error wins over the miss
-            monkeypatch.setattr(store_module, "_snapshot_columns", reject)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="no digest"):
-            EvidenceStore(log).records()
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("damage", [None, "digest"])
-    def test_a_thread_that_cannot_start_hashes_on_the_caller(self, log, decoded, monkeypatch,
-                                                              damage):
-        refused = []
-
-        def refuse(thread):
-            refused.append(thread)
-            raise RuntimeError("can't start new thread")
-
-        if damage:
-            TestSnapshotCut.reforge(log, digest=hashlib.sha256(b"").hexdigest())
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        threads = self.hash_in_worker(monkeypatch)
-        decoded.clear()
-        assert self.read_joins_the_worker(log) == SAMPLE
-        assert (len(refused), threads, len(decoded)) == (1, [], 3 if damage else 0)
-
-    @staticmethod
-    def hash_halves(monkeypatch, half=None, error=None) -> list:
-        """Patch ``sha256`` and ``_snapshot_columns`` to note, in order, each
-        call that hashes bytes, as ``(on the calling thread, byte count)``,
-        and each column check, as ``(True, "columns")``.  The read's
-        ``sha256`` call of ``half`` raises ``error``: the head's, which the
-        worker makes, or the rest's, which the calling thread makes; the
-        snapshot writer's calls do not.  The worker lingers a moment after
-        it hashes, so that a worker left unjoined shows."""
-        caller, calls = threading.get_ident(), []
-        failing = {"head": "hash_head", "rest": "_load_snapshot"}.get(half)
-
-        class Noted:
-            def __init__(self, data=None):
-                if error is not None and sys._getframe(1).f_code.co_name == failing:
-                    raise error("no digest")
-                self.sha = sha256()
-                if data is not None:
-                    self.update(data)
-
-            def update(self, data):
-                calls.append((threading.get_ident() == caller, len(data)))
-                self.sha.update(data)
-
-            def hexdigest(self):
-                if threading.get_ident() != caller:
-                    time.sleep(0.05)
-                return self.sha.hexdigest()
-
-        def columns(*args):
-            calls.append((True, "columns"))
-            return check(*args)
-
-        sha256, check = hashlib.sha256, store_module._snapshot_columns
-        monkeypatch.setattr(store_module.hashlib, "sha256", Noted)
-        monkeypatch.setattr(store_module, "_snapshot_columns", columns)
-        return calls
-
-    @staticmethod
-    def split(log) -> tuple:
-        """The cut, the length and the payload size of the log's snapshot."""
-        head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
-        header = json.loads(head)
-        return header["cut"], header["length"], len(payload)
-
-    @staticmethod
-    def seal_calls(log) -> list:
-        """The byte counts that the seal of the log's snapshot hashes, in
-        order: its header's other entries and a newline, then the payload."""
-        head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
-        others = {key: value for key, value in json.loads(head).items() if key != "seal"}
-        return [len(json.dumps(others, sort_keys=True)) + 1, len(payload)]
-
-    def test_the_worker_hashes_the_head_in_one_call(self, log, decoded, monkeypatch):
-        cut, length, _ = self.split(log)
-        calls = self.hash_halves(monkeypatch)
-        assert self.read_joins_the_worker(log) == SAMPLE
-        assert decoded == []
-        assert [n for on_caller, n in calls if not on_caller] == [cut]
-        assert [n for on_caller, n in calls if on_caller] == [
-            *self.seal_calls(log), "columns", length - cut]
-
-    @pytest.mark.parametrize("half", ["head", "rest"])
-    def test_a_value_error_from_either_half_ignores_the_snapshot(self, log, decoded,
-                                                                  monkeypatch, half):
-        """Since format 6, an error from either half's hash reaches the
-        caller, whatever its type, as hashing bytes raises nothing a
-        snapshot can cause."""
-        self.hash_halves(monkeypatch, half, ValueError)
-        before = threading.active_count()
-        decoded.clear()
-        with pytest.raises(ValueError, match="no digest"):
-            EvidenceStore(log).records()
-        assert threading.active_count() == before
-        assert decoded == []
-
-    @pytest.mark.parametrize("columns_fail", [False, True])
-    @pytest.mark.parametrize("half", ["head", "rest"])
-    def test_a_memory_error_from_either_half_reaches_the_caller(self, log, monkeypatch, half,
-                                                                 columns_fail):
         """When the columns fail, the read is a miss that never hashes the
-        rest, whose error then cannot arise; the head's, which the worker
-        raised meanwhile, still reaches the caller."""
+        prefix, so the digest's error cannot arise."""
         def reject(*args):
             raise ValueError("column check failed")
 
-        calls = self.hash_halves(monkeypatch, half, MemoryError)
+        calls, sealing = noted_hashes(monkeypatch, MemoryError), seal_calls(log)
         if columns_fail:
             monkeypatch.setattr(store_module, "_snapshot_columns", reject)
-        before = threading.active_count()
-        if columns_fail and half == "rest":
             assert EvidenceStore(log).records() == SAMPLE
+            assert loaded(calls) == sealing
         else:
             with pytest.raises(MemoryError, match="no digest"):
                 EvidenceStore(log).records()
-        assert threading.active_count() == before
-        assert any(not on_caller for on_caller, _ in calls) == (half == "rest")
-
-    def test_a_thread_that_cannot_start_hashes_both_halves_on_the_caller(self, log, decoded,
-                                                                         monkeypatch):
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
-
-        cut, length, _ = self.split(log)
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        calls = self.hash_halves(monkeypatch)
-        assert self.read_joins_the_worker(log) == SAMPLE
-        assert decoded == []
-        assert calls == [(True, cut), *[(True, n) for n in self.seal_calls(log)],
-                         (True, "columns"), (True, length - cut)]
 
 
 class TestSplitRead:
-    """On a cold hit the digest worker reads the log's head itself with
-    ``os.pread`` while the calling thread reads from the cut to the end."""
+    """Format 6 split a hashed read: the digest worker read the log's head
+    with ``os.pread`` while the calling thread read from the cut to the end.
+    Since format 7 the calling thread reads the whole log with one read."""
 
     log = TestSnapshotDigestWorker.log
-
-    @staticmethod
-    def reads(monkeypatch, log: Path) -> tuple[list, list]:
-        """Note each positional read of the log, as ``(on the calling thread,
-        size, offset)``, and each read through the file object that the
-        store opens, as ``(offset, bytes read)``."""
-        caller, preads, reads = threading.get_ident(), [], []
-        pread, opened = os.pread, Path.open
-
-        def noting_pread(fd, size, offset):
-            preads.append((threading.get_ident() == caller, size, offset))
-            return pread(fd, size, offset)
-
-        class Noted:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def fileno(self):
-                return self.fh.fileno()
-
-            def seek(self, *args):
-                return self.fh.seek(*args)
-
-            def read(self, *args):
-                at = self.fh.tell()
-                data = self.fh.read(*args)
-                reads.append((at, len(data)))
-                return data
-
-        def noting_open(path, *args, **kwargs):
-            fh = opened(path, *args, **kwargs)
-            return Noted(fh) if path == log else fh
-
-        monkeypatch.setattr(store_module.os, "pread", noting_pread)
-        monkeypatch.setattr(Path, "open", noting_open)
-        return preads, reads
-
-    def test_the_worker_preads_the_head_and_the_caller_reads_from_the_cut(self, log, decoded,
-                                                                          monkeypatch):
-        cut, _, _ = TestSnapshotDigestWorker.split(log)
-        size = log.stat().st_size
-        preads, reads = self.reads(monkeypatch, log)
-        assert TestSnapshotDigestWorker().read_joins_the_worker(log) == SAMPLE
-        assert decoded == []
-        assert preads == [(False, cut, 0)]
-        assert reads == [(cut, size - cut)]
-
-    def test_a_head_read_in_parts_is_read_whole(self, log, decoded, monkeypatch):
-        cut, _, _ = TestSnapshotDigestWorker.split(log)
-        pread, offsets = os.pread, []
-
-        def partial(fd, size, offset):  # as a read past 0x7ffff000 bytes is on Linux
-            offsets.append(offset)
-            return pread(fd, min(size, 64), offset)
-
-        monkeypatch.setattr(store_module.os, "pread", partial)
-        assert EvidenceStore(log).records() == SAMPLE
-        assert decoded == []
-        assert offsets == list(range(0, cut, 64))
 
     def test_a_log_cut_after_its_size_was_taken_parses_what_was_read(self, log, decoded,
                                                                      monkeypatch):
         first = log.read_bytes().index(b"\n") + 1
-        assert first < TestSnapshotDigestWorker.split(log)[0]  # the cut lies past it
+        assert first < TestSnapshotCut.header(log)["length"]  # the prefix ends past it
         fstat = os.fstat
 
         def cutting(fd):
@@ -1756,34 +1630,66 @@ class TestSplitRead:
         assert len(decoded) == 1
 
     def test_an_error_reading_the_head_names_the_log(self, log, monkeypatch):
-        def failing(fd, size, offset):
-            time.sleep(0.05)  # after the calling thread's read: the head's error still wins
-            raise OSError(5, "Input/output error")
-
-        monkeypatch.setattr(store_module.os, "pread", failing)
-        before = threading.active_count()
+        """The one read of the log, which reads what was the head."""
+        noted_reads(monkeypatch, log, OSError(5, "Input/output error"))
         with pytest.raises(StorageFailure, match=f"^cannot read {log}: .*Input/output error"):
             EvidenceStore(log).records()
-        assert threading.active_count() == before
 
-    def test_without_pread_the_worker_hashes_the_head_it_is_handed(self, log, decoded,
-                                                                   monkeypatch):
-        cut, length, _ = TestSnapshotDigestWorker.split(log)
-        monkeypatch.delattr(store_module.os, "pread")
-        calls = TestSnapshotDigestWorker.hash_halves(monkeypatch)
-        assert TestSnapshotDigestWorker().read_joins_the_worker(log) == SAMPLE
-        assert decoded == []
-        assert [n for on_caller, n in calls if not on_caller] == [cut]
-        assert [n for on_caller, n in calls if on_caller] == [
-            *TestSnapshotDigestWorker.seal_calls(log), "columns", length - cut]
+
+class TestOneThread:
+    """Since format 7 a read runs on the calling thread alone, and a
+    snapshot that its seal or its columns refuse costs no digest of the
+    log."""
+
+    log = TestSnapshotDigestWorker.log
+
+    @pytest.mark.parametrize("check", ["seal", "columns"])
+    def test_a_snapshot_its_seal_or_columns_refuse_hashes_no_log_byte(self, log, decoded,
+                                                                     monkeypatch, check):
+        """A payload byte flipped, or a ``c`` of 1.5 under a valid seal: the
+        read hashes the seal's inputs, checks the columns when the seal
+        passes, and then parses the log without hashing it."""
+        if check == "seal":
+            data = snapshot_of(log).read_bytes()
+            snapshot_of(log).write_bytes(data[:-16] + bytes([data[-16] ^ 1]) + data[-15:])
+        else:
+            forge_snapshot(log, *sample_payload(None, {"c": [1.5]}))
+        expected = seal_calls(log) + (["columns"] if check == "columns" else [])
+        calls = noted_hashes(monkeypatch)
+        decoded.clear()
+        assert EvidenceStore(log).records() == SAMPLE
+        assert len(decoded) == 3
+        assert loaded(calls) == expected
+
+    @pytest.mark.parametrize("case", ["miss", "stamped", "hashed", "rewrite"])
+    def test_no_read_starts_a_thread(self, store, replaced, monkeypatch, case):
+        """With ``threading.Thread.start`` made to raise: a miss on a wrong
+        digest, a hit on the stamp, a hit that hashes the prefix, and a hit
+        whose tail outnumbers the snapshot, which rewrites it.  Each returns
+        the log's records and writes a snapshot only when it should."""
+        write_lines(store.path, SAMPLE)
+        store.records()
+        if case == "stamped":
+            settle(store.path)
+            assert stamp_holds(store.path)
+        elif case == "rewrite":
+            write_lines(store.path, SAMPLE * 2)
+        else:
+            os.utime(store.path)  # a new ctime: the stamp no longer holds
+        if case == "miss":
+            TestSnapshotCut.reforge(store.path, digest=hashlib.sha256(b"").hexdigest())
+        replaced.clear()
+        started = threads_started(monkeypatch, refuse=True)
+        assert EvidenceStore(store.path).records() == reference_records(store.path)
+        assert started == []
+        assert len(replaced) == (case in ("miss", "rewrite"))
 
 
 class TestStatStamp:
     """On POSIX, a snapshot stamped with the log's stat, whose stamped ctime
     is older than the snapshot's mtime and whose seal and columns check, is
-    taken with no byte of the log read and no thread started; any other
-    hit hashes as ``TestSnapshotDigestWorker`` and ``TestSplitRead``
-    describe."""
+    taken with no byte of the log read; any other hit reads the log once
+    and hashes its prefix."""
 
     @pytest.fixture
     def log(self, store):
@@ -1796,26 +1702,31 @@ class TestStatStamp:
     @staticmethod
     def read(monkeypatch, log: Path) -> tuple:
         """A new store's records of ``log``; the log's reads, as
-        ``TestSplitRead.reads`` notes them; and the threads started."""
-        started, begin = [], threading.Thread.start
-
-        def noting(thread):
-            started.append(thread)
-            begin(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", noting)
-        preads, reads = TestSplitRead.reads(monkeypatch, log)
-        return EvidenceStore(log).records(), preads, reads, started
+        ``noted_reads`` notes them; the threads started; and what
+        ``noted_hashes`` notes before the read writes a snapshot."""
+        started = threads_started(monkeypatch)
+        reads = noted_reads(monkeypatch, log)
+        calls = noted_hashes(monkeypatch)
+        return EvidenceStore(log).records(), reads, started, loaded(calls)
 
     @staticmethod
-    def hashed(log: Path) -> list:
-        """The reads of a hit that hashes: the worker's ``pread`` of the head."""
-        return [(False, TestSnapshotDigestWorker.split(log)[0], 0)]
+    def checked(log: Path) -> list:
+        """What a read notes that checks the snapshot and takes the stamp."""
+        return [*seal_calls(log), "columns"]
+
+    @classmethod
+    def hashed(cls, log: Path) -> tuple:
+        """The reads and the notes of a hit that hashes: one read of the
+        whole log, and the digest of its first ``length`` bytes after the
+        seal and the columns."""
+        length = TestSnapshotCut.header(log)["length"]
+        return [(0, log.stat().st_size)], [*cls.checked(log), length]
 
     def test_a_stamped_hit_reads_no_byte_of_the_log(self, log, decoded, monkeypatch):
-        records, preads, reads, started = self.read(monkeypatch, log)
+        checked = self.checked(log)
+        records, reads, started, calls = self.read(monkeypatch, log)
         assert records == SAMPLE
-        assert (preads, reads, started, decoded) == ([], [], [], [])
+        assert (reads, started, decoded, calls) == ([], [], [], checked)
 
     @pytest.mark.parametrize("by", ["edit", "rename", "edit as the snapshot is written"])
     def test_a_changed_log_of_the_same_size_and_mtime_is_caught(self, log, decoded,
@@ -1865,9 +1776,11 @@ class TestStatStamp:
         snapshot_of(log).write_bytes(data[:-16] + b"\x01" + data[-15:])
         settle(log)
         assert stamp_holds(log)
-        records, preads, _, started = self.read(monkeypatch, log)
+        sealing = seal_calls(log)
+        records, reads, started, calls = self.read(monkeypatch, log)
         assert records == SAMPLE
-        assert (preads, started) == ([], [])  # a miss on the seal: no head read, no worker
+        # a miss on the seal: one read of the log, and no digest of it
+        assert (reads, started, calls) == ([(0, log.stat().st_size)], [], sealing)
         assert len(decoded) == 3
 
     @pytest.mark.parametrize("path", ["stamped", "hashed"])
@@ -1876,8 +1789,8 @@ class TestStatStamp:
                                                              monkeypatch, seal, path):
         """A seal that is missing, that is no seal of the header, or that
         seals the same payload under another header: the read parses the
-        log, reading no head and starting no worker when the stamp holds,
-        and writes a snapshot that the next read takes."""
+        log, hashing none of it whether or not the stamp holds, and writes a
+        snapshot that the next read takes."""
         head, _, payload = snapshot_of(log).read_bytes().partition(b"\n")
         header = json.loads(head)
         if seal == "missing":
@@ -1885,30 +1798,41 @@ class TestStatStamp:
         elif seal == "wrong":
             header["seal"] = hashlib.sha256(b"").hexdigest()
         else:
-            header["seal"] = sealed({**header, "cut": header["cut"] - 1}, payload)["seal"]
+            header["seal"] = sealed({**header, "length": header["length"] - 1}, payload)["seal"]
         snapshot_of(log).write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
         if path == "hashed":
             os.utime(log)  # a new ctime: the stamp no longer holds
         settle(log)
         assert stamp_holds(log) == (path == "stamped")
-        expected = ([], 0) if path == "stamped" else (self.hashed(log), 1)
-        records, preads, _, started = self.read(monkeypatch, log)
+        expected = ([(0, log.stat().st_size)], [], seal_calls(log))
+        records, reads, started, calls = self.read(monkeypatch, log)
         assert records == SAMPLE
-        assert (preads, len(started)) == expected
+        assert (reads, started, calls) == expected
         assert len(decoded) == 3
         assert replaced == ["log.jsonl.snapshot"]
         decoded.clear()
         assert EvidenceStore(log).records() == SAMPLE
         assert decoded == []
 
+    def test_a_zero_length_is_ignored_on_the_stamp_too(self, log, decoded):
+        """A snapshot of no bytes holds no record, though a sealed one next
+        to an empty log may carry a stamp that holds."""
+        log.write_bytes(b"")
+        forge_snapshot(log, *sample_payload())
+        TestSnapshotCut.reforge(log, stat=stat_entry(log))
+        settle(log)
+        assert stamp_holds(log) and TestSnapshotCut.header(log)["length"] == 0
+        assert EvidenceStore(log).records() == []
+
     @pytest.mark.parametrize("later", [0, 1])
     def test_a_stamp_as_new_as_the_snapshot_is_racy(self, log, decoded, monkeypatch, later):
         """A snapshot whose mtime is the log's stamped ctime hashes; one a
         nanosecond later is taken on the stamp."""
         os.utime(snapshot_of(log), ns=(0, log.stat().st_ctime_ns + later))
-        records, preads, _, started = self.read(monkeypatch, log)
+        expected = self.hashed(log) if later == 0 else ([], self.checked(log))
+        records, reads, started, calls = self.read(monkeypatch, log)
         assert records == SAMPLE
-        assert (preads, len(started)) == ((self.hashed(log), 1) if later == 0 else ([], 0))
+        assert (reads, calls, started) == (*expected, [])
         assert decoded == []
 
     @pytest.mark.parametrize("case", ["not POSIX", "no stamp", "unterminated"])
@@ -1929,9 +1853,10 @@ class TestStatStamp:
             expected = SAMPLE + SAMPLE[:1]
         settle(log)
         decoded.clear()
-        records, preads, _, started = self.read(monkeypatch, log)
+        hashed = self.hashed(log)
+        records, reads, started, calls = self.read(monkeypatch, log)
         assert records == expected
-        assert (preads, len(started)) == (self.hashed(log), 1)
+        assert (reads, calls, started) == (*hashed, [])
         assert len(decoded) == (case == "unterminated")
 
 
