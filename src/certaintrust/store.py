@@ -21,21 +21,26 @@ and every merchant is scored against the log as it stood then.
 Next to the log, ``<log name>.snapshot`` keeps the records of a validated
 prefix of it, so that a read parses only the lines after that prefix.
 Its first line is a JSON header.  A JSON table line follows: the distinct
-merchant and variable names in first-seen order and the number of
-assessments.  Then come fixed-width little-endian columns, 17 bytes per
-record: the timestamps (``<i8``), merchant ids and variable ids
-(``<u4``), and a kind byte per record (``+`` and ``-`` for positive and
-negative evidence, ``a`` for an assessment).  Last come ``c`` and then
-``t_scaled`` per assessment (``<f8``):
+merchant and variable names in first-seen order, the number of
+assessments, and ``since`` and ``until``, the smallest and the largest
+timestamp.  Then come little-endian columns of unsigned ints: each
+timestamp's offset ``t - since``, the merchant ids and the variable ids.
+Each of these is at the narrowest of ``<u1``, ``<u2``, ``<u4`` and
+``<u8`` that holds its largest value, which the table gives: ``until -
+since``, and the length of the name table less one.  A kind byte per
+record follows (``+`` and ``-`` for positive and negative evidence, ``a``
+for an assessment).  Last come ``c`` and then ``t_scaled`` per
+assessment (``<f8``):
 
     {"digest": "<sha256>", "length": 230, "seal": "<sha256>",
-     "stat": [2049, 131, 230, <mtime ns>, <ctime ns>], "version": 7}
-    {"merchant":["A"],"variable":["Delivery","Privacy"],"assessments":1}
-    <1, 2 as <i8><0, 0 as <u4><0, 1 as <u4>+a<0.6 as <f8><3.5 as <f8>
+     "stat": [2049, 131, 230, <mtime ns>, <ctime ns>], "version": 8}
+    {"merchant":["A"],"variable":["Delivery","Privacy"],"assessments":1,"since":1,"until":2}
+    <0, 1 as <u1><0, 0 as <u1><0, 1 as <u1>+a<0.6 as <f8><3.5 as <f8>
 
 Every record fits these columns, as the record constructors take only
-int64 timestamps and store ``c`` and ``t_scaled`` as floats.  A read that
-skips a torn final line writes no snapshot.
+int64 timestamps, whose offsets fit ``<u8``, and store ``c`` and
+``t_scaled`` as floats.  A read that skips a torn final line writes no
+snapshot.
 
 Each byte is under one SHA-256 digest.  ``digest`` covers the prefix, the
 log's first ``length`` bytes.  ``seal`` covers the header's other entries,
@@ -90,7 +95,7 @@ ASSESSMENT_KIND = "assessment"
 STORE_ENV_VAR = "CERTAIN_TRUST_STORE"
 
 SNAPSHOT_SUFFIX = ".snapshot"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 #: a read rewrites the snapshot when the records after it outnumber the
 #: snapshot's, or both this many and a tenth of the snapshot's, so that no
 #: read parses a much longer tail than that
@@ -260,17 +265,28 @@ _OUTCOMES = {kind: outcome for outcome, kind in _KINDS.items()}
 _ASSESSED = ord("a")
 #: the largest c, and the largest t_scaled: the largest finite float
 _UPPER = np.array([[1.0], [np.finfo(np.float64).max]])
+#: the widths of the integer columns, narrowest first
+_WIDTHS = tuple(np.dtype(f"<u{size}") for size in (1, 2, 4, 8))
+
+
+def _width(largest: int) -> np.dtype:
+    """The narrowest of ``_WIDTHS`` that holds every int up to ``largest``."""
+    return next(width for width in _WIDTHS if largest < 256**width.itemsize)
 
 
 def _snapshot_payload(records) -> bytes:
     """The records as a JSON table line and fixed-width binary columns.
 
     The table holds the distinct merchant and variable names in first-seen
-    order and the number of assessments.  The columns follow it: the
-    timestamps as ``<i8``, merchant ids and variable ids as ``<u4``, a kind
-    byte per record (``+`` or ``-`` for evidence, ``a`` for an assessment),
-    then ``c`` and then ``t_scaled`` per assessment as ``<f8``."""
-    stamps = np.array([r.timestamp for r in records], "<i8").tobytes()
+    order, the number of assessments, and ``since`` and ``until``, the
+    smallest and the largest timestamp.  The columns follow it: each
+    timestamp's offset ``t - since``, the merchant ids and the variable ids,
+    each column at the narrowest of ``<u1``, ``<u2``, ``<u4`` and ``<u8``
+    that holds its largest value; a kind byte per record (``+`` or ``-``
+    for evidence, ``a`` for an assessment); then ``c`` and then
+    ``t_scaled`` per assessment as ``<f8``."""
+    stamps = [r.timestamp for r in records]
+    since, until = min(stamps, default=0), max(stamps, default=0)
     merchants: dict[str, int] = {}
     variables: dict[str, int] = {}
     mids = [merchants.setdefault(r.merchant, len(merchants)) for r in records]
@@ -280,47 +296,60 @@ def _snapshot_payload(records) -> bytes:
     kinds = bytes([_KINDS[r.outcome] if isinstance(r, EvidenceRecord) else _ASSESSED
                    for r in records])
     table = {"merchant": list(merchants), "variable": list(variables),
-             "assessments": len(assessments)}
-    columns = [stamps, np.array(mids, "<u4").tobytes(), np.array(vids, "<u4").tobytes(), kinds,
-               np.array(numbers, "<f8").tobytes()]
+             "assessments": len(assessments), "since": since, "until": until}
+    # t - since lies in [0, 2**64), so uint64 arithmetic, which wraps, gives it exactly
+    offsets = np.array(stamps, np.int64).view(np.uint64) - np.uint64(since % 2**64)
+    columns = [offsets.astype(_width(until - since)),
+               np.array(mids, _width(len(merchants) - 1)),
+               np.array(vids, _width(len(variables) - 1)),
+               kinds, np.array(numbers, "<f8")]
     line = json.dumps(table, separators=(",", ":"), check_circular=False).encode("ascii")
     return b"\n".join([line, b"".join(columns)])
 
 
 def _snapshot_columns(data: bytes, start: int) -> tuple:
     """The checked columns of the snapshot payload at ``data[start:]``:
-    kinds, merchant ids, variable ids, timestamps, the rows of the
-    assessments, merchant names, variable names, ``c``, ``t_scaled`` and
-    the id of each merchant name.  The fixed-width columns are views of
-    ``data``; only the table line and the kind bytes are copied.  A blob
-    whose length does not fit the table, an id outside its table, a
-    duplicate merchant name, or any record that the record constructors
-    would reject raise ValueError or TypeError, so a snapshot is taken or
-    ignored whole without building its records."""
+    kinds, merchant ids, variable ids, timestamp offsets, ``since``, the
+    rows of the assessments, merchant names, variable names, ``c`` and
+    ``t_scaled``.  The widths of the integer columns follow from the table
+    alone: from ``until - since`` and from the lengths of the name tables.
+    The fixed-width columns are views of ``data``; only the table line and
+    the kind bytes are copied.  A ``since`` or ``until`` that is no int in
+    int64 or out of order, a blob whose length does not fit the table, an
+    offset past ``until - since``, an id outside its table, a duplicate
+    merchant name, or any record that the record constructors would reject
+    raise ValueError or TypeError, so a snapshot is taken or ignored whole
+    without building its records."""
     at = data.find(b"\n", start) + 1 or len(data)  # where the blob starts
     table = json.loads(data[start:at])
     names, variables, m = table["merchant"], table["variable"], table["assessments"]
-    n, rest = divmod(len(data) - at - 16 * m, 17)
-    if not (type(names) is type(variables) is list and type(m) is int and 0 <= m <= n
-            and not rest):
-        raise ValueError("snapshot tables are not lists that fit the blob")
-    stamps = np.frombuffer(data, "<i8", n, at)
-    mids = np.frombuffer(data, "<u4", n, at + 8 * n)
-    vids = np.frombuffer(data, "<u4", n, at + 12 * n)
-    kind_bytes = data[at + 16 * n:at + 17 * n]
+    since, until = table["since"], table["until"]
+    if not (type(names) is type(variables) is list and type(m) is int
+            and type(since) is type(until) is int and -(2**63) <= since <= until < 2**63):
+        raise ValueError("snapshot tables are not lists, or since and until are no int64 range")
+    widths = [_width(until - since), _width(len(names) - 1), _width(len(variables) - 1)]
+    n, rest = divmod(len(data) - at - 16 * m, sum(w.itemsize for w in widths) + 1)
+    if not (0 <= m <= n and not rest):
+        raise ValueError("snapshot blob does not fit its table")
+    ints = []
+    for width in widths:
+        ints.append(np.frombuffer(data, width, n, at))
+        at += width.itemsize * n
+    offsets, mids, vids = ints
+    kind_bytes = data[at:at + n]
     kinds = np.frombuffer(kind_bytes, np.uint8)
-    numbers = np.frombuffer(data, "<f8", 2 * m, at + 17 * n).reshape(2, m)  # c, then t_scaled
+    numbers = np.frombuffer(data, "<f8", 2 * m, at + n).reshape(2, m)  # c, then t_scaled
     assessed = np.flatnonzero(kinds >= _ASSESSED)
-    index = dict(zip(names, range(len(names))))
     # str.strip raises TypeError for a name that is not a string; a NaN
-    # fails both bounds
+    # fails both bounds; an empty column has no .max()
     if not (all(map(str.strip, names)) and all(map(str.strip, variables))
-            and len(index) == len(names) and not kind_bytes.translate(None, b"+-a")
+            and len(set(names)) == len(names) and not kind_bytes.translate(None, b"+-a")
             and len(assessed) == m
-            and (mids < len(names)).all() and (vids < len(variables)).all()
+            and (not n or (offsets.max() <= until - since and mids.max() < len(names)
+                           and vids.max() < len(variables)))
             and ((0.0 <= numbers) & (numbers <= _UPPER)).all()):
         raise ValueError("snapshot holds a record the checks reject")
-    return kinds, mids, vids, stamps, assessed, names, variables, numbers[0], numbers[1], index
+    return kinds, mids, vids, offsets, since, assessed, names, variables, numbers[0], numbers[1]
 
 
 def _column_records(columns: tuple | None, merchant: str | None = None) -> list[Record]:
@@ -329,17 +358,20 @@ def _column_records(columns: tuple | None, merchant: str | None = None) -> list[
     none for no columns."""
     if columns is None:
         return []
-    kinds, mids, vids, stamps, assessed, names, variables, cs, ts, index = columns
+    kinds, mids, vids, offsets, since, assessed, names, variables, cs, ts = columns
     if merchant is None:
         rows = np.arange(len(kinds))
-    elif merchant in index:
-        rows = np.flatnonzero(mids == index[merchant])
     else:
-        return []
+        try:
+            rows = np.flatnonzero(mids == names.index(merchant))
+        except ValueError:  # not a name in the table
+            return []
+    # since + offset, exact in uint64 arithmetic, which wraps, as it fits int64
+    stamps = (offsets[rows] + np.uint64(since % 2**64)).view(np.int64)
     # an assessment row's position among the assessment rows indexes c and t_scaled
     out = []
     for kind, m, v, t, a in zip(kinds[rows].tolist(), mids[rows].tolist(), vids[rows].tolist(),
-                                stamps[rows].tolist(), assessed.searchsorted(rows).tolist()):
+                                stamps.tolist(), assessed.searchsorted(rows).tolist()):
         if kind in _OUTCOMES:
             out.append(EvidenceRecord(names[m], variables[v], _OUTCOMES[kind], t))
         else:

@@ -736,19 +736,26 @@ def replaced(monkeypatch):
     return targets
 
 
-def pack(columns: dict) -> bytes:
-    """Snapshot columns as formats 5 to 7 lay them out: the timestamps as
-    ``<i8`` (none when null), merchant and variable ids as ``<u4``, the
-    kind bytes, then ``c`` and ``t_scaled`` as ``<f8``."""
-    stamps, mids, vids = columns["timestamp"], columns["merchant"], columns["variable"]
+def pack(table: dict, columns: dict) -> bytes:
+    """Snapshot columns as format 8 lays them out under ``table``: the
+    timestamp offsets (none when null), merchant ids and variable ids, each
+    at the narrowest of ``<u1``, ``<u2``, ``<u4`` and ``<u8`` that holds
+    ``until - since`` or its table's largest id, then the kind bytes, then
+    ``c`` and ``t_scaled`` as ``<f8``."""
+    spans = {"offset": table["until"] - table["since"],
+             "merchant": len(table["merchant"]) - 1, "variable": len(table["variable"]) - 1}
+    ints = b""
+    for name, largest in spans.items():
+        code = next(code for code, size in zip("BHIQ", (1, 2, 4, 8)) if largest < 256**size)
+        if columns[name] is not None:
+            ints += struct.pack(f"<{len(columns[name])}{code}", *columns[name])
     cs, ts = columns["c"], columns["t_scaled"]
-    return (b"" if stamps is None else struct.pack(f"<{len(stamps)}q", *stamps)) + struct.pack(
-        f"<{len(mids)}I", *mids) + struct.pack(f"<{len(vids)}I", *vids) + columns["kind"] + (
-        struct.pack(f"<{len(cs)}d", *cs) + struct.pack(f"<{len(ts)}d", *ts))
+    return ints + columns["kind"] + struct.pack(f"<{len(cs)}d", *cs) + struct.pack(
+        f"<{len(ts)}d", *ts)
 
 
 def sealed(header: dict, payload: bytes) -> dict:
-    """``header`` with the ``seal`` of formats 6 and 7: the SHA-256 of its other
+    """``header`` with the ``seal`` of formats 6 to 8: the SHA-256 of its other
     entries as ``json.dumps(sort_keys=True)`` writes them, a newline and
     then ``payload``."""
     others = {key: value for key, value in header.items() if key != "seal"}
@@ -772,10 +779,10 @@ SAMPLE = [
     DirectAssessment("B", "Privacy", 0.5, 2.5, 2),
     EvidenceRecord("A", "Portal", "negative", 3),
 ]
-#: SAMPLE's snapshot payload in formats 5 to 7: its table line and its columns
+#: SAMPLE's snapshot payload in format 8: its table line and its columns
 SAMPLE_TABLE = {"merchant": ["A", "B"], "variable": ["Delivery", "Privacy", "Portal"],
-                "assessments": 1}
-SAMPLE_COLUMNS = {"timestamp": [1, 2, 3], "merchant": [0, 1, 0], "variable": [0, 1, 2],
+                "assessments": 1, "since": 1, "until": 3}
+SAMPLE_COLUMNS = {"offset": [0, 1, 2], "merchant": [0, 1, 0], "variable": [0, 1, 2],
                   "kind": b"+a-", "c": [0.5], "t_scaled": [2.5]}
 #: SAMPLE's log as ``write_lines`` writes it, and the snapshot that format 1
 #: (JSON columns under a blake2b digest) wrote for it
@@ -837,23 +844,33 @@ SAMPLE_SNAPSHOT_V6 = (
     + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
     + b"+a-" + struct.pack("<d", 0.5) + struct.pack("<d", 2.5)
 )
+#: the snapshot that format 7 (17 bytes per record: ``<i8`` timestamps,
+#: ``<u4`` ids) wrote for SAMPLE's log, with the ``stat`` and ``seal``
+#: entries taken out of its header; its sha256 was format 7's layout pin
+SAMPLE_SNAPSHOT_V7 = (
+    b'{"digest": "3a1dcfa55f9288b1b9ae853df0f86efd092a9e0ab32739998b92966bad01935a",'
+    b' "length": 306, "version": 7}\n'
+    b'{"merchant":["A","B"],"variable":["Delivery","Privacy","Portal"],"assessments":1}\n'
+    + struct.pack("<3q", 1, 2, 3) + struct.pack("<3I", 0, 1, 0) + struct.pack("<3I", 0, 1, 2)
+    + b"+a-" + struct.pack("<d", 0.5) + struct.pack("<d", 2.5)
+)
 #: the sha256 of the snapshot written for SAMPLE, with the ``stat`` and
 #: ``seal`` entries taken out of its header, as they vary with the log's
 #: file.  A change of the layout must bump ``store.SNAPSHOT_VERSION``, so
 #: that old snapshots are ignored; then update this pin.
-SAMPLE_SNAPSHOT_SHA256 = "ea2fd2a170a88a2c328fabee7ba37bec281ff542a772575cb82c76bae921903d"
+SAMPLE_SNAPSHOT_SHA256 = "42df0aba894ee5821549084eb63fe307258b8268aac29e86a1a23051961e9fc7"
 
 
 def sample_payload(table: dict | None = None, columns: dict | None = None) -> tuple:
     """SAMPLE's snapshot table and blob with the entries of ``table`` and
     ``columns`` replaced.  A ``timestamp`` entry in ``table`` takes the
-    timestamps out of the columns, as format 3 did when one fell outside
-    int64; formats 5 to 7 have no such layout and refuse the blob, whose rows
-    are then 9 bytes, not 17."""
+    timestamp offsets out of the columns, as format 3 took the timestamps
+    out when one fell outside int64; formats 5 to 8 have no such layout and
+    refuse the blob, whose rows are then 3 bytes, not 4."""
     table, columns = {**SAMPLE_TABLE, **(table or {})}, {**SAMPLE_COLUMNS, **(columns or {})}
     if "timestamp" in table:
-        columns["timestamp"] = None
-    return table, pack(columns)
+        columns["offset"] = None
+    return table, pack(table, columns)
 
 
 class TestSnapshot:
@@ -1002,9 +1019,11 @@ class TestSnapshot:
     def test_a_length_inside_a_line_falls_back_to_the_log(self, store, decoded):
         write_lines(store.path, SAMPLE)
         first = store.path.read_bytes().index(b"\n") + 1
-        table = {"merchant": ["A"], "variable": ["Delivery"], "assessments": 0}
-        forge_snapshot(store.path, table, pack({"timestamp": [1], "merchant": [0], "variable": [0],
-                                                "kind": b"+", "c": [], "t_scaled": []}),
+        table = {"merchant": ["A"], "variable": ["Delivery"], "assessments": 0, "since": 1,
+                 "until": 1}
+        forge_snapshot(store.path, table, pack(table, {"offset": [0], "merchant": [0],
+                                                       "variable": [0], "kind": b"+", "c": [],
+                                                       "t_scaled": []}),
                        length=first + 1)
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
@@ -1031,7 +1050,8 @@ class TestSnapshot:
         pytest.param({"merchant": ["A", "B", "A"]}, None, id="merchant-twice"),
         pytest.param(None, {"kind": b"+a\x00"}, id="kind-zero-byte"),
         pytest.param(None, {"merchant": [0, 2, 0]}, id="merchant-id-out-of-range"),
-        pytest.param(None, {"merchant": [0, 1, 2**32 - 1]}, id="merchant-id-max"),
+        # the largest id that the column's width holds, <u1 for two names
+        pytest.param(None, {"merchant": [0, 1, 255]}, id="merchant-id-max"),
         pytest.param(None, {"variable": [0, 1, 3]}, id="variable-id-out-of-range"),
         pytest.param({"variable": "Delivery"}, None, id="variable-not-a-list"),
         pytest.param({"assessments": {"0": 1}}, None, id="c-not-a-list"),
@@ -1046,6 +1066,15 @@ class TestSnapshot:
         pytest.param(None, {"kind": b"+c-"}, id="t_scaled-marked-int-with-a-fraction"),
         pytest.param(None, {"kind": b"+e-"}, id="kind-past-the-int-marks"),
         pytest.param({"assessments": -1}, None, id="assessments-negative"),
+        # format 8's times: an offset past until - since, since after until,
+        # a since or until that is no int, or one outside int64
+        pytest.param(None, {"offset": [0, 3, 2]}, id="offset-past-the-span"),
+        pytest.param({"since": 4}, None, id="since-after-until"),
+        pytest.param({"since": 1.0}, None, id="since-float"),
+        pytest.param({"since": True}, None, id="since-bool"),
+        pytest.param({"until": 3.0}, None, id="until-float"),
+        pytest.param({"until": 2**63}, None, id="until-2**63"),
+        pytest.param({"since": -(2**63) - 1}, None, id="since-below-int64"),
     ])
     def test_a_record_the_checks_reject_falls_back_to_the_log(self, store, decoded,
                                                                table, columns):
@@ -1075,7 +1104,7 @@ class TestSnapshot:
         elif damage == "not an object":
             table = list(table.values())
         else:  # neither in the table nor in the blob
-            blob = pack({**SAMPLE_COLUMNS, "timestamp": None})
+            blob = pack(table, {**SAMPLE_COLUMNS, "offset": None})
         forge_snapshot(store.path, table, blob)
         assert EvidenceStore(store.path).records() == SAMPLE
         assert len(decoded) == 3
@@ -1157,9 +1186,9 @@ class TestSnapshot:
         elif damage == "empty":
             changed = b""
         elif damage in ("record", "seal"):  # the third timestamp, still a valid one
-            at = changed.index(b"\n", changed.index(b"\n") + 1) + 1 + 16
-            assert changed[at:at + 8] == (3).to_bytes(8, "little")
-            changed = changed[:at] + b"\x04" + changed[at + 1:]
+            at = changed.index(b"\n", changed.index(b"\n") + 1) + 1 + 2
+            assert changed[at:at + 1] == (2).to_bytes(1, "little")  # 3, as an offset from 1
+            changed = changed[:at] + b"\x01" + changed[at + 1:]
         snapshot_of(store.path).write_bytes(changed)
         settle(store.path)
         decoded.clear()
@@ -1191,7 +1220,7 @@ class TestSnapshot:
         assert json.loads(written.partition(b"\n")[0])["version"] == store_module.SNAPSHOT_VERSION
         assert written.partition(b"\n")[2] == (
             json.dumps(SAMPLE_TABLE, separators=(",", ":")).encode("ascii") + b"\n"
-            + pack(SAMPLE_COLUMNS))
+            + pack(SAMPLE_TABLE, SAMPLE_COLUMNS))
         decoded.clear()
         assert EvidenceStore(store.path).records() == SAMPLE
         assert decoded == []
@@ -1216,6 +1245,15 @@ class TestSnapshot:
             "4f1b72bc0a7d37fe04da92983584e5307f59c5a1fcba7960167a9edf688f4b71")
         self.check_replaced(store, decoded, SAMPLE_SNAPSHOT_V6)
 
+    def test_a_format_7_snapshot_is_replaced(self, store, decoded):
+        """Sealed as format 7 sealed it, so that its version alone refuses it."""
+        assert hashlib.sha256(SAMPLE_SNAPSHOT_V7).hexdigest() == (  # format 7's layout pin
+            "ea2fd2a170a88a2c328fabee7ba37bec281ff542a772575cb82c76bae921903d")
+        head, _, payload = SAMPLE_SNAPSHOT_V7.partition(b"\n")
+        header = sealed(json.loads(head), payload)
+        self.check_replaced(store, decoded,
+                            json.dumps(header).encode("ascii") + b"\n" + payload)
+
     @pytest.mark.parametrize("kind, c, t_scaled", [(b"b", 1, 2.5), (b"c", 0.5, 3), (b"d", 0, 7)])
     def test_an_int_marked_snapshot_is_replaced(self, store, decoded, kind, c, t_scaled):
         """Format 5 once marked an assessment whose ``c``, ``t_scaled`` or
@@ -1224,16 +1262,17 @@ class TestSnapshot:
         with store.path.open("ab") as fh:
             fh.write(json.dumps({**record_to_dict(SAMPLE[1]), "c": c, "t_scaled": t_scaled})
                      .encode("ascii") + b"\n")
-        table = {"merchant": ["B"], "variable": ["Privacy"], "assessments": 1}
-        columns = {"timestamp": [2], "merchant": [0], "variable": [0], "c": [c],
+        table = {"merchant": ["B"], "variable": ["Privacy"], "assessments": 1, "since": 2,
+                 "until": 2}
+        columns = {"offset": [0], "merchant": [0], "variable": [0], "c": [c],
                    "t_scaled": [t_scaled]}
-        forge_snapshot(store.path, table, pack({**columns, "kind": kind}))
+        forge_snapshot(store.path, table, pack(table, {**columns, "kind": kind}))
         expected = repr([DirectAssessment("B", "Privacy", float(c), float(t_scaled), 2)])
         assert repr(store.records()) == expected
         assert len(decoded) == 1
         assert snapshot_of(store.path).read_bytes().partition(b"\n")[2] == (
             json.dumps(table, separators=(",", ":")).encode("ascii") + b"\n"
-            + pack({**columns, "kind": b"a"}))
+            + pack(table, {**columns, "kind": b"a"}))
         decoded.clear()
         assert repr(EvidenceStore(store.path).records()) == expected
         assert decoded == []
@@ -1245,7 +1284,7 @@ class TestSnapshot:
         head, _, payload = snapshot_of(store.path).read_bytes().partition(b"\n")
         assert payload == (
             json.dumps(SAMPLE_TABLE, separators=(",", ":")).encode("ascii") + b"\n"
-            + pack(SAMPLE_COLUMNS))
+            + pack(SAMPLE_TABLE, SAMPLE_COLUMNS))
         header = json.loads(head)
         assert list(header) == ["digest", "length", "seal", "stat", "version"]
         seal = header.pop("seal")
@@ -1326,6 +1365,67 @@ class TestSnapshot:
         decoded.clear()
         assert EvidenceStore(store.path).records() == records == reference_records(store.path)
         assert decoded == []
+
+
+class TestIntegerWidths:
+    """Format 8 writes the timestamp offsets, the merchant ids and the
+    variable ids each at the narrowest of ``<u1``, ``<u2``, ``<u4`` and
+    ``<u8`` that holds the column's largest value.  Each log here is read
+    by a miss, which writes its snapshot, then by a stamped hit and by a
+    hashed hit, which both give the log's records."""
+
+    @staticmethod
+    def round_trip(path: Path, records: list) -> bytes:
+        """The blob of the snapshot of a log of ``records``, once each kind
+        of read has given the records back."""
+        write_lines(path, records)
+        assert EvidenceStore(path).records() == records  # a miss, which writes the snapshot
+        last = records[-1].merchant
+        settle(path)
+        assert stamp_holds(path)
+        with no_decoding():
+            assert EvidenceStore(path).records() == records
+            assert EvidenceStore(path).records(last) == [r for r in records if r.merchant == last]
+        os.utime(path)  # a new ctime: the stamp no longer holds, so a hit hashes
+        assert not stamp_holds(path)
+        with no_decoding():
+            assert EvidenceStore(path).records() == records
+            assert EvidenceStore(path).records(last) == [r for r in records if r.merchant == last]
+        return snapshot_of(path).read_bytes().split(b"\n", 2)[2]
+
+    @pytest.mark.parametrize("largest, size", [(255, 1), (256, 2), (65_535, 2), (65_536, 4)])
+    def test_ids_at_each_width(self, store, largest, size):
+        """Names up to id ``largest`` in both tables, one timestamp."""
+        records = [EvidenceRecord(f"m{i}", f"v{i}", "positive", 7) for i in range(largest + 1)]
+        blob = self.round_trip(store.path, records)
+        assert len(blob) == len(records) * (1 + 2 * size + 1)
+
+    @pytest.mark.parametrize("since, span, size", [
+        (1_700_000_000, 255, 1), (1_700_000_000, 256, 2), (-5, 65_535, 2), (-5, 65_536, 4),
+        (0, 2**32 - 1, 4), (0, 2**32, 8), (-(2**63), 2**64 - 1, 8),
+    ], ids=["255", "256", "65535", "65536", "2**32-1", "2**32", "int64"])
+    def test_timestamp_spans_at_each_width(self, store, since, span, size):
+        """Timestamps from ``since`` to ``since + span``, both ends of int64
+        in one snapshot at the last."""
+        records = [EvidenceRecord("A", "Delivery", "positive", since + span),
+                   DirectAssessment("B", "Privacy", 0.5, 2.5, since),
+                   EvidenceRecord("A", "Portal", "negative", since + span // 2),
+                   EvidenceRecord("B", "Portal", "negative", since + span - 1)]
+        blob = self.round_trip(store.path, records)
+        assert len(blob) == len(records) * (size + 3) + 16
+
+    def test_a_record_takes_at_most_8_bytes_and_an_assessment_16_more(self, store):
+        """A snapshot of N records, m of them assessments, with at most 256
+        variables, at most 65,536 merchants and a timestamp span below
+        2**32, holds at most 8N + 16m bytes after its table line.  This log
+        has the most of each."""
+        records = [DirectAssessment(f"m{i}", f"v{i % 256}", 0.5, 2.5, i * 65_537) if i % 7 == 0
+                   else EvidenceRecord(f"m{i}", f"v{i % 256}", "positive", i * 65_537)
+                   for i in range(65_536)]
+        assert records[-1].timestamp == 2**32 - 1
+        assessments = sum(isinstance(r, DirectAssessment) for r in records)
+        blob = self.round_trip(store.path, records)
+        assert len(blob) <= 8 * len(records) + 16 * assessments
 
 
 class TestSnapshotCut:
@@ -1576,8 +1676,8 @@ class TestSnapshotDigestWorker:
                 EvidenceStore(log).records()
         assert started == []
 
-    def test_a_digest_that_raises_value_error_ignores_the_snapshot(self, log, decoded,
-                                                                   monkeypatch):
+    def test_a_digest_that_raises_value_error_reaches_the_caller(self, log, decoded,
+                                                                 monkeypatch):
         """Since format 6, an error from the prefix digest reaches the
         caller, whatever its type, as hashing bytes raises nothing a
         snapshot can cause."""
@@ -1605,10 +1705,10 @@ class TestSnapshotDigestWorker:
                 EvidenceStore(log).records()
 
 
-class TestSplitRead:
-    """Format 6 split a hashed read: the digest worker read the log's head
-    with ``os.pread`` while the calling thread read from the cut to the end.
-    Since format 7 the calling thread reads the whole log with one read."""
+class TestOneRead:
+    """A hashed read reads the whole log with one read on the calling
+    thread, as it has since format 7; format 6 split it, the digest worker
+    reading the log's head while the calling thread read the rest."""
 
     log = TestSnapshotDigestWorker.log
 
@@ -2273,7 +2373,7 @@ def test_a_snapshot_hit_reads_what_the_log_holds(whole_as_int, data):
                 fh.write(json.dumps(fields).encode("ascii") + b"\n")
         miss = EvidenceStore(path).records()
         table = json.loads(snapshot_of(path).read_bytes().split(b"\n")[1])
-        assert list(table) == ["merchant", "variable", "assessments"]
+        assert list(table) == ["merchant", "variable", "assessments", "since", "until"]
         with no_decoding():
             hit = EvidenceStore(path).records()
         expected = reference_records(path)
@@ -2301,8 +2401,9 @@ def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
         merchant, variable, c, t_scaled, timestamp, assessed):
     """A one-record snapshot with a valid digest is taken when the record
     constructor accepts its values, and otherwise ignored for the log.  Its
-    timestamp column holds any int64, all of which the constructor takes,
-    and its ``c`` and ``t_scaled`` columns any float64."""
+    timestamp, the table's ``since`` and ``until`` and an offset of 0, is
+    any int64, all of which the constructor takes, and its ``c`` and
+    ``t_scaled`` columns hold any float64."""
     try:
         if assessed:
             record = DirectAssessment(merchant, variable, c, t_scaled, timestamp)
@@ -2310,15 +2411,16 @@ def test_a_forged_snapshot_is_taken_exactly_when_the_constructor_accepts_it(
             record = EvidenceRecord(merchant, variable, "positive", timestamp)
     except ValueError:
         record = None
-    table = {"merchant": [merchant], "variable": [variable], "assessments": int(assessed)}
-    columns = {"timestamp": [timestamp], "merchant": [0], "variable": [0],
+    table = {"merchant": [merchant], "variable": [variable], "assessments": int(assessed),
+             "since": timestamp, "until": timestamp}
+    columns = {"offset": [0], "merchant": [0], "variable": [0],
                "kind": b"a" if assessed else b"+",
                "c": [c] if assessed else [], "t_scaled": [t_scaled] if assessed else []}
     logged = EvidenceRecord("log", "Delivery", "negative", 0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.jsonl"
         write_lines(path, [logged])
-        forge_snapshot(path, table, pack(columns))
+        forge_snapshot(path, table, pack(table, columns))
         with mock.patch.object(store_module, "decode_line",
                                wraps=store_module.decode_line) as decode:
             got = EvidenceStore(path).records()
